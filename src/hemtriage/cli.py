@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,8 @@ import numpy as np
 from . import folds, gbdt, metrics, slicemodel, stacker, svgplots, synth, thresholds
 from .errors import ConfigError, FormatError, PipelineError
 from .fileio import atomic_write_text
-from .volume import (HEMORRHAGE_TYPES, WindowSpec, load_manifest, load_manifest_volumes,
-                     load_slice_labels)
+from .volume import (HEMORRHAGE_TYPES, CtVolume, ScanLabels, WindowSpec, load_manifest,
+                     load_manifest_volumes, load_slice_labels)
 
 _DECISION_COLUMNS = ("scan_id",) + HEMORRHAGE_TYPES
 
@@ -36,27 +37,30 @@ def _parse_windows(text: str) -> tuple[WindowSpec, ...]:
     return specs
 
 
+def _broadcast_scan_labels(scan_id, vector, num_slices) -> np.ndarray:
+    """A (num_slices, 5) label matrix repeating the scan label on every slice.
+
+    Used where a scan has no per-slice labels; it warns, since that is a
+    coarser truth.
+    """
+    warnings.warn(f"{scan_id}: no per-slice labels; broadcasting scan labels")
+    return np.tile(vector, (num_slices, 1))
+
+
 def _volumes_with_slice_labels(manifest_path, slice_labels_path, volumes_root=None):
     """Load manifest volumes so every one carries a per-slice label matrix.
 
     Scans absent from the per-slice CSV (or when no CSV is given) broadcast
-    their scan label to every slice, with a warning: that is a coarser truth.
+    their scan label to every slice.
     """
-    import warnings
-
-    from .volume import CtVolume, ScanLabels
-
-    volumes = load_manifest_volumes(manifest_path, slice_labels_path, volumes_root)
     out = []
-    for volume in volumes:
-        if volume.labels.slice_labels is not None:
-            out.append(volume)
-            continue
-        warnings.warn(f"{volume.scan_id}: no per-slice labels; broadcasting scan labels")
-        matrix = np.tile(volume.labels.vector(), (volume.num_slices, 1))
-        labels = ScanLabels.from_vector(volume.labels.vector(), slice_labels=matrix)
-        out.append(CtVolume(volume.scan_id, volume.patient_id, volume.slices,
-                            volume.slice_thickness_mm, labels=labels))
+    for volume in load_manifest_volumes(manifest_path, slice_labels_path, volumes_root):
+        if volume.labels.slice_labels is None:
+            matrix = _broadcast_scan_labels(volume.scan_id, volume.labels.vector(),
+                                            volume.num_slices)
+            volume = CtVolume(volume.scan_id, volume.patient_id, volume.slices,
+                              volume.slice_thickness_mm, ScanLabels.from_slice_matrix(matrix))
+        out.append(volume)
     return out
 
 
@@ -132,20 +136,16 @@ def cmd_oof(args) -> None:
 
 
 def cmd_stack_train(args) -> None:
-    import warnings
-
     probs = slicemodel.load_slice_probs(args.oof)
     if args.slice_labels is not None:
         labels = load_slice_labels(args.slice_labels)
     elif args.manifest is not None:
-        # Scan-level-only truth: broadcast each scan's label to its slices.
         labels = {}
         scan_labels = {row.scan_id: row.labels.vector() for row in load_manifest(args.manifest)}
         for scan_id, rows in probs.items():
             if scan_id not in scan_labels:
                 raise ConfigError(f"manifest lacks scan {scan_id}")
-            warnings.warn(f"{scan_id}: no per-slice labels; broadcasting scan labels")
-            labels[scan_id] = np.tile(scan_labels[scan_id], (rows.shape[0], 1))
+            labels[scan_id] = _broadcast_scan_labels(scan_id, scan_labels[scan_id], rows.shape[0])
     else:
         raise ConfigError("stack-train needs --slice-labels or --manifest")
     presets = gbdt.default_presets(seed=args.seed, rounds=args.rounds)
@@ -184,6 +184,9 @@ def _load_decisions(path, rows) -> np.ndarray:
         if reader.fieldnames is None or set(_DECISION_COLUMNS) - set(reader.fieldnames):
             raise FormatError(f"{path}: decisions CSV must have columns {_DECISION_COLUMNS}")
         for record in reader:
+            if record["scan_id"] in table:
+                raise FormatError(f"{path}: line {reader.line_num}: "
+                                  f"duplicate scan_id {record['scan_id']!r}")
             cells = [record[t] for t in HEMORRHAGE_TYPES]
             if any(cell not in ("0", "1") for cell in cells):
                 raise FormatError(f"{path}: decision cells must be 0 or 1, got {cells}")

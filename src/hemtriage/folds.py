@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InfeasibleError, TrainingError
+from .errors import ConfigError, InfeasibleError, TrainingError
 from .fileio import atomic_write_text
 from .volume import DEFAULT_WINDOWS, HEMORRHAGE_TYPES
 
@@ -36,9 +36,6 @@ class FoldAssignment:
         for scan_id, fold in self.fold_of.items():
             if not 0 <= fold < self.k:
                 raise ConfigError(f"scan {scan_id}: fold {fold} outside [0, {self.k})")
-
-    def scans_in_fold(self, fold: int) -> list[str]:
-        return [scan_id for scan_id, f in self.fold_of.items() if f == fold]
 
 
 def assign_folds(rows, k: int, seed: int = 0) -> FoldAssignment:
@@ -208,26 +205,3 @@ def save_fold_csv(rows, assignment: FoldAssignment, path) -> None:
     for row in rows:
         writer.writerow([row.scan_id, row.patient_id, assignment.fold_of[row.scan_id]])
     atomic_write_text(path, buf.getvalue())
-
-
-def load_fold_csv(path) -> FoldAssignment:
-    fold_of: dict[str, int] = {}
-    patient_fold: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(_FOLD_COLUMNS) - set(reader.fieldnames):
-            raise FormatError(f"{path}: fold CSV must have columns {_FOLD_COLUMNS}")
-        for record in reader:
-            try:
-                fold = int(record["fold"])
-            except ValueError as exc:
-                raise FormatError(f"{path}: {exc}") from exc
-            if record["scan_id"] in fold_of:
-                raise FormatError(f"{path}: scan {record['scan_id']} assigned twice")
-            fold_of[record["scan_id"]] = fold
-            seen = patient_fold.setdefault(record["patient_id"], fold)
-            if seen != fold:
-                raise FormatError(f"{path}: patient {record['patient_id']} split across folds")
-    if not fold_of:
-        raise FormatError(f"{path}: fold CSV has no rows")
-    return FoldAssignment(k=max(fold_of.values()) + 1, fold_of=fold_of)

@@ -165,11 +165,10 @@ class CumulativeCurves:
     decision_curve: np.ndarray
     truth_curve: np.ndarray
     final_difference: int  # decisions minus truths at the end, i.e. fp - fn
-    max_divergence: int
     disagreements: int     # fp + fn
 
 
-def cumulative_curves(decisions, truths, order=None) -> CumulativeCurves:
+def cumulative_curves(decisions, truths) -> CumulativeCurves:
     """Running positive counts of decisions and truths in review order.
 
     Curves above the truth line mean over-calling; below means missed cases.
@@ -178,20 +177,12 @@ def cumulative_curves(decisions, truths, order=None) -> CumulativeCurves:
     truths = np.asarray(truths, dtype=bool).ravel()
     if len(decisions) != len(truths):
         raise ArityError(f"{len(decisions)} decisions vs {len(truths)} truths")
-    if order is not None:
-        order = np.asarray(order)
-        if sorted(order.tolist()) != list(range(len(decisions))):
-            raise DataError("order must be a permutation of the sample indices")
-        decisions = decisions[order]
-        truths = truths[order]
     decision_curve = np.cumsum(decisions).astype(int)
     truth_curve = np.cumsum(truths).astype(int)
-    difference = decision_curve - truth_curve
     return CumulativeCurves(
         decision_curve=decision_curve,
         truth_curve=truth_curve,
-        final_difference=int(difference[-1]) if len(difference) else 0,
-        max_divergence=int(np.abs(difference).max()) if len(difference) else 0,
+        final_difference=int(decision_curve[-1] - truth_curve[-1]) if len(decisions) else 0,
         disagreements=int((decisions != truths).sum()),
     )
 

@@ -41,17 +41,6 @@ DEFAULT_REFERENCE_CONFIG = gbdt.GbdtConfig(
     min_samples_leaf=5, growth="depthwise", l2_reg=1.0, seed=0)
 
 
-def as_prob_vector(values) -> np.ndarray:
-    vec = np.asarray(values, dtype=np.float64)
-    if vec.shape != (5,):
-        raise ArityError(f"probability vector must have shape (5,), got {vec.shape}")
-    if not np.isfinite(vec).all():
-        raise DataError("probability vector must be finite")
-    if vec.min() < 0.0 or vec.max() > 1.0:
-        raise DataError("probability components must lie in [0, 1]")
-    return vec
-
-
 def extract_features(image, position: float = 0.0) -> np.ndarray:
     """Handcrafted features of one 3-channel normalized slice.
 
@@ -149,15 +138,6 @@ def train_reference_classifier(features, slice_labels, config=None, seed: int = 
     models = [gbdt.train(X, Y[:, t].astype(np.float64), config) for t in range(5)]
     identity = f"reference-gbdt-v1(rounds={config.rounds},seed={seed})"
     return ReferenceSliceClassifier(models, identity)
-
-
-def ensemble_average(vectors) -> np.ndarray:
-    """Component-wise arithmetic mean of probability vectors."""
-    vectors = list(vectors)
-    if not vectors:
-        raise ArityError("ensemble_average needs at least one vector")
-    stacked = np.stack([as_prob_vector(v) for v in vectors])
-    return stacked.mean(axis=0)
 
 
 def slice_positions(num_slices: int) -> np.ndarray:

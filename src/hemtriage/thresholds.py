@@ -21,6 +21,7 @@ from scipy.special import erf
 
 from .errors import ArityError, ConfigError, DataError, FormatError, UndefinedMetricError
 from .fileio import atomic_write_text
+from .metrics import compute_confusion, compute_metrics
 from .volume import HEMORRHAGE_TYPES
 
 _THRESHOLD_KEYS = tuple(f"t_{t}" for t in HEMORRHAGE_TYPES)
@@ -85,20 +86,8 @@ def aggregate_scan(rows) -> np.ndarray:
     return rows.max(axis=0)
 
 
-def scan_matrix(probs_by_scan, scan_order=None) -> tuple[list[str], np.ndarray]:
-    """Aggregate every scan; rows follow scan_order (default: sorted ids)."""
-    if scan_order is None:
-        scan_order = sorted(probs_by_scan)
-    vectors = np.array([aggregate_scan(probs_by_scan[scan_id]) for scan_id in scan_order])
-    return list(scan_order), vectors
-
-
 def _balanced_accuracy(decisions: np.ndarray, truths: np.ndarray) -> float:
-    positives = truths.sum()
-    negatives = len(truths) - positives
-    sensitivity = (decisions & truths).sum() / positives
-    specificity = (~decisions & ~truths).sum() / negatives
-    return float((sensitivity + specificity) / 2.0)
+    return compute_metrics(compute_confusion(decisions, truths)).bacc
 
 
 def _objective_any_bacc(thresholds: np.ndarray, vectors: np.ndarray, labels: np.ndarray) -> float:
@@ -132,13 +121,6 @@ def _check_objective_defined(objective: str, labels: np.ndarray) -> None:
         usable = [t for t in range(5) if labels[:, t].any() and not labels[:, t].all()]
         if not usable:
             raise UndefinedMetricError("every type has one-class labels; objective undefined")
-
-
-def evaluate_objective(objective: str, thresholds, vectors, labels) -> float:
-    if objective not in OBJECTIVES:
-        raise ConfigError(f"unknown objective {objective!r}; pick from {sorted(OBJECTIVES)}")
-    thresholds = np.asarray(thresholds, dtype=np.float64).ravel()
-    return OBJECTIVES[objective](thresholds, np.asarray(vectors), np.asarray(labels, dtype=bool))
 
 
 def _norm_pdf(z):

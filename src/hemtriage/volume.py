@@ -225,11 +225,16 @@ def save_manifest(rows, path) -> None:
 
 def load_manifest(path) -> list[ManifestRow]:
     rows = []
+    seen = set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or set(_MANIFEST_COLUMNS) - set(reader.fieldnames):
             raise FormatError(f"{path}: manifest must have columns {_MANIFEST_COLUMNS}")
         for record in reader:
+            if record["scan_id"] in seen:
+                raise FormatError(f"{path}: line {reader.line_num}: "
+                                  f"duplicate scan_id {record['scan_id']!r}")
+            seen.add(record["scan_id"])
             try:
                 labels = ScanLabels.from_vector([_parse_binary(record[t]) for t in HEMORRHAGE_TYPES])
             except ValueError as exc:

@@ -143,6 +143,19 @@ class TestEvaluateWithDecisions:
         assert any_row[12] == "74.5"  # MCC
         assert any_row[13] == "76.8"  # F1
 
+    def test_repeated_scan_id_rejected(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("scan_id,patient_id,path,edh,sdh,sah,ivh,iph\n"
+                            "s0,p0,x,1,0,0,0,0\ns1,p1,y,0,0,0,0,0\n")
+        decisions = tmp_path / "decisions.csv"
+        decisions.write_text("scan_id,edh,sdh,sah,ivh,iph\n"
+                             "s0,1,0,0,0,0\ns1,0,0,0,0,0\ns0,0,0,0,0,0\n")
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--manifest", str(manifest), "--decisions", str(decisions),
+                    "--out", str(out)]) == 1
+        assert "decisions.csv: line 4: duplicate scan_id 's0'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_exactly_one_input_mode(self, tmp_path, capsys):
         manifest = tmp_path / "m.csv"
         manifest.write_text("scan_id,patient_id,path,edh,sdh,sah,ivh,iph\ns0,p0,x,0,0,0,0,0\n")

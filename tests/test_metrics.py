@@ -210,7 +210,8 @@ class TestCumulativeCurves:
 
     def test_identical_inputs(self):
         curves = cumulative_curves([1, 0, 1], [1, 0, 1])
-        assert curves.max_divergence == 0 and curves.disagreements == 0
+        assert curves.decision_curve.tolist() == curves.truth_curve.tolist()
+        assert curves.final_difference == 0 and curves.disagreements == 0
 
     def test_external_any_net_overcall(self):
         tp, fn, tn, fp = EXTERNAL_ROWS["any"]

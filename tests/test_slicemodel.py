@@ -3,7 +3,6 @@ import pytest
 
 from hemtriage.errors import ArityError, DataError, FormatError, TrainingError
 from hemtriage.slicemodel import (BLOOD_BAND, FEATURE_LENGTH, HISTOGRAM_BINS,
-                                  ensemble_average,
                                   extract_features, load_slice_model, load_slice_probs,
                                   predict_slices, save_slice_model, save_slice_probs,
                                   slice_positions, train_reference_classifier,
@@ -73,36 +72,6 @@ class TestExtractFeatures:
     def test_wrong_shape_rejected(self):
         with pytest.raises(DataError):
             extract_features(np.zeros((2, 4, 4)))
-
-
-class TestEnsembleAverage:
-    def test_arithmetic_mean(self):
-        out = ensemble_average([(0.2, 0.4, 0.6, 0.8, 1.0), (0.4, 0.6, 0.8, 1.0, 0.0)])
-        np.testing.assert_allclose(out, [0.3, 0.5, 0.7, 0.9, 0.5])
-
-    def test_idempotent_on_identical(self):
-        vec = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-        out = ensemble_average([vec] * 7)
-        np.testing.assert_allclose(out, vec)
-
-    def test_extremes(self):
-        out = ensemble_average([np.zeros(5), np.ones(5)])
-        np.testing.assert_allclose(out, 0.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ArityError):
-            ensemble_average([])
-
-    def test_permutation_invariant_and_bounded(self, rng):
-        vectors = [rng.random(5) for _ in range(6)]
-        forward = ensemble_average(vectors)
-        backward = ensemble_average(vectors[::-1])
-        np.testing.assert_allclose(forward, backward, atol=1e-15)
-        assert forward.min() >= 0.0 and forward.max() <= 1.0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DataError):
-            ensemble_average([np.array([0.1, 0.2, 0.3, 0.4, 1.5])])
 
 
 class TestReferenceClassifier:
@@ -218,8 +187,8 @@ class TestSliceModelFile:
                               classifier.classify_features(probe))
 
     def test_model_averaging_equals_classifier_averaging(self, rng):
-        # Averaging two trained models' outputs is the same ensemble_average
-        # operation used for two classifiers.
+        # Classifiers are averaged component-wise: predicting with two at once
+        # equals the mean of their separate predictions.
         volume = make_volume(num_slices=3, seed=2)
         a = ConstantClassifier(np.full(5, 0.2))
         b = ConstantClassifier(np.full(5, 0.8))

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hemtriage.errors import ArityError, ConfigError, FormatError, UndefinedMetricError
-from hemtriage.thresholds import (PUBLISHED_THRESHOLDS, ThresholdSet, aggregate_scan,
-                                  binarize_slice, evaluate_objective, load_thresholds,
-                                  optimize_thresholds, save_thresholds, scan_matrix)
+from hemtriage.thresholds import (OBJECTIVES, PUBLISHED_THRESHOLDS, ThresholdSet,
+                                  aggregate_scan, binarize_slice, load_thresholds,
+                                  optimize_thresholds, save_thresholds)
 
 
 def grid_oracle(vectors, labels, step=0.01):
@@ -114,12 +114,6 @@ class TestAggregate:
         with pytest.raises(ArityError):
             aggregate_scan(np.zeros((0, 5)))
 
-    def test_scan_matrix_sorted_order(self, rng):
-        probs = {"b": rng.random((3, 5)), "a": rng.random((2, 5))}
-        order, vectors = scan_matrix(probs)
-        assert order == ["a", "b"]
-        np.testing.assert_array_equal(vectors[0], probs["a"].max(axis=0))
-
 
 class TestDecisionEquivalence:
     @settings(max_examples=40, deadline=None)
@@ -161,8 +155,10 @@ class TestDecisionEquivalence:
 
 class TestObjectives:
     def test_unknown_objective(self):
-        with pytest.raises(ConfigError):
-            evaluate_objective("nope", np.full(5, 0.5), np.zeros((2, 5)), np.zeros((2, 5)))
+        vectors = np.random.default_rng(0).random((10, 5))
+        labels = np.eye(10, 5, dtype=bool)
+        with pytest.raises(ConfigError, match="unknown objective"):
+            optimize_thresholds(vectors, labels, objective="nope", budget=25)
 
     def test_degenerate_labels_rejected(self):
         vectors = np.random.default_rng(0).random((10, 5))
@@ -173,7 +169,7 @@ class TestObjectives:
         vectors = rng.random((20, 5))
         labels = rng.integers(0, 2, (20, 5)).astype(bool)
         labels[:, 3] = False  # undefined for this type; mean skips it
-        value = evaluate_objective("mean_type_bacc", np.full(5, 0.5), vectors, labels)
+        value = OBJECTIVES["mean_type_bacc"](np.full(5, 0.5), vectors, labels)
         assert 0.0 <= value <= 1.0
 
 

@@ -189,6 +189,15 @@ class TestManifest:
         with pytest.raises(FormatError):
             load_manifest(path)
 
+    def test_repeated_scan_id_rejected(self, tmp_path):
+        # A repeated id would collapse in the fold map (breaking patient
+        # grouping) and be counted twice by the metrics.
+        path = tmp_path / "manifest.csv"
+        path.write_text("scan_id,patient_id,path,edh,sdh,sah,ivh,iph\n"
+                        "s0,pA,a.ctv,0,0,0,0,0\ns1,pA,b.ctv,0,0,0,0,0\ns0,pB,c.ctv,1,0,0,0,0\n")
+        with pytest.raises(FormatError, match=r"manifest\.csv: line 4: duplicate scan_id 's0'"):
+            load_manifest(path)
+
 
 class TestSliceLabelCsv:
     def test_round_trip(self, tmp_path):
