@@ -20,8 +20,8 @@ import numpy as np
 from . import folds, gbdt, metrics, slicemodel, stacker, svgplots, synth, thresholds
 from .errors import ConfigError, FormatError, PipelineError
 from .fileio import atomic_write_text
-from .volume import (HEMORRHAGE_TYPES, CtVolume, ScanLabels, WindowSpec, load_manifest,
-                     load_manifest_volumes, load_slice_labels)
+from .volume import (HEMORRHAGE_TYPES, WindowSpec, load_manifest, load_manifest_volumes,
+                     load_slice_labels)
 
 _DECISION_COLUMNS = ("scan_id",) + HEMORRHAGE_TYPES
 
@@ -47,31 +47,34 @@ def _broadcast_scan_labels(scan_id, vector, num_slices) -> np.ndarray:
     return np.tile(vector, (num_slices, 1))
 
 
-def _volumes_with_slice_labels(manifest_path, slice_labels_path, volumes_root=None):
-    """Load manifest volumes so every one carries a per-slice label matrix.
+def _slice_label_matrices(volumes) -> dict[str, np.ndarray]:
+    """Per-slice label matrix of every volume, by scan_id.
 
-    Scans absent from the per-slice CSV (or when no CSV is given) broadcast
-    their scan label to every slice.
+    Scans without per-slice labels (absent from the per-slice CSV, or no CSV
+    given) broadcast their scan label to every slice.
     """
-    out = []
-    for volume in load_manifest_volumes(manifest_path, slice_labels_path, volumes_root):
-        if volume.labels.slice_labels is None:
-            matrix = _broadcast_scan_labels(volume.scan_id, volume.labels.vector(),
-                                            volume.num_slices)
-            volume = CtVolume(volume.scan_id, volume.patient_id, volume.slices,
-                              volume.slice_thickness_mm, ScanLabels.from_slice_matrix(matrix))
-        out.append(volume)
-    return out
+    return {v.scan_id: v.labels.slice_labels if v.labels.slice_labels is not None
+            else _broadcast_scan_labels(v.scan_id, v.labels.vector(), v.num_slices)
+            for v in volumes}
 
 
 def _manifest_truths(rows) -> np.ndarray:
     return np.array([row.labels.vector() for row in rows], dtype=bool)
 
 
-def _scan_scores(rows, probs_by_scan) -> np.ndarray:
+def _scan_scores(rows, probs_path) -> np.ndarray:
+    """Scan-level probabilities in manifest order; the probability CSV must
+    cover exactly the manifest's scans."""
+    probs_by_scan = slicemodel.load_slice_probs(probs_path)
     missing = [row.scan_id for row in rows if row.scan_id not in probs_by_scan]
     if missing:
-        raise ConfigError(f"probability CSV lacks scans: {missing[:5]}")
+        raise ConfigError(f"{probs_path}: probability CSV lacks {len(missing)} manifest "
+                          f"scans: {missing[:5]}")
+    in_manifest = {row.scan_id for row in rows}
+    extra = [scan_id for scan_id in probs_by_scan if scan_id not in in_manifest]
+    if extra:
+        raise ConfigError(f"{probs_path}: probability CSV has {len(extra)} scans not in "
+                          f"the manifest: {extra[:5]}")
     return np.array([thresholds.aggregate_scan(probs_by_scan[row.scan_id]) for row in rows])
 
 
@@ -103,11 +106,15 @@ def _reference_config(rounds):
     return config
 
 
+def _volume_features(volumes, windows) -> dict[str, np.ndarray]:
+    return {v.scan_id: slicemodel.volume_features(v, windows) for v in volumes}
+
+
 def cmd_slice_train(args) -> None:
     windows = _parse_windows(args.windows)
-    volumes = _volumes_with_slice_labels(args.manifest, args.slice_labels, args.volumes)
+    volumes = load_manifest_volumes(args.manifest, args.slice_labels, args.volumes)
     features = np.concatenate([slicemodel.volume_features(v, windows) for v in volumes])
-    labels = np.concatenate([v.labels.slice_labels for v in volumes])
+    labels = np.concatenate(list(_slice_label_matrices(volumes).values()))
     classifier = slicemodel.train_reference_classifier(
         features, labels, _reference_config(args.rounds), seed=args.seed)
     slicemodel.save_slice_model(classifier, windows, args.out)
@@ -117,7 +124,8 @@ def cmd_slice_train(args) -> None:
 def cmd_slice_predict(args) -> None:
     classifier, windows = slicemodel.load_slice_model(args.model)
     volumes = load_manifest_volumes(args.manifest, volumes_root=args.volumes)
-    probs = {v.scan_id: slicemodel.predict_slices(v, [classifier], windows) for v in volumes}
+    probs = slicemodel.predict_by_scan(classifier.classify_features,
+                                       _volume_features(volumes, windows))
     slicemodel.save_slice_probs(probs, args.out)
     print(f"predicted {sum(p.shape[0] for p in probs.values())} slices -> {args.out}")
 
@@ -125,10 +133,13 @@ def cmd_slice_predict(args) -> None:
 def cmd_oof(args) -> None:
     windows = _parse_windows(args.windows)
     rows = load_manifest(args.manifest)
-    volumes = _volumes_with_slice_labels(args.manifest, args.slice_labels, args.volumes)
+    volumes = load_manifest_volumes(args.manifest, args.slice_labels, args.volumes)
     assignment = folds.assign_folds(rows, args.folds, seed=args.seed)
-    train_fn = slicemodel.reference_train_fn(windows, _reference_config(args.rounds))
-    oof = folds.generate_oof(volumes, assignment, train_fn, windows, seed=args.seed)
+    config = _reference_config(args.rounds)
+    oof = folds.generate_oof(
+        _volume_features(volumes, windows), _slice_label_matrices(volumes), assignment,
+        lambda X, Y, s: slicemodel.train_reference_classifier(X, Y, config, seed=s),
+        seed=args.seed)
     out_dir = Path(args.out)
     folds.save_fold_csv(rows, assignment, out_dir / "folds.csv")
     slicemodel.save_slice_probs(oof, out_dir / "oof_probs.csv")
@@ -167,14 +178,13 @@ def cmd_stack_apply(args) -> None:
 
 def cmd_optimize(args) -> None:
     rows = load_manifest(args.manifest)
-    probs = slicemodel.load_slice_probs(args.probs)
-    vectors = _scan_scores(rows, probs)
+    vectors = _scan_scores(rows, args.probs)
     truths = _manifest_truths(rows)
     best, achieved = thresholds.optimize_thresholds(
         vectors, truths, objective=args.objective, budget=args.budget, seed=args.seed)
     thresholds.save_thresholds(best, args.out)
     print(f"best {args.objective}={achieved:.4f} at "
-          f"{[round(v, 4) for v in best.as_array()]} -> {args.out}")
+          f"{[round(float(v), 4) for v in best.as_array()]} -> {args.out}")
 
 
 def _load_decisions(path, rows) -> np.ndarray:
@@ -209,7 +219,7 @@ def cmd_evaluate(args) -> None:
         if args.thresholds is None:
             raise ConfigError("--probs evaluation needs --thresholds")
         threshold_set = thresholds.load_thresholds(args.thresholds)
-        scores = _scan_scores(rows, slicemodel.load_slice_probs(args.probs))
+        scores = _scan_scores(rows, args.probs)
         decisions, _ = thresholds.binarize_slice(scores, threshold_set)
     report = metrics.build_report(decisions, truths, scores)
     out_dir = Path(args.out)
@@ -223,7 +233,7 @@ def cmd_report(args) -> None:
     rows = load_manifest(args.manifest)
     truths = _manifest_truths(rows)
     threshold_set = thresholds.load_thresholds(args.thresholds)
-    scores = _scan_scores(rows, slicemodel.load_slice_probs(args.probs))
+    scores = _scan_scores(rows, args.probs)
     decisions, _ = thresholds.binarize_slice(scores, threshold_set)
     out_dir = Path(args.out)
     label_scores = {label: scores[:, t] for t, label in enumerate(HEMORRHAGE_TYPES)}

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleError, TrainingError
 from .fileio import atomic_write_text
-from .volume import DEFAULT_WINDOWS, HEMORRHAGE_TYPES
+from .slicemodel import predict_by_scan
+from .volume import HEMORRHAGE_TYPES
 
 _FOLD_COLUMNS = ("scan_id", "patient_id", "fold")
 _LABEL_COLUMNS = len(HEMORRHAGE_TYPES) + 1  # five types plus "any"
@@ -170,32 +171,35 @@ def _repair_balance(ordered, groups, counts, group_fold, fold_counts, fold_sizes
             apply(pid, target)
 
 
-def generate_oof(volumes, assignment: FoldAssignment, train_fn,
-                 specs=DEFAULT_WINDOWS, seed: int = 0) -> dict[str, np.ndarray]:
+def generate_oof(features_by_scan, labels_by_scan, assignment: FoldAssignment, train_fn,
+                 seed: int = 0) -> dict[str, np.ndarray]:
     """Out-of-fold per-slice probabilities for every scan.
 
-    For each fold, ``train_fn(train_volumes, fold_seed)`` fits a classifier on
-    the other folds and predicts the held-out scans, so every prediction comes
-    from a model that never saw that scan's fold.
+    ``features_by_scan`` and ``labels_by_scan`` map each scan to its per-slice
+    feature and label matrices. For each fold, ``train_fn(X, Y, fold_seed)``
+    fits a model on the rows of the other folds' scans (concatenated in input
+    order) and its ``classify_features`` predicts the held-out scans in one
+    call, so every prediction comes from a model that never saw that scan's
+    fold.
     """
-    from .slicemodel import predict_slices
-
-    volumes = list(volumes)
-    missing = [v.scan_id for v in volumes if v.scan_id not in assignment.fold_of]
+    scan_ids = list(features_by_scan)
+    missing = [scan_id for scan_id in scan_ids if scan_id not in assignment.fold_of]
     if missing:
         raise ConfigError(f"scans without a fold assignment: {missing[:5]}")
     out: dict[str, np.ndarray] = {}
     for fold in range(assignment.k):
-        held_out = [v for v in volumes if assignment.fold_of[v.scan_id] == fold]
+        held_out = [scan_id for scan_id in scan_ids if assignment.fold_of[scan_id] == fold]
         if not held_out:
             continue
-        train_volumes = [v for v in volumes if assignment.fold_of[v.scan_id] != fold]
-        if not train_volumes:
-            raise TrainingError(f"fold {fold} leaves no training volumes")
-        classifier = train_fn(train_volumes, seed * 10007 + fold)
-        for volume in held_out:
-            out[volume.scan_id] = predict_slices(volume, [classifier], specs)
-    return {v.scan_id: out[v.scan_id] for v in volumes}
+        train_ids = [scan_id for scan_id in scan_ids if assignment.fold_of[scan_id] != fold]
+        if not train_ids:
+            raise TrainingError(f"fold {fold} leaves no training scans")
+        classifier = train_fn(np.concatenate([features_by_scan[s] for s in train_ids]),
+                              np.concatenate([labels_by_scan[s] for s in train_ids]),
+                              seed * 10007 + fold)
+        out.update(predict_by_scan(classifier.classify_features,
+                                   {scan_id: features_by_scan[scan_id] for scan_id in held_out}))
+    return {scan_id: out[scan_id] for scan_id in scan_ids}
 
 
 def save_fold_csv(rows, assignment: FoldAssignment, path) -> None:

@@ -1,13 +1,16 @@
-"""Per-slice classifiers and probability-vector plumbing.
+"""The reference slice classifier and the slice-probability exchange files.
 
-The deep per-slice networks are replaced by a small interface: anything that
-maps a 3-channel windowed image to a 5-vector of independent per-type
-probabilities can drive weighing, stacking, and thresholding. A reference
-classifier built on handcrafted windowed-intensity features ships in-repo.
+A slice model maps each slice of a volume to a 5-vector of independent
+per-type probabilities. External models (for instance trained deep networks)
+plug in through the slice-probability CSV (``save_slice_probs`` /
+``load_slice_probs``); weighing, stacking and thresholding read only that.
+The reference classifier ships in-repo: gradient-boosted trees over
+handcrafted windowed-intensity features.
 
-Slice position enters the handcrafted features as the fraction n/N (1-based
-slice index over slice count), so ``classify`` accepts it alongside the image
-and defaults to mid-scan when unknown.
+Volumes go to probabilities on one path: ``volume_features`` featurizes every
+slice of a volume once, and ``predict_by_scan`` runs one predict call over
+the feature rows of many scans. Slice position enters the features as the
+fraction n/N (1-based slice index over slice count).
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import csv
 import dataclasses
 import io
 import json
-from abc import ABC, abstractmethod
 
 import numpy as np
 
@@ -70,24 +72,7 @@ def extract_features(image, position: float = 0.0) -> np.ndarray:
     return out
 
 
-class SliceClassifier(ABC):
-    """A deterministic map from a windowed slice image to a probability vector."""
-
-    @property
-    @abstractmethod
-    def identity(self) -> str:
-        """Stable identity/version string for the trained state."""
-
-    @abstractmethod
-    def classify(self, image, position: float = 0.5) -> np.ndarray:
-        """Per-type probabilities for one (3, height, width) image."""
-
-    def classify_batch(self, images, positions) -> np.ndarray:
-        """Row-per-slice probabilities; override when batching is cheaper."""
-        return np.array([self.classify(img, pos) for img, pos in zip(images, positions)])
-
-
-class ReferenceSliceClassifier(SliceClassifier):
+class ReferenceSliceClassifier:
     """Gradient-boosted trees over handcrafted features, one model per type."""
 
     def __init__(self, models, identity: str):
@@ -98,18 +83,7 @@ class ReferenceSliceClassifier(SliceClassifier):
         if dims != {FEATURE_LENGTH}:
             raise DataError(f"reference models must consume {FEATURE_LENGTH} features")
         self.models = models
-        self._identity = identity
-
-    @property
-    def identity(self) -> str:
-        return self._identity
-
-    def classify(self, image, position: float = 0.5) -> np.ndarray:
-        return self.classify_features(extract_features(image, position).reshape(1, -1))[0]
-
-    def classify_batch(self, images, positions) -> np.ndarray:
-        features = np.array([extract_features(img, pos) for img, pos in zip(images, positions)])
-        return self.classify_features(features)
+        self.identity = identity
 
     def classify_features(self, features) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
@@ -145,31 +119,23 @@ def slice_positions(num_slices: int) -> np.ndarray:
     return (np.arange(num_slices) + 1.0) / num_slices
 
 
-def volume_images(volume: CtVolume, specs=DEFAULT_WINDOWS) -> np.ndarray:
-    return np.stack([stack_channels(s, specs) for s in volume.slices])
-
-
 def volume_features(volume: CtVolume, specs=DEFAULT_WINDOWS) -> np.ndarray:
-    images = volume_images(volume, specs)
+    """Feature rows of every slice of a volume, in craniocaudal slice order."""
     positions = slice_positions(volume.num_slices)
-    return np.array([extract_features(img, pos) for img, pos in zip(images, positions)])
+    return np.array([extract_features(stack_channels(hu, specs), position)
+                     for hu, position in zip(volume.slices, positions)])
 
 
-def predict_slices(volume: CtVolume, classifiers, specs=DEFAULT_WINDOWS) -> np.ndarray:
-    """Windowed per-slice predictions averaged over classifiers; (N, 5) rows
-    in craniocaudal slice order."""
-    classifiers = list(classifiers)
-    if not classifiers:
-        raise ArityError("predict_slices needs at least one classifier")
-    images = volume_images(volume, specs)
-    positions = slice_positions(volume.num_slices)
-    total = np.zeros((volume.num_slices, 5))
-    for classifier in classifiers:
-        rows = np.asarray(classifier.classify_batch(images, positions), dtype=np.float64)
-        if rows.shape != total.shape:
-            raise ArityError(f"classifier {classifier.identity} returned shape {rows.shape}")
-        total += rows
-    return total / len(classifiers)
+def predict_by_scan(predict, matrices_by_scan) -> dict[str, np.ndarray]:
+    """``predict`` called once on the row-concatenation of per-scan matrices;
+    its rows are split back by scan, in input order."""
+    scan_ids = list(matrices_by_scan)
+    if not scan_ids:
+        return {}
+    matrices = [matrices_by_scan[scan_id] for scan_id in scan_ids]
+    rows = predict(np.concatenate(matrices))
+    bounds = np.cumsum([len(matrix) for matrix in matrices])[:-1]
+    return dict(zip(scan_ids, np.split(rows, bounds)))
 
 
 def save_slice_probs(probs_by_scan: dict[str, np.ndarray], path) -> None:
@@ -241,24 +207,3 @@ def load_slice_model(path) -> tuple[ReferenceSliceClassifier, tuple[WindowSpec, 
     if len(windows) != 3:
         raise FormatError(f"{path}: slice model must carry 3 windows")
     return classifier, windows
-
-
-def reference_train_fn(specs=DEFAULT_WINDOWS, config=None):
-    """A (volumes, seed) -> classifier procedure for out-of-fold generation.
-
-    Volumes must carry per-slice label matrices.
-    """
-    def fit(volumes, seed: int) -> ReferenceSliceClassifier:
-        features = []
-        labels = []
-        for volume in volumes:
-            if volume.labels is None or volume.labels.slice_labels is None:
-                raise TrainingError(f"{volume.scan_id}: training volumes need per-slice labels")
-            features.append(volume_features(volume, specs))
-            labels.append(volume.labels.slice_labels)
-        if not features:
-            raise TrainingError("no training volumes")
-        return train_reference_classifier(np.concatenate(features),
-                                          np.concatenate(labels), config, seed=seed)
-
-    return fit

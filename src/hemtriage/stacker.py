@@ -15,6 +15,7 @@ import numpy as np
 from . import gbdt
 from .errors import ArityError, ConfigError, DataError, FormatError
 from .fileio import atomic_write_text
+from .slicemodel import predict_by_scan
 
 _STACKER_FORMAT = "hemtriage/stacker-model"
 
@@ -77,20 +78,17 @@ def train_stacker(probs_by_scan, labels_by_scan, delta_s: int = 2,
     return gbdt.train_ensemble(X, Y.astype(np.float64), configs)
 
 
-def apply_stacker(ensemble: gbdt.GbdtEnsemble, rows, delta_s: int) -> np.ndarray:
-    """Refined (num_slices, 5) probabilities for one scan."""
+def apply_stacker_all(ensemble: gbdt.GbdtEnsemble, probs_by_scan, delta_s: int
+                      ) -> dict[str, np.ndarray]:
+    """Refined (num_slices, 5) probabilities per scan, from one ensemble call
+    over the windows of every scan."""
     expected = window_length(delta_s)
     if ensemble.num_features != expected:
         raise ConfigError(
             f"delta_s={delta_s} yields {expected} features but the ensemble was "
             f"trained on {ensemble.num_features}")
-    return ensemble.predict(build_windows(rows, delta_s))
-
-
-def apply_stacker_all(ensemble: gbdt.GbdtEnsemble, probs_by_scan, delta_s: int
-                      ) -> dict[str, np.ndarray]:
-    return {scan_id: apply_stacker(ensemble, probs_by_scan[scan_id], delta_s)
-            for scan_id in probs_by_scan}
+    windows = {scan_id: build_windows(rows, delta_s) for scan_id, rows in probs_by_scan.items()}
+    return predict_by_scan(ensemble.predict, windows)
 
 
 def save_stacker_model(ensemble: gbdt.GbdtEnsemble, delta_s: int, path) -> None:

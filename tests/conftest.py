@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from hemtriage.slicemodel import SliceClassifier
-from hemtriage.volume import DEFAULT_WINDOWS, CtVolume, ScanLabels, stack_channels
+from hemtriage.volume import CtVolume, ScanLabels
 
 
 def make_volume(scan_id="s0", patient_id="p0", num_slices=3, height=4, width=4,
@@ -20,39 +19,18 @@ def labels_from_matrix(matrix):
     return ScanLabels.from_slice_matrix(np.asarray(matrix, dtype=bool))
 
 
-class ConstantClassifier(SliceClassifier):
-    def __init__(self, vector, name="constant"):
-        self.vector = np.asarray(vector, dtype=np.float64)
-        self._name = name
+class MemorizingClassifier:
+    """Leakage sentinel: perfect on byte-identical training feature rows,
+    clueless (constant 0.5) elsewhere. Build it as ``train_fn(X, Y, seed)``
+    would: from a feature matrix and its slice label matrix."""
 
-    @property
-    def identity(self):
-        return self._name
+    def __init__(self, features, labels):
+        self.memory = {row.tobytes(): np.asarray(label, dtype=float)
+                       for row, label in zip(np.asarray(features, dtype=np.float64), labels)}
 
-    def classify(self, image, position=0.5):
-        return self.vector.copy()
-
-
-class MemorizingClassifier(SliceClassifier):
-    """Leakage sentinel: perfect on byte-identical training slices, clueless
-    (constant 0.5) elsewhere. Keys on the windowed image, which is a
-    deterministic function of the HU slice."""
-
-    def __init__(self, volumes, specs=DEFAULT_WINDOWS):
-        self.memory = {}
-        for volume in volumes:
-            matrix = volume.labels.slice_labels
-            for index in range(volume.num_slices):
-                key = stack_channels(volume.slices[index], specs).tobytes()
-                self.memory[key] = matrix[index].astype(float)
-
-    @property
-    def identity(self):
-        return "memorizer"
-
-    def classify(self, image, position=0.5):
-        return self.memory.get(np.asarray(image, dtype=np.float64).tobytes(),
-                               np.full(5, 0.5))
+    def classify_features(self, features):
+        return np.array([self.memory.get(row.tobytes(), np.full(5, 0.5))
+                         for row in np.asarray(features, dtype=np.float64)])
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ import numpy as np
 from hemtriage import folds, gbdt, slicemodel, stacker, synth
 from hemtriage.cli import main as cli_main
 from hemtriage.metrics import binomial_ci, compute_auc, compute_metrics, ConfusionMatrix, log_loss
-from hemtriage.slicemodel import predict_slices
+from hemtriage.slicemodel import predict_by_scan, volume_features
 from hemtriage.thresholds import aggregate_scan, binarize_slice, optimize_thresholds, ThresholdSet
 from hemtriage.volume import DEFAULT_WINDOWS, ManifestRow, ScanLabels
 
@@ -219,17 +219,22 @@ def test_acceptance_5_stacker_benefit():
     rows = [ManifestRow(v.scan_id, v.patient_id, "x", ScanLabels.from_vector(v.labels.vector()))
             for v in dev]
     assignment = folds.assign_folds(rows, k=4, seed=0)
-    train_fn = slicemodel.reference_train_fn(DEFAULT_WINDOWS, None)
+    features_by_scan = {v.scan_id: volume_features(v, DEFAULT_WINDOWS) for v in dev}
+    labels_by_scan = {v.scan_id: v.labels.slice_labels for v in dev}
+
+    def train_fn(X, Y, seed):
+        return slicemodel.train_reference_classifier(X, Y, None, seed=seed)
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        oof = folds.generate_oof(dev, assignment, train_fn, DEFAULT_WINDOWS, seed=0)
-        labels_by_scan = {v.scan_id: v.labels.slice_labels for v in dev}
+        oof = folds.generate_oof(features_by_scan, labels_by_scan, assignment, train_fn, seed=0)
         ensemble = stacker.train_stacker(oof, labels_by_scan, delta_s=2,
                                          configs=gbdt.default_presets(seed=0, rounds=100))
-        full_classifier = train_fn(dev, 99)
+        full_classifier = train_fn(np.concatenate(list(features_by_scan.values())),
+                                   np.concatenate(list(labels_by_scan.values())), 99)
 
-    probs_eval = {v.scan_id: predict_slices(v, [full_classifier], DEFAULT_WINDOWS)
-                  for v in holdout}
+    probs_eval = predict_by_scan(full_classifier.classify_features,
+                                 {v.scan_id: volume_features(v, DEFAULT_WINDOWS) for v in holdout})
     refined_eval = stacker.apply_stacker_all(ensemble, probs_eval, 2)
     truth = np.array([v.labels.any for v in holdout])
     raw_scores = np.array([aggregate_scan(probs_eval[v.scan_id]).max() for v in holdout])
@@ -276,16 +281,19 @@ def test_acceptance_7_leakage_sentinel():
 
     truth = np.array([v.labels.any for v in volumes])
 
+    features_by_scan = {v.scan_id: volume_features(v, DEFAULT_WINDOWS) for v in volumes}
+    labels_by_scan = {v.scan_id: v.labels.slice_labels for v in volumes}
+
     # In-fold: the memorizer saw every scan, so it is perfect by construction.
-    in_fold = MemorizingClassifier(volumes)
-    in_probs = {v.scan_id: predict_slices(v, [in_fold], DEFAULT_WINDOWS) for v in volumes}
+    in_fold = MemorizingClassifier(np.concatenate(list(features_by_scan.values())),
+                                   np.concatenate(list(labels_by_scan.values())))
+    in_probs = predict_by_scan(in_fold.classify_features, features_by_scan)
     in_accuracy = float((scan_decisions(in_probs) == truth).mean())
     assert in_accuracy == 1.0
 
     # Out-of-fold: fold isolation forces it back to guessing.
-    oof = folds.generate_oof(volumes, assignment,
-                             lambda train_volumes, seed: MemorizingClassifier(train_volumes),
-                             DEFAULT_WINDOWS, seed=0)
+    oof = folds.generate_oof(features_by_scan, labels_by_scan, assignment,
+                             lambda X, Y, seed: MemorizingClassifier(X, Y), seed=0)
     oof_accuracy = float((scan_decisions(oof) == truth).mean())
     elapsed = time.time() - start
     assert oof_accuracy < 1.0

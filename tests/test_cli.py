@@ -1,9 +1,12 @@
 import csv
+import json
 import warnings
 
 import pytest
 
+from hemtriage import slicemodel
 from hemtriage.cli import main
+from hemtriage.slicemodel import extract_features, load_slice_probs, save_slice_probs
 from hemtriage.volume import HEMORRHAGE_TYPES
 
 
@@ -101,6 +104,69 @@ class TestStackApplyValidation:
         assert code == 1
         assert not out.exists()
         assert "delta" in capsys.readouterr().err.lower()
+
+
+class TestOptimizeSummary:
+    def test_prints_plain_float_thresholds(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "thresholds.json"
+        capsys.readouterr()
+        assert run(["optimize", "--manifest", str(pipeline_dir / "data" / "manifest.csv"),
+                    "--probs", str(pipeline_dir / "refined.csv"), "--budget", "12",
+                    "--seed", "1", "--out", str(out)]) == 0
+        line = capsys.readouterr().out
+        printed = [float(cell) for cell in line[line.index("[") + 1:line.index("]")].split(", ")]
+        stored = json.loads(out.read_text())
+        assert printed == [round(stored[f"t_{t}"], 4) for t in HEMORRHAGE_TYPES]
+
+
+class TestProbsManifestContract:
+    """The probability CSV must cover exactly the manifest's scans."""
+
+    def rewrite_probs(self, pipeline_dir, tmp_path, edit):
+        probs = load_slice_probs(pipeline_dir / "refined.csv")
+        edit(probs)
+        path = tmp_path / "edited.csv"
+        save_slice_probs(probs, path)
+        return path
+
+    def test_manifest_scan_missing_from_probs(self, pipeline_dir, tmp_path, capsys):
+        path = self.rewrite_probs(pipeline_dir, tmp_path, lambda probs: probs.pop("s0003"))
+        assert run(["evaluate", "--manifest", str(pipeline_dir / "data" / "manifest.csv"),
+                    "--probs", str(path), "--thresholds", str(pipeline_dir / "thresholds.json"),
+                    "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "lacks 1 manifest scans: ['s0003']" in err
+        assert not (tmp_path / "eval").exists()
+
+    def test_probs_scan_missing_from_manifest(self, pipeline_dir, tmp_path, capsys):
+        def add_strangers(probs):
+            probs["x1"] = probs["s0001"]
+            probs["x0"] = probs["s0000"]
+
+        path = self.rewrite_probs(pipeline_dir, tmp_path, add_strangers)
+        assert run(["optimize", "--manifest", str(pipeline_dir / "data" / "manifest.csv"),
+                    "--probs", str(path), "--budget", "12",
+                    "--out", str(tmp_path / "thresholds.json")]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "2 scans not in the manifest: ['x1', 'x0']" in err
+        assert not (tmp_path / "thresholds.json").exists()
+
+
+class TestOofFeaturizesOnce:
+    def test_each_slice_featurized_once(self, pipeline_dir, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(image, position=0.0):
+            calls.append(position)
+            return extract_features(image, position)
+
+        monkeypatch.setattr(slicemodel, "extract_features", counting)
+        assert run(["oof", "--manifest", str(pipeline_dir / "data" / "manifest.csv"),
+                    "--slice-labels", str(pipeline_dir / "data" / "slice_labels.csv"),
+                    "--folds", "3", "--rounds", "2", "--out", str(tmp_path / "oof")]) == 0
+        slices = sum(rows.shape[0] for rows in
+                     load_slice_probs(tmp_path / "oof" / "oof_probs.csv").values())
+        assert len(calls) == slices
 
 
 class TestEvaluateWithDecisions:

@@ -5,6 +5,7 @@ import pytest
 
 from hemtriage.errors import ConfigError, InfeasibleError
 from hemtriage.folds import FoldAssignment, assign_folds, generate_oof, save_fold_csv
+from hemtriage.slicemodel import train_reference_classifier, volume_features
 from hemtriage.volume import ManifestRow, ScanLabels
 
 from conftest import MemorizingClassifier, labels_from_matrix, make_volume
@@ -115,6 +116,10 @@ def two_slice_volume(scan_id, patient_id, positive, seed):
                        height=6, width=6, seed=seed, labels=labels_from_matrix(matrix))
 
 
+def memorizer_train_fn(features, labels, seed):
+    return MemorizingClassifier(features, labels)
+
+
 class TestGenerateOof:
     def build(self, n=12):
         volumes = [two_slice_volume(f"s{i}", f"p{i}", positive=i % 3 == 0, seed=100 + i)
@@ -123,55 +128,52 @@ class TestGenerateOof:
                     tuple(int(x) for x in v.labels.vector())) for v in volumes]
         return volumes, rows
 
+    @staticmethod
+    def matrices(volumes):
+        return ({v.scan_id: volume_features(v) for v in volumes},
+                {v.scan_id: v.labels.slice_labels for v in volumes})
+
     def test_memorizer_cannot_score_oof(self):
         # The leakage sentinel: a memorizing classifier is perfect in-fold by
         # construction, so any out-of-fold perfection would prove leakage.
         volumes, rows = self.build()
         assignment = assign_folds(rows, k=3, seed=0)
+        features, labels = self.matrices(volumes)
 
-        def train_fn(train_volumes, seed):
-            return MemorizingClassifier(train_volumes)
-
-        oof = generate_oof(volumes, assignment, train_fn)
+        oof = generate_oof(features, labels, assignment, memorizer_train_fn)
         for volume in volumes:
             np.testing.assert_allclose(oof[volume.scan_id], 0.5)
 
-        in_fold = MemorizingClassifier(volumes)
-        from hemtriage.slicemodel import predict_slices
+        in_fold = MemorizingClassifier(np.concatenate(list(features.values())),
+                                       np.concatenate(list(labels.values())))
         for volume in volumes:
-            rows_pred = predict_slices(volume, [in_fold])
+            rows_pred = in_fold.classify_features(features[volume.scan_id])
             assert np.array_equal(rows_pred >= 0.5, volume.labels.slice_labels)
 
     def test_covers_every_slice_once(self):
         volumes, rows = self.build()
         assignment = assign_folds(rows, k=4, seed=0)
-        oof = generate_oof(volumes, assignment,
-                           lambda train_volumes, seed: MemorizingClassifier(train_volumes))
+        oof = generate_oof(*self.matrices(volumes), assignment, memorizer_train_fn)
         assert sorted(oof) == sorted(v.scan_id for v in volumes)
         assert all(oof[v.scan_id].shape == (v.num_slices, 5) for v in volumes)
 
     def test_deterministic(self):
         volumes, rows = self.build()
         assignment = assign_folds(rows, k=3, seed=1)
-
-        def train_fn(train_volumes, seed):
-            return MemorizingClassifier(train_volumes)
-
-        a = generate_oof(volumes, assignment, train_fn, seed=5)
-        b = generate_oof(volumes, assignment, train_fn, seed=5)
+        features, labels = self.matrices(volumes)
+        a = generate_oof(features, labels, assignment, memorizer_train_fn, seed=5)
+        b = generate_oof(features, labels, assignment, memorizer_train_fn, seed=5)
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_missing_assignment_rejected(self):
         volumes, rows = self.build(6)
         assignment = FoldAssignment(k=2, fold_of={v.scan_id: 0 for v in volumes[:-1]})
         with pytest.raises(ConfigError):
-            generate_oof(volumes, assignment, lambda tv, s: MemorizingClassifier(tv))
+            generate_oof(*self.matrices(volumes), assignment, memorizer_train_fn)
 
     def test_fold_without_positives_warns_and_falls_back(self):
         # All positives for one type live in a single fold: training folds
         # that exclude them see a one-class target and warn (base-rate output).
-        from hemtriage.slicemodel import reference_train_fn
-
         volumes = []
         for i in range(6):
             matrix = np.zeros((2, 5), dtype=bool)
@@ -184,7 +186,8 @@ class TestGenerateOof:
                  for v in volumes]
         assignment = assign_folds(rows_, k=3, seed=0)
         with pytest.warns(UserWarning, match="one class"):
-            oof = generate_oof(volumes, assignment, reference_train_fn())
+            oof = generate_oof(*self.matrices(volumes), assignment,
+                               lambda X, Y, seed: train_reference_classifier(X, Y, seed=seed))
         # s0's model trains without s0's fold, so it never sees an IPH
         # positive and predicts the clipped base rate for that type.
         np.testing.assert_allclose(oof["s0"][:, 4], 1e-6)

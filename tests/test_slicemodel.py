@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from hemtriage.errors import ArityError, DataError, FormatError, TrainingError
+from hemtriage.errors import DataError, FormatError, TrainingError
 from hemtriage.slicemodel import (BLOOD_BAND, FEATURE_LENGTH, HISTOGRAM_BINS,
                                   extract_features, load_slice_model, load_slice_probs,
-                                  predict_slices, save_slice_model, save_slice_probs,
+                                  predict_by_scan, save_slice_model, save_slice_probs,
                                   slice_positions, train_reference_classifier,
                                   volume_features)
 from hemtriage.volume import DEFAULT_WINDOWS
 
-from conftest import ConstantClassifier, make_volume
+from conftest import make_volume
 
 
 def image_of(value, shape=(3, 8, 8)):
@@ -110,33 +110,26 @@ class TestReferenceClassifier:
     def test_classify_consumes_windowed_image(self, rng):
         X, labels = self.make_separable(rng)
         classifier = train_reference_classifier(X, labels, seed=0)
-        out = classifier.classify(rng.random((3, 6, 6)), position=0.5)
-        assert out.shape == (5,) and np.all((out > 0) & (out < 1))
+        out = classifier.classify_features(volume_features(make_volume(num_slices=4, seed=3)))
+        assert out.shape == (4, 5) and np.all((out > 0) & (out < 1))
 
 
 class TestPredictSlices:
-    def test_single_classifier_passthrough(self):
-        volume = make_volume(num_slices=4, seed=2)
-        vec = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-        rows = predict_slices(volume, [ConstantClassifier(vec)])
-        assert rows.shape == (4, 5)
-        np.testing.assert_allclose(rows, np.tile(vec, (4, 1)))
-
-    def test_two_constant_classifiers_average(self):
-        volume = make_volume(num_slices=3, seed=2)
-        a = np.array([0.2, 0.2, 0.2, 0.2, 0.2])
-        b = np.array([0.4, 0.6, 0.8, 1.0, 0.0])
-        rows = predict_slices(volume, [ConstantClassifier(a), ConstantClassifier(b)])
-        np.testing.assert_allclose(rows, np.tile((a + b) / 2, (3, 1)))
-
     def test_row_count_matches_slices(self):
-        volume = make_volume(num_slices=7, seed=5)
-        rows = predict_slices(volume, [ConstantClassifier(np.full(5, 0.5))])
-        assert rows.shape == (7, 5)
+        # One predict call over every scan; rows go back to their scans in input order.
+        calls = []
 
-    def test_no_classifiers(self):
-        with pytest.raises(ArityError):
-            predict_slices(make_volume(), [])
+        def predict(rows):
+            calls.append(len(rows))
+            return rows[:, -1:] * np.ones(5)
+
+        volumes = [make_volume(scan_id=f"s{n}", num_slices=n, seed=n) for n in (7, 1, 3)]
+        probs = predict_by_scan(predict, {v.scan_id: volume_features(v) for v in volumes})
+        assert calls == [11]
+        assert list(probs) == ["s7", "s1", "s3"]
+        for volume in volumes:
+            expected = slice_positions(volume.num_slices)[:, None] * np.ones(5)
+            np.testing.assert_array_equal(probs[volume.scan_id], expected)
 
     def test_positions_are_one_based_fractions(self):
         np.testing.assert_allclose(slice_positions(4), [0.25, 0.5, 0.75, 1.0])
@@ -185,13 +178,3 @@ class TestSliceModelFile:
         probe = rng.random((8, FEATURE_LENGTH))
         assert np.array_equal(restored.classify_features(probe),
                               classifier.classify_features(probe))
-
-    def test_model_averaging_equals_classifier_averaging(self, rng):
-        # Classifiers are averaged component-wise: predicting with two at once
-        # equals the mean of their separate predictions.
-        volume = make_volume(num_slices=3, seed=2)
-        a = ConstantClassifier(np.full(5, 0.2))
-        b = ConstantClassifier(np.full(5, 0.8))
-        joint = predict_slices(volume, [a, b])
-        separate = (predict_slices(volume, [a]) + predict_slices(volume, [b])) / 2
-        np.testing.assert_allclose(joint, separate)

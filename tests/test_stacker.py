@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hemtriage import gbdt
 from hemtriage.errors import ArityError, ConfigError, DataError, FormatError
 from hemtriage.metrics import compute_auc
-from hemtriage.stacker import (apply_stacker, apply_stacker_all, build_windows,
-                               load_stacker_model, save_stacker_model, stack_training_data,
-                               train_stacker, window_length)
+from hemtriage.stacker import (apply_stacker_all, build_windows, load_stacker_model,
+                               save_stacker_model, stack_training_data, train_stacker,
+                               window_length)
 
 # Small synthetic scans routinely leave some type without positives; the
 # base-rate fallback warning is expected there.
@@ -15,6 +16,11 @@ pytestmark = pytest.mark.filterwarnings("ignore:all labels belong to one class")
 
 def prob_rows(*rows):
     return np.array(rows, dtype=np.float64)
+
+
+def apply_one(ensemble, rows, delta_s):
+    """Refined rows of a single scan."""
+    return apply_stacker_all(ensemble, {"s": rows}, delta_s)["s"]
 
 
 class TestBuildWindows:
@@ -124,7 +130,7 @@ class TestTrainApply:
         configs = [gbdt.GbdtConfig(rounds=8, growth="leafwise", seed=0)]
         ensemble = train_stacker(probs, labels, 2, configs)
         rows = probs["s003"]
-        refined = apply_stacker(ensemble, rows, 2)
+        refined = apply_one(ensemble, rows, 2)
         assert refined.shape == rows.shape
         assert np.all((refined > 0) & (refined < 1))
 
@@ -132,7 +138,7 @@ class TestTrainApply:
         models = tuple(gbdt.GbdtModel(base_score=0.0, trees=(), num_features=15)
                        for _ in range(5))
         ensemble = gbdt.GbdtEnsemble(groups=(models,))
-        refined = apply_stacker(ensemble, np.full((4, 5), 0.3), 1)
+        refined = apply_one(ensemble, np.full((4, 5), 0.3), 1)
         assert np.all(refined == 0.5)
 
     def test_delta_mismatch_rejected(self, rng):
@@ -140,7 +146,10 @@ class TestTrainApply:
         configs = [gbdt.GbdtConfig(rounds=4, growth="leafwise", seed=0)]
         ensemble = train_stacker(probs, labels, 1, configs)
         with pytest.raises(ConfigError, match="delta_s"):
-            apply_stacker(ensemble, probs["s001"], 2)
+            apply_one(ensemble, probs["s001"], 2)
+
+    def test_empty_input_gives_empty_output(self):
+        assert apply_stacker_all(center_reader_ensemble(1), {}, 1) == {}
 
     def test_missing_labels_rejected(self, rng):
         probs, labels = synthetic_scans(rng, 6)
@@ -153,6 +162,25 @@ class TestTrainApply:
         labels["s002"] = labels["s002"][:-1]
         with pytest.raises(ArityError):
             stack_training_data(probs, labels, 1)
+
+
+@pytest.fixture(scope="module")
+def preset_ensemble():
+    probs, labels = synthetic_scans(np.random.default_rng(7), 20)
+    return train_stacker(probs, labels, 1, gbdt.default_presets(seed=0, rounds=6))
+
+
+class TestBatchEquivalence:
+    @settings(max_examples=30, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 15), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_all_scans_at_once_equals_one_scan_at_a_time(self, preset_ensemble, lengths, seed):
+        rng = np.random.default_rng(seed)
+        probs = {f"s{i:02d}": rng.random((n, 5)) for i, n in enumerate(lengths)}
+        batched = apply_stacker_all(preset_ensemble, probs, 1)
+        assert list(batched) == list(probs)
+        for scan_id, rows in probs.items():
+            assert np.array_equal(batched[scan_id], apply_one(preset_ensemble, rows, 1))
 
 
 def center_reader_ensemble(delta_s, scale=4.0):
@@ -181,9 +209,9 @@ class TestSliceDuplicationInvariance:
         rows = rng.random((8, 5))
         small = center_reader_ensemble(1)
         large = center_reader_ensemble(2)
-        refined_small = apply_stacker(small, rows, 1)
+        refined_small = apply_one(small, rows, 1)
         duplicated = np.repeat(rows, 2, axis=0)
-        refined_large = apply_stacker(large, duplicated, 2)
+        refined_large = apply_one(large, duplicated, 2)
         interior = slice(1, 7)
         np.testing.assert_allclose(refined_large[0::2][interior], refined_small[interior])
 
