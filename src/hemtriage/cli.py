@@ -9,8 +9,6 @@ a command exits 0 only when every declared output was produced.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 import warnings
 from pathlib import Path
@@ -18,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import folds, gbdt, metrics, slicemodel, stacker, svgplots, synth, thresholds
-from .errors import ConfigError, FormatError, PipelineError
-from .fileio import atomic_write_text
-from .volume import (HEMORRHAGE_TYPES, WindowSpec, load_manifest, load_manifest_volumes,
-                     load_slice_labels)
+from .errors import ConfigError, PipelineError
+from .fileio import atomic_write_text, parse_flags, read_scan_table, write_csv
+from .volume import (HEMORRHAGE_TYPES, NUM_TYPES, WindowSpec, check_manifest_coverage,
+                     load_manifest, load_manifest_volumes, load_slice_labels)
 
 _DECISION_COLUMNS = ("scan_id",) + HEMORRHAGE_TYPES
 
@@ -66,22 +64,14 @@ def _scan_scores(rows, probs_path) -> np.ndarray:
     """Scan-level probabilities in manifest order; the probability CSV must
     cover exactly the manifest's scans."""
     probs_by_scan = slicemodel.load_slice_probs(probs_path)
-    missing = [row.scan_id for row in rows if row.scan_id not in probs_by_scan]
-    if missing:
-        raise ConfigError(f"{probs_path}: probability CSV lacks {len(missing)} manifest "
-                          f"scans: {missing[:5]}")
-    in_manifest = {row.scan_id for row in rows}
-    extra = [scan_id for scan_id in probs_by_scan if scan_id not in in_manifest]
-    if extra:
-        raise ConfigError(f"{probs_path}: probability CSV has {len(extra)} scans not in "
-                          f"the manifest: {extra[:5]}")
+    check_manifest_coverage(probs_path, "probability CSV", probs_by_scan, rows)
     return np.array([thresholds.aggregate_scan(probs_by_scan[row.scan_id]) for row in rows])
 
 
 def cmd_synth(args) -> None:
     config = synth.SynthConfig(
         num_scans=args.scans,
-        positive_fraction=tuple(args.positive_fraction / 5.0 for _ in range(5)),
+        positive_fraction=tuple(args.positive_fraction / NUM_TYPES for _ in range(NUM_TYPES)),
         slices_min=args.slices_min,
         slices_max=args.slices_max,
         height=args.height,
@@ -151,12 +141,11 @@ def cmd_stack_train(args) -> None:
     if args.slice_labels is not None:
         labels = load_slice_labels(args.slice_labels)
     elif args.manifest is not None:
-        labels = {}
-        scan_labels = {row.scan_id: row.labels.vector() for row in load_manifest(args.manifest)}
-        for scan_id, rows in probs.items():
-            if scan_id not in scan_labels:
-                raise ConfigError(f"manifest lacks scan {scan_id}")
-            labels[scan_id] = _broadcast_scan_labels(scan_id, scan_labels[scan_id], rows.shape[0])
+        manifest = load_manifest(args.manifest)
+        check_manifest_coverage(args.oof, "OOF CSV", probs, manifest, complete=False)
+        scan_labels = {row.scan_id: row.labels.vector() for row in manifest}
+        labels = {scan_id: _broadcast_scan_labels(scan_id, scan_labels[scan_id], rows.shape[0])
+                  for scan_id, rows in probs.items()}
     else:
         raise ConfigError("stack-train needs --slice-labels or --manifest")
     presets = gbdt.default_presets(seed=args.seed, rounds=args.rounds)
@@ -188,22 +177,8 @@ def cmd_optimize(args) -> None:
 
 
 def _load_decisions(path, rows) -> np.ndarray:
-    table = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(_DECISION_COLUMNS) - set(reader.fieldnames):
-            raise FormatError(f"{path}: decisions CSV must have columns {_DECISION_COLUMNS}")
-        for record in reader:
-            if record["scan_id"] in table:
-                raise FormatError(f"{path}: line {reader.line_num}: "
-                                  f"duplicate scan_id {record['scan_id']!r}")
-            cells = [record[t] for t in HEMORRHAGE_TYPES]
-            if any(cell not in ("0", "1") for cell in cells):
-                raise FormatError(f"{path}: decision cells must be 0 or 1, got {cells}")
-            table[record["scan_id"]] = [cell == "1" for cell in cells]
-    missing = [row.scan_id for row in rows if row.scan_id not in table]
-    if missing:
-        raise ConfigError(f"decisions CSV lacks scans: {missing[:5]}")
+    table = read_scan_table(path, _DECISION_COLUMNS, parse_flags, "decisions CSV")
+    check_manifest_coverage(path, "decisions CSV", table, rows)
     return np.array([table[row.scan_id] for row in rows], dtype=bool)
 
 
@@ -252,16 +227,13 @@ def cmd_report(args) -> None:
 
 
 def _write_roc(out_dir, label_scores, label_truths) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("label", "fpr", "tpr"))
     series = []
     for label in metrics.REPORT_LABELS:
         points = metrics.roc_points(label_scores[label], label_truths[label])
-        for fpr, tpr in points:
-            writer.writerow((label, repr(float(fpr)), repr(float(tpr))))
         series.append((label, points[:, 0], points[:, 1]))
-    atomic_write_text(out_dir / "roc_curves.csv", buf.getvalue())
+    write_csv(out_dir / "roc_curves.csv", ("label", "fpr", "tpr"),
+              ((label, repr(float(fpr)), repr(float(tpr)))
+               for label, fprs, tprs in series for fpr, tpr in zip(fprs, tprs)))
     svg = svgplots.line_chart(series, title="Receiver operating curves",
                               x_label="false positive rate", y_label="true positive rate",
                               x_range=(0.0, 1.0), y_range=(0.0, 1.0), diagonal=True)
@@ -269,13 +241,11 @@ def _write_roc(out_dir, label_scores, label_truths) -> None:
 
 
 def _write_cumulative(out_dir, label_decisions, label_truths) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("label", "scan_index", "prediction_cumulative", "truth_cumulative"))
+    rows = []
     for label in metrics.REPORT_LABELS:
         curves = metrics.cumulative_curves(label_decisions[label], label_truths[label])
-        for i, (d, t) in enumerate(zip(curves.decision_curve, curves.truth_curve)):
-            writer.writerow((label, i, int(d), int(t)))
+        rows.extend((label, i, int(d), int(t))
+                    for i, (d, t) in enumerate(zip(curves.decision_curve, curves.truth_curve)))
         index = np.arange(1, len(curves.decision_curve) + 1)
         svg = svgplots.line_chart(
             [("prediction", index, curves.decision_curve),
@@ -284,41 +254,37 @@ def _write_cumulative(out_dir, label_decisions, label_truths) -> None:
                   f"(net {curves.final_difference:+d}, disagreements {curves.disagreements})",
             x_label="scans in review order", y_label="cumulative positives")
         atomic_write_text(out_dir / f"cumulative_{label}.svg", svg)
-    atomic_write_text(out_dir / "cumulative_curves.csv", buf.getvalue())
+    write_csv(out_dir / "cumulative_curves.csv",
+              ("label", "scan_index", "prediction_cumulative", "truth_cumulative"), rows)
 
 
 def _write_boxplots(out_dir, label_scores, label_truths, label_thresholds) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("label", "truth_class", "median", "q1", "q3",
-                     "whisker_low", "whisker_high", "num_outliers"))
+    rows = []
     groups = []
     for label in metrics.REPORT_LABELS:
         by_class = metrics.boxplot_stats_by_class(label_scores[label], label_truths[label])
         for truth_class in (0, 1):
             stats = by_class[truth_class]
-            writer.writerow((label, truth_class, repr(stats.median), repr(stats.q1),
-                             repr(stats.q3), repr(stats.whisker_low),
-                             repr(stats.whisker_high), len(stats.outliers)))
+            rows.append((label, truth_class, repr(stats.median), repr(stats.q1),
+                         repr(stats.q3), repr(stats.whisker_low),
+                         repr(stats.whisker_high), len(stats.outliers)))
             marker = label_thresholds.get(label)
             groups.append((f"{label}{'+' if truth_class else '-'}", stats, marker))
-    atomic_write_text(out_dir / "boxplot_stats.csv", buf.getvalue())
+    write_csv(out_dir / "boxplot_stats.csv",
+              ("label", "truth_class", "median", "q1", "q3",
+               "whisker_low", "whisker_high", "num_outliers"), rows)
     svg = svgplots.box_chart(groups, title="Predicted probability by truth class",
                              y_label="probability")
     atomic_write_text(out_dir / "boxplot.svg", svg)
 
 
 def _write_ci_summary(out_dir, report) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("label", "measure", "value_pct", "ci_half_width_pct"))
-    for row in report.rows:
-        writer.writerow((row.label, "acc", f"{100 * row.stats.acc:.2f}",
-                         f"{100 * row.ci_acc:.2f}"))
-        if row.stats.bacc is not None:
-            writer.writerow((row.label, "bacc", f"{100 * row.stats.bacc:.2f}",
-                             f"{100 * row.ci_bacc:.2f}"))
-    atomic_write_text(out_dir / "ci_summary.csv", buf.getvalue())
+    write_csv(out_dir / "ci_summary.csv", ("label", "measure", "value_pct", "ci_half_width_pct"),
+              ((row.label, measure, f"{100 * value:.2f}", f"{100 * ci:.2f}")
+               for row in report.rows
+               for measure, value, ci in (("acc", row.stats.acc, row.ci_acc),
+                                          ("bacc", row.stats.bacc, row.ci_bacc))
+               if value is not None))
 
 
 def build_parser() -> argparse.ArgumentParser:

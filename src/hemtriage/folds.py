@@ -4,26 +4,24 @@ All scans sharing a patient id land in one fold, so no model ever predicts a
 scan after seeing any scan of the same patient. Stratification is greedy:
 patient groups are ordered by the global rarity of their rarest positive
 label (then by how many of it they carry, then by size), and each group goes
-to the fold that minimizes a summed squared imbalance over the six label
-columns (five types plus any) and the fold size, ties broken by fold index.
+to the fold that minimizes a summed squared imbalance over the label
+columns (each type plus any) and the fold size, ties broken by fold index.
 The seed only shuffles groups whose sort keys tie exactly.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError, TrainingError
-from .fileio import atomic_write_text
+from .fileio import write_csv
 from .slicemodel import predict_by_scan
-from .volume import HEMORRHAGE_TYPES
+from .volume import NUM_TYPES
 
 _FOLD_COLUMNS = ("scan_id", "patient_id", "fold")
-_LABEL_COLUMNS = len(HEMORRHAGE_TYPES) + 1  # five types plus "any"
+_LABEL_COLUMNS = NUM_TYPES + 1  # every type plus "any"
 
 
 @dataclass(frozen=True)
@@ -59,14 +57,14 @@ def assign_folds(rows, k: int, seed: int = 0) -> FoldAssignment:
         label_count = np.zeros(_LABEL_COLUMNS)
         for row in groups[pid]:
             vec = row.labels.vector()
-            label_count[:5] += vec
-            label_count[5] += vec.any()
+            label_count[:NUM_TYPES] += vec
+            label_count[NUM_TYPES] += vec.any()
         counts[pid] = label_count
     totals = sum(counts.values())
 
     def sort_key(pid):
         label_count = counts[pid]
-        positive = np.nonzero(label_count[:5])[0]
+        positive = np.nonzero(label_count[:NUM_TYPES])[0]
         if len(positive) == 0:
             return (1, 0.0, 0.0, -len(groups[pid]), jitter[pid])
         rarest = min(positive, key=lambda t: (totals[t], t))
@@ -203,9 +201,5 @@ def generate_oof(features_by_scan, labels_by_scan, assignment: FoldAssignment, t
 
 
 def save_fold_csv(rows, assignment: FoldAssignment, path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_FOLD_COLUMNS)
-    for row in rows:
-        writer.writerow([row.scan_id, row.patient_id, assignment.fold_of[row.scan_id]])
-    atomic_write_text(path, buf.getvalue())
+    write_csv(path, _FOLD_COLUMNS,
+              ([row.scan_id, row.patient_id, assignment.fold_of[row.scan_id]] for row in rows))

@@ -556,7 +556,7 @@ def _tree_from_json(payload: dict) -> Tree:
             right=np.asarray(payload["right"], dtype=np.int32),
             value=np.asarray(payload["value"], dtype=np.float64),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed tree record: {exc}") from exc
     lengths = {tree.feature.size, tree.threshold.size, tree.left.size,
                tree.right.size, tree.value.size}
@@ -581,13 +581,37 @@ def model_from_json(payload: dict) -> GbdtModel:
     if payload.get("version") != 1:
         raise FormatError(f"unsupported model version {payload.get('version')!r}")
     try:
-        return GbdtModel(
+        model = GbdtModel(
             base_score=float(payload["base_score"]),
             trees=tuple(_tree_from_json(t) for t in payload["trees"]),
             num_features=int(payload["num_features"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed model record: {exc}") from exc
+    _check_trees(model)
+    return model
+
+
+def _check_trees(model: GbdtModel) -> None:
+    """Reject trees that ``predict`` cannot walk to a leaf, checked once over
+    the concatenated node arrays: every walk ends because interior nodes have
+    both children after themselves (the growers always number them so)."""
+    if not model.trees:
+        return
+    sizes = np.array([tree.num_nodes for tree in model.trees])
+    size = np.repeat(sizes, sizes)
+    node = np.arange(size.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    feature, threshold, left, right, value = (
+        np.concatenate([getattr(tree, name) for tree in model.trees])
+        for name in ("feature", "threshold", "left", "right", "value"))
+    if not ((feature >= -1) & (feature < model.num_features)).all():
+        raise FormatError(f"tree feature index outside [0, {model.num_features})")
+    leaf = feature == -1
+    children_ok = (left > node) & (left < size) & (right > node) & (right < size)
+    if not np.where(leaf, (left == -1) & (right == -1), children_ok).all():
+        raise FormatError("tree child index out of order or out of range")
+    if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
+        raise FormatError("tree thresholds and values must be finite")
 
 
 def ensemble_to_json(ensemble: GbdtEnsemble) -> dict:

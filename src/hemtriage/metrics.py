@@ -8,16 +8,14 @@ Undefined statistics (zero denominators) are flagged as None, never silently
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArityError, DataError, UndefinedMetricError
-from .fileio import atomic_write_text
-from .volume import HEMORRHAGE_TYPES
+from .fileio import atomic_write_text, write_csv
+from .volume import HEMORRHAGE_TYPES, NUM_TYPES
 
 REPORT_LABELS = HEMORRHAGE_TYPES + ("any",)
 _REPORT_COLUMNS = ("Hemorrhage", "TP", "FN", "TN", "FP", "SEN", "SPEC", "PPV",
@@ -274,8 +272,9 @@ def build_report(decisions, truths, scores=None) -> MetricsReport:
     """
     decisions = np.asarray(decisions, dtype=bool)
     truths = np.asarray(truths, dtype=bool)
-    if decisions.shape != truths.shape or decisions.ndim != 2 or decisions.shape[1] != 5:
-        raise ArityError(f"decisions {decisions.shape} and truths {truths.shape} must be (scans, 5)")
+    if decisions.shape != truths.shape or decisions.ndim != 2 or decisions.shape[1] != NUM_TYPES:
+        raise ArityError(f"decisions {decisions.shape} and truths {truths.shape} "
+                         f"must be (scans, {NUM_TYPES})")
     if scores is not None:
         scores = np.asarray(scores, dtype=np.float64)
         if scores.shape != decisions.shape:
@@ -294,21 +293,6 @@ def _cell(value: float | None) -> str:
     return "NA" if value is None else f"{100.0 * value:.1f}"
 
 
-def report_to_csv(report: MetricsReport) -> str:
-    """Percent table mirroring the published column order; NA marks undefined."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_REPORT_COLUMNS)
-    for row in report.rows:
-        stats = row.stats
-        writer.writerow([row.label.upper() if row.label != "any" else "Any",
-                         row.cm.tp, row.cm.fn, row.cm.tn, row.cm.fp,
-                         _cell(stats.sen), _cell(stats.spec), _cell(stats.ppv),
-                         _cell(stats.npv), _cell(row.auc), _cell(stats.acc),
-                         _cell(stats.bacc), _cell(stats.mcc), _cell(stats.f1)])
-    return buf.getvalue()
-
-
 def report_to_text(report: MetricsReport) -> str:
     lines = []
     for row in report.rows:
@@ -325,5 +309,12 @@ def report_to_text(report: MetricsReport) -> str:
 
 
 def save_report(report: MetricsReport, csv_path, text_path) -> None:
-    atomic_write_text(csv_path, report_to_csv(report))
+    """The CSV is a percent table in the published column order; NA marks undefined."""
+    write_csv(csv_path, _REPORT_COLUMNS,
+              ([row.label.upper() if row.label != "any" else "Any",
+                row.cm.tp, row.cm.fn, row.cm.tn, row.cm.fp,
+                _cell(row.stats.sen), _cell(row.stats.spec), _cell(row.stats.ppv),
+                _cell(row.stats.npv), _cell(row.auc), _cell(row.stats.acc),
+                _cell(row.stats.bacc), _cell(row.stats.mcc), _cell(row.stats.f1)]
+               for row in report.rows))
     atomic_write_text(text_path, report_to_text(report))

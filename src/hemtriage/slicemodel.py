@@ -15,17 +15,16 @@ fraction n/N (1-based slice index over slice count).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import json
 
 import numpy as np
 
 from . import gbdt
-from .errors import ArityError, DataError, FormatError, TrainingError
-from .fileio import atomic_write_text
-from .volume import DEFAULT_WINDOWS, HEMORRHAGE_TYPES, CtVolume, WindowSpec, stack_channels
+from .errors import ArityError, DataError, FormatError, PipelineError, TrainingError
+from .fileio import atomic_write_text, read_slice_table, write_csv
+from .volume import (DEFAULT_WINDOWS, HEMORRHAGE_TYPES, NUM_TYPES, CtVolume, WindowSpec,
+                     stack_channels)
 
 HISTOGRAM_BINS = 16
 BLOOD_BAND = (0.55, 0.95)
@@ -77,7 +76,7 @@ class ReferenceSliceClassifier:
 
     def __init__(self, models, identity: str):
         models = tuple(models)
-        if len(models) != 5:
+        if len(models) != NUM_TYPES:
             raise ArityError(f"need one model per hemorrhage type, got {len(models)}")
         dims = {model.num_features for model in models}
         if dims != {FEATURE_LENGTH}:
@@ -87,7 +86,7 @@ class ReferenceSliceClassifier:
 
     def classify_features(self, features) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
-        out = np.empty((features.shape[0], 5))
+        out = np.empty((features.shape[0], NUM_TYPES))
         for t, model in enumerate(self.models):
             out[:, t] = gbdt.predict(model, features)
         return out
@@ -104,12 +103,12 @@ def train_reference_classifier(features, slice_labels, config=None, seed: int = 
     Y = np.asarray(slice_labels)
     if X.ndim != 2 or X.shape[0] == 0:
         raise TrainingError("empty or malformed training set")
-    if Y.shape != (X.shape[0], 5):
-        raise ArityError(f"slice labels must be ({X.shape[0]}, 5), got {Y.shape}")
+    if Y.shape != (X.shape[0], NUM_TYPES):
+        raise ArityError(f"slice labels must be ({X.shape[0]}, {NUM_TYPES}), got {Y.shape}")
     if config is None:
         config = DEFAULT_REFERENCE_CONFIG
     config = dataclasses.replace(config, seed=seed)
-    models = [gbdt.train(X, Y[:, t].astype(np.float64), config) for t in range(5)]
+    models = [gbdt.train(X, Y[:, t].astype(np.float64), config) for t in range(NUM_TYPES)]
     identity = f"reference-gbdt-v1(rounds={config.rounds},seed={seed})"
     return ReferenceSliceClassifier(models, identity)
 
@@ -140,40 +139,18 @@ def predict_by_scan(predict, matrices_by_scan) -> dict[str, np.ndarray]:
 
 def save_slice_probs(probs_by_scan: dict[str, np.ndarray], path) -> None:
     """Slice-probability exchange CSV, the boundary for external deep models."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_PROB_COLUMNS)
-    for scan_id in probs_by_scan:
-        rows = np.asarray(probs_by_scan[scan_id], dtype=np.float64)
-        for index in range(rows.shape[0]):
-            writer.writerow([scan_id, index] + [repr(float(v)) for v in rows[index]])
-    atomic_write_text(path, buf.getvalue())
+    write_csv(path, _PROB_COLUMNS,
+              ([scan_id, index] + [repr(float(v)) for v in row]
+               for scan_id, rows in probs_by_scan.items()
+               for index, row in enumerate(np.asarray(rows, dtype=np.float64))))
 
 
 def load_slice_probs(path) -> dict[str, np.ndarray]:
-    per_scan: dict[str, dict[int, list[float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(_PROB_COLUMNS) - set(reader.fieldnames):
-            raise FormatError(f"{path}: probability CSV must have columns {_PROB_COLUMNS}")
-        for record in reader:
-            try:
-                index = int(record["slice_index"])
-                values = [float(record[f"p_{t}"]) for t in HEMORRHAGE_TYPES]
-            except ValueError as exc:
-                raise FormatError(f"{path}: {exc}") from exc
-            slot = per_scan.setdefault(record["scan_id"], {})
-            if index in slot:
-                raise FormatError(f"{path}: duplicate slice {index} for scan {record['scan_id']}")
-            slot[index] = values
-    result = {}
-    for scan_id, slot in per_scan.items():
-        if sorted(slot) != list(range(len(slot))):
-            raise FormatError(f"{path}: slice indices for scan {scan_id} are not contiguous from 0")
-        rows = np.array([slot[i] for i in range(len(slot))])
+    result = read_slice_table(path, _PROB_COLUMNS, lambda cells: [float(c) for c in cells],
+                              "probability CSV")
+    for scan_id, rows in result.items():
         if rows.min() < 0.0 or rows.max() > 1.0 or not np.isfinite(rows).all():
             raise FormatError(f"{path}: probabilities for scan {scan_id} outside [0, 1]")
-        result[scan_id] = rows
     return result
 
 
@@ -202,7 +179,7 @@ def load_slice_model(path) -> tuple[ReferenceSliceClassifier, tuple[WindowSpec, 
         windows = tuple(WindowSpec(float(c), float(w)) for c, w in payload["windows"])
         models = [gbdt.model_from_json(m) for m in payload["models"]]
         classifier = ReferenceSliceClassifier(models, str(payload["identity"]))
-    except (KeyError, TypeError, ValueError, ArityError, DataError) as exc:
+    except (KeyError, TypeError, ValueError, PipelineError) as exc:
         raise FormatError(f"{path}: malformed slice model: {exc}") from exc
     if len(windows) != 3:
         raise FormatError(f"{path}: slice model must carry 3 windows")

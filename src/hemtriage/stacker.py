@@ -13,15 +13,16 @@ import json
 import numpy as np
 
 from . import gbdt
-from .errors import ArityError, ConfigError, DataError, FormatError
+from .errors import ArityError, ConfigError, DataError, FormatError, PipelineError
 from .fileio import atomic_write_text
 from .slicemodel import predict_by_scan
+from .volume import NUM_TYPES
 
 _STACKER_FORMAT = "hemtriage/stacker-model"
 
 
 def window_length(delta_s: int) -> int:
-    return 5 * (2 * delta_s + 1)
+    return NUM_TYPES * (2 * delta_s + 1)
 
 
 def build_windows(rows, delta_s: int) -> np.ndarray:
@@ -31,8 +32,8 @@ def build_windows(rows, delta_s: int) -> np.ndarray:
     row n is always p_n itself.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != 5:
-        raise DataError(f"probability rows must be (num_slices, 5), got {rows.shape}")
+    if rows.ndim != 2 or rows.shape[1] != NUM_TYPES:
+        raise DataError(f"probability rows must be (num_slices, {NUM_TYPES}), got {rows.shape}")
     if rows.shape[0] < 1:
         raise ArityError("a scan needs at least one probability row")
     if not np.isfinite(rows).all() or rows.min() < 0.0 or rows.max() > 1.0:
@@ -114,7 +115,7 @@ def load_stacker_model(path) -> tuple[gbdt.GbdtEnsemble, int]:
     try:
         delta_s = int(payload["delta_s"])
         ensemble = gbdt.ensemble_from_json(payload["ensemble"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, PipelineError) as exc:
         raise FormatError(f"{path}: malformed stacker model: {exc}") from exc
     if ensemble.num_features != window_length(delta_s):
         raise FormatError(f"{path}: stored delta_s disagrees with ensemble feature count")

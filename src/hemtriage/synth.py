@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError
-from .volume import (HU_MAX, HU_MIN, HEMORRHAGE_TYPES, CtVolume, ManifestRow, ScanLabels,
-                     save_manifest, save_slice_labels, store_volume)
+from .volume import (HU_MAX, HU_MIN, HEMORRHAGE_TYPES, NUM_TYPES, CtVolume, ManifestRow,
+                     ScanLabels, save_manifest, save_slice_labels, store_volume)
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class SynthConfig:
     def __post_init__(self):
         if self.num_scans < 1:
             raise ConfigError("num_scans must be positive")
-        if len(self.positive_fraction) != 5:
+        if len(self.positive_fraction) != NUM_TYPES:
             raise ConfigError("positive_fraction needs one entry per hemorrhage type")
         if any(not 0.0 <= f <= 1.0 for f in self.positive_fraction):
             raise ConfigError("positive fractions must lie in [0, 1]")
@@ -216,7 +216,7 @@ def _build_scan(config: SynthConfig, scan_index: int, lesion_types: tuple[str, .
     hu[brain] = rng.uniform(*config.brain_hu, size=shape)[brain]
     hu[ventricle] = rng.uniform(*config.csf_hu, size=shape)[ventricle]
 
-    slice_labels = np.zeros((num_slices, 5), dtype=bool)
+    slice_labels = np.zeros((num_slices, NUM_TYPES), dtype=bool)
     lesion_3d = np.zeros(shape, dtype=bool)
     for hem_type in lesion_types:
         span = int(rng.integers(config.lesion_span_min,

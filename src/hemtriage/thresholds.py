@@ -22,7 +22,7 @@ from scipy.special import erf
 from .errors import ArityError, ConfigError, DataError, FormatError, UndefinedMetricError
 from .fileio import atomic_write_text
 from .metrics import compute_confusion, compute_metrics
-from .volume import HEMORRHAGE_TYPES
+from .volume import HEMORRHAGE_TYPES, NUM_TYPES
 
 _THRESHOLD_KEYS = tuple(f"t_{t}" for t in HEMORRHAGE_TYPES)
 
@@ -53,8 +53,8 @@ class ThresholdSet:
     @classmethod
     def from_array(cls, values) -> "ThresholdSet":
         values = np.asarray(values, dtype=np.float64)
-        if values.shape != (5,):
-            raise ArityError(f"threshold array must have shape (5,), got {values.shape}")
+        if values.shape != (NUM_TYPES,):
+            raise ArityError(f"threshold array must have shape ({NUM_TYPES},), got {values.shape}")
         return cls(*(float(v) for v in values))
 
 
@@ -70,8 +70,8 @@ def binarize_slice(probs, thresholds: ThresholdSet):
     any-flag drops the last axis.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape[-1] != 5:
-        raise ArityError(f"probabilities must end in a 5-axis, got shape {probs.shape}")
+    if probs.shape[-1] != NUM_TYPES:
+        raise ArityError(f"probabilities must end in a {NUM_TYPES}-axis, got shape {probs.shape}")
     flags = probs >= thresholds.as_array()
     return flags, flags.any(axis=-1)
 
@@ -79,8 +79,8 @@ def binarize_slice(probs, thresholds: ThresholdSet):
 def aggregate_scan(rows) -> np.ndarray:
     """Scan-level probability vector: per-type max over slices."""
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != 5:
-        raise DataError(f"probability rows must be (num_slices, 5), got {rows.shape}")
+    if rows.ndim != 2 or rows.shape[1] != NUM_TYPES:
+        raise DataError(f"probability rows must be (num_slices, {NUM_TYPES}), got {rows.shape}")
     if rows.shape[0] < 1:
         raise ArityError("a scan needs at least one probability row")
     return rows.max(axis=0)
@@ -98,7 +98,7 @@ def _objective_any_bacc(thresholds: np.ndarray, vectors: np.ndarray, labels: np.
 def _objective_mean_type_bacc(thresholds: np.ndarray, vectors: np.ndarray,
                               labels: np.ndarray) -> float:
     scores = []
-    for t in range(5):
+    for t in range(NUM_TYPES):
         truth = labels[:, t]
         if truth.all() or not truth.any():
             continue  # balanced accuracy undefined for this type
@@ -118,7 +118,7 @@ def _check_objective_defined(objective: str, labels: np.ndarray) -> None:
         if any_truth.all() or not any_truth.any():
             raise UndefinedMetricError("any-type labels are one-class; objective undefined")
     else:
-        usable = [t for t in range(5) if labels[:, t].any() and not labels[:, t].all()]
+        usable = [t for t in range(NUM_TYPES) if labels[:, t].any() and not labels[:, t].all()]
         if not usable:
             raise UndefinedMetricError("every type has one-class labels; objective undefined")
 
@@ -149,8 +149,8 @@ def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
 
     vectors = np.asarray(scan_vectors, dtype=np.float64)
     labels = np.asarray(scan_labels, dtype=bool)
-    if vectors.ndim != 2 or vectors.shape[1] != 5:
-        raise DataError(f"scan vectors must be (scans, 5), got {vectors.shape}")
+    if vectors.ndim != 2 or vectors.shape[1] != NUM_TYPES:
+        raise DataError(f"scan vectors must be (scans, {NUM_TYPES}), got {vectors.shape}")
     if labels.shape != vectors.shape:
         raise ArityError(f"labels shape {labels.shape} must match vectors {vectors.shape}")
     if objective not in OBJECTIVES:
@@ -161,7 +161,7 @@ def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
     score = OBJECTIVES[objective]
 
     lo, hi = SEARCH_BOUNDS
-    sampler = qmc.Halton(d=5, scramble=True, seed=seed)
+    sampler = qmc.Halton(d=NUM_TYPES, scramble=True, seed=seed)
     rng = np.random.default_rng(seed)
     X = lo + sampler.random(min(_NUM_INITIAL_POINTS, budget)) * (hi - lo)
     y = np.array([score(x, vectors, labels) for x in X])
@@ -170,7 +170,7 @@ def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
     # probability, so those per-axis values (and the plateau just above each)
     # are the candidate coordinates worth ranking under the acquisition.
     breakpoints = []
-    for t in range(5):
+    for t in range(NUM_TYPES):
         values = np.unique(vectors[:, t])
         above = np.append((values[:-1] + values[1:]) / 2.0, hi)
         breakpoints.append(np.unique(np.clip(np.concatenate([values, above]), lo, hi)))
@@ -193,12 +193,13 @@ def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
         if not refining:
             pool.append(lo + sampler.random(512) * (hi - lo))
         for anchor in anchors:
-            for axis in range(5):
+            for axis in range(NUM_TYPES):
                 line = np.repeat(X[anchor][None, :], len(breakpoints[axis]), axis=0)
                 line[:, axis] = breakpoints[axis]
                 pool.append(line)
         if not refining:
-            pool.extend(np.clip(X[anchors[0]] + rng.normal(0.0, scale, size=(128, 5)), lo, hi)
+            pool.extend(np.clip(X[anchors[0]] + rng.normal(0.0, scale, size=(128, NUM_TYPES)),
+                                lo, hi)
                         for scale in (0.02, 0.06))
         candidates = np.vstack(pool)
 

@@ -9,8 +9,6 @@ per-slice label CSV.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,13 +16,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArityError, ConfigError, DataError, FormatError
-from .fileio import atomic_write_bytes, atomic_write_text
+from .fileio import (atomic_write_bytes, parse_flags, read_scan_table, read_slice_table,
+                     write_csv)
 
 HU_MIN = -1024
 HU_MAX = 4095
 
 #: Canonical hemorrhage type order used for every 5-vector in the package.
 HEMORRHAGE_TYPES = ("edh", "sdh", "sah", "ivh", "iph")
+NUM_TYPES = len(HEMORRHAGE_TYPES)
 
 _HEADER_KEYS = ("scan_id", "patient_id", "height", "width", "num_slices", "slice_thickness_mm")
 _MANIFEST_COLUMNS = ("scan_id", "patient_id", "path") + HEMORRHAGE_TYPES
@@ -83,8 +83,9 @@ class ScanLabels:
     def __post_init__(self):
         if self.slice_labels is not None:
             m = np.asarray(self.slice_labels, dtype=bool)
-            if m.ndim != 2 or m.shape[1] != 5:
-                raise DataError(f"slice label matrix must be (num_slices, 5), got {m.shape}")
+            if m.ndim != 2 or m.shape[1] != NUM_TYPES:
+                raise DataError(f"slice label matrix must be (num_slices, {NUM_TYPES}), "
+                                f"got {m.shape}")
             object.__setattr__(self, "slice_labels", m)
             if not np.array_equal(m.any(axis=0), self.vector()):
                 raise DataError("scan-level labels must equal the OR over slice labels")
@@ -99,8 +100,8 @@ class ScanLabels:
     @classmethod
     def from_vector(cls, vec, slice_labels=None) -> "ScanLabels":
         vec = [bool(v) for v in vec]
-        if len(vec) != 5:
-            raise ArityError(f"label vector must have 5 entries, got {len(vec)}")
+        if len(vec) != NUM_TYPES:
+            raise ArityError(f"label vector must have {NUM_TYPES} entries, got {len(vec)}")
         return cls(*vec, slice_labels=slice_labels)
 
     @classmethod
@@ -214,102 +215,70 @@ class ManifestRow:
 
 
 def save_manifest(rows, path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_MANIFEST_COLUMNS)
-    for row in rows:
-        writer.writerow([row.scan_id, row.patient_id, row.path]
-                        + [int(v) for v in row.labels.vector()])
-    atomic_write_text(path, buf.getvalue())
+    write_csv(path, _MANIFEST_COLUMNS,
+              ([row.scan_id, row.patient_id, row.path] + [int(v) for v in row.labels.vector()]
+               for row in rows))
 
 
 def load_manifest(path) -> list[ManifestRow]:
-    rows = []
-    seen = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(_MANIFEST_COLUMNS) - set(reader.fieldnames):
-            raise FormatError(f"{path}: manifest must have columns {_MANIFEST_COLUMNS}")
-        for record in reader:
-            if record["scan_id"] in seen:
-                raise FormatError(f"{path}: line {reader.line_num}: "
-                                  f"duplicate scan_id {record['scan_id']!r}")
-            seen.add(record["scan_id"])
-            try:
-                labels = ScanLabels.from_vector([_parse_binary(record[t]) for t in HEMORRHAGE_TYPES])
-            except ValueError as exc:
-                raise FormatError(f"{path}: {exc}") from exc
-            rows.append(ManifestRow(record["scan_id"], record["patient_id"], record["path"], labels))
-    if not rows:
+    table = read_scan_table(path, _MANIFEST_COLUMNS,
+                            lambda cells: (cells[0], cells[1], parse_flags(cells[2:])), "manifest")
+    if not table:
         raise FormatError(f"{path}: manifest has no rows")
-    return rows
+    return [ManifestRow(scan_id, patient_id, volume_path, ScanLabels.from_vector(flags))
+            for scan_id, (patient_id, volume_path, flags) in table.items()]
 
 
-def _parse_binary(text: str) -> bool:
-    if text not in ("0", "1"):
-        raise ValueError(f"label cells must be 0 or 1, got {text!r}")
-    return text == "1"
+def check_manifest_coverage(path, what: str, scan_ids, rows, complete: bool = True) -> None:
+    """A scan-keyed table read beside a manifest may name only manifest scans;
+    when ``complete``, it must also name every one of them."""
+    in_table, in_manifest = set(scan_ids), {row.scan_id for row in rows}
+    missing = [row.scan_id for row in rows if row.scan_id not in in_table] if complete else []
+    if missing:
+        raise ConfigError(f"{path}: {what} lacks {len(missing)} manifest scans: {missing[:5]}")
+    extra = [scan_id for scan_id in scan_ids if scan_id not in in_manifest]
+    if extra:
+        raise ConfigError(f"{path}: {what} has {len(extra)} scans not in the manifest: {extra[:5]}")
 
 
 def save_slice_labels(matrices: dict[str, np.ndarray], path) -> None:
     """Write the per-slice label CSV: scan_id, slice_index, five 0/1 columns."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_SLICE_LABEL_COLUMNS)
-    for scan_id in matrices:
-        matrix = np.asarray(matrices[scan_id], dtype=bool)
-        for index in range(matrix.shape[0]):
-            writer.writerow([scan_id, index] + [int(v) for v in matrix[index]])
-    atomic_write_text(path, buf.getvalue())
+    write_csv(path, _SLICE_LABEL_COLUMNS,
+              ([scan_id, index] + [int(v) for v in row]
+               for scan_id, matrix in matrices.items()
+               for index, row in enumerate(np.asarray(matrix, dtype=bool))))
 
 
 def load_slice_labels(path) -> dict[str, np.ndarray]:
     """Read the per-slice label CSV into scan_id -> (num_slices, 5) bool."""
-    per_scan: dict[str, dict[int, list[bool]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(_SLICE_LABEL_COLUMNS) - set(reader.fieldnames):
-            raise FormatError(f"{path}: slice label CSV must have columns {_SLICE_LABEL_COLUMNS}")
-        for record in reader:
-            try:
-                index = int(record["slice_index"])
-                flags = [_parse_binary(record[t]) for t in HEMORRHAGE_TYPES]
-            except ValueError as exc:
-                raise FormatError(f"{path}: {exc}") from exc
-            slot = per_scan.setdefault(record["scan_id"], {})
-            if index in slot:
-                raise FormatError(f"{path}: duplicate slice {index} for scan {record['scan_id']}")
-            slot[index] = flags
-    result = {}
-    for scan_id, slot in per_scan.items():
-        if sorted(slot) != list(range(len(slot))):
-            raise FormatError(f"{path}: slice indices for scan {scan_id} are not contiguous from 0")
-        result[scan_id] = np.array([slot[i] for i in range(len(slot))], dtype=bool)
-    return result
+    return read_slice_table(path, _SLICE_LABEL_COLUMNS, parse_flags, "slice label CSV")
 
 
 def load_manifest_volumes(manifest_path, slice_labels_path=None, volumes_root=None) -> list[CtVolume]:
     """Load every volume a manifest references, attaching its labels.
 
     Volume paths are resolved relative to ``volumes_root`` (default: the
-    manifest's directory). When a per-slice label CSV is given, scans present
-    in it get their slice matrix attached; scan-level labels always come from
-    the manifest.
+    manifest's directory). When a per-slice label CSV is given, it may name
+    only manifest scans, and those it names get their slice matrix attached;
+    scan-level labels always come from the manifest.
     """
     manifest_path = Path(manifest_path)
     root = Path(volumes_root) if volumes_root is not None else manifest_path.parent
     rows = load_manifest(manifest_path)
     slice_labels = load_slice_labels(slice_labels_path) if slice_labels_path else {}
+    check_manifest_coverage(slice_labels_path, "slice label CSV", slice_labels, rows,
+                            complete=False)
     volumes = []
     for row in rows:
         vol = load_volume(root / row.path)
         if vol.scan_id != row.scan_id:
             raise FormatError(
                 f"{row.path}: file scan_id {vol.scan_id!r} disagrees with manifest {row.scan_id!r}")
-        matrix = slice_labels.get(row.scan_id)
-        if matrix is not None and not np.array_equal(matrix.any(axis=0), row.labels.vector()):
-            raise FormatError(f"{row.scan_id}: manifest labels disagree with slice labels")
-        labels = ScanLabels.from_vector(row.labels.vector(), slice_labels=matrix)
-        volumes.append(CtVolume(vol.scan_id, row.patient_id, vol.slices,
-                                vol.slice_thickness_mm, labels=labels))
+        try:
+            labels = ScanLabels.from_vector(row.labels.vector(),
+                                            slice_labels=slice_labels.get(row.scan_id))
+            volumes.append(CtVolume(vol.scan_id, row.patient_id, vol.slices,
+                                    vol.slice_thickness_mm, labels=labels))
+        except DataError as exc:  # the slice labels disagree with the manifest or the volume
+            raise FormatError(f"{slice_labels_path}: scan {row.scan_id}: {exc}") from exc
     return volumes

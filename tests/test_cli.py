@@ -88,6 +88,19 @@ class TestStackTrainFallback:
                          "--delta-s", "1", "--rounds", "5", "--seed", "0", "--out", str(out)])
         assert code == 0 and out.exists()
 
+    def test_oof_scan_outside_manifest_rejected(self, pipeline_dir, tmp_path, capsys):
+        probs = load_slice_probs(pipeline_dir / "oof" / "oof_probs.csv")
+        probs["ghost"] = probs["s0000"]
+        path = tmp_path / "oof.csv"
+        save_slice_probs(probs, path)
+        out = tmp_path / "stacker.json"
+        assert run(["stack-train", "--oof", str(path),
+                    "--manifest", str(pipeline_dir / "data" / "manifest.csv"),
+                    "--delta-s", "1", "--rounds", "2", "--out", str(out)]) == 1
+        assert (f"{path}: OOF CSV has 1 scans not in the manifest: ['ghost']"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_needs_some_label_source(self, pipeline_dir, tmp_path, capsys):
         code = run(["stack-train", "--oof", str(pipeline_dir / "oof" / "oof_probs.csv"),
                     "--delta-s", "1", "--out", str(tmp_path / "x.json")])
@@ -150,6 +163,24 @@ class TestProbsManifestContract:
         err = capsys.readouterr().err
         assert str(path) in err and "2 scans not in the manifest: ['x1', 'x0']" in err
         assert not (tmp_path / "thresholds.json").exists()
+
+
+class TestSliceLabelsManifestContract:
+    """A per-slice label CSV may name only manifest scans; manifest scans it
+    lacks broadcast their scan label."""
+
+    @pytest.mark.parametrize("command", ["slice-train", "oof"])
+    def test_label_scan_outside_manifest_rejected(self, pipeline_dir, tmp_path, capsys, command):
+        labels = tmp_path / "slice_labels.csv"
+        labels.write_text((pipeline_dir / "data" / "slice_labels.csv").read_text()
+                          + "ghost,0,0,1,0,0,0\nghost,1,0,0,0,0,0\n")
+        out = tmp_path / "out"
+        argv = [command, "--manifest", str(pipeline_dir / "data" / "manifest.csv"),
+                "--slice-labels", str(labels), "--rounds", "2", "--out", str(out)]
+        assert run(argv + (["--folds", "3"] if command == "oof" else [])) == 1
+        assert (f"{labels}: slice label CSV has 1 scans not in the manifest: ['ghost']"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestOofFeaturizesOnce:
@@ -220,6 +251,20 @@ class TestEvaluateWithDecisions:
         assert run(["evaluate", "--manifest", str(manifest), "--decisions", str(decisions),
                     "--out", str(out)]) == 1
         assert "decisions.csv: line 4: duplicate scan_id 's0'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scan_outside_manifest_rejected(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("scan_id,patient_id,path,edh,sdh,sah,ivh,iph\n"
+                            "s0,p0,x,1,0,0,0,0\ns1,p1,y,0,0,0,0,0\n")
+        decisions = tmp_path / "decisions.csv"
+        decisions.write_text("scan_id,edh,sdh,sah,ivh,iph\n"
+                             "s0,1,0,0,0,0\ns1,0,0,0,0,0\nghost,1,1,1,1,1\n")
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--manifest", str(manifest), "--decisions", str(decisions),
+                    "--out", str(out)]) == 1
+        assert (f"{decisions}: decisions CSV has 1 scans not in the manifest: ['ghost']"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_requires_exactly_one_input_mode(self, tmp_path, capsys):

@@ -380,3 +380,20 @@ class TestPersistence:
         from hemtriage.errors import FormatError
         with pytest.raises(FormatError):
             gbdt.model_from_json({"format": "something-else", "version": 1})
+
+    @pytest.mark.parametrize("field, node, bad, match", [
+        ("feature", 0, 3, "feature index"),           # only 3 features: columns 0..2
+        ("right", 0, 9, "child index"),               # past the last node
+        ("left", 0, 0, "child index"),                # a node that is its own left child
+        ("threshold", 0, float("nan"), "finite"),
+    ])
+    def test_rejects_trees_predict_cannot_walk(self, rng, field, node, bad, match):
+        from hemtriage.errors import FormatError
+        X = rng.random((40, 3))
+        model = gbdt.train(X, (X[:, 0] > 0.5).astype(float),
+                           gbdt.GbdtConfig(rounds=3, max_leaves=4, seed=0))
+        payload = gbdt.model_to_json(model)
+        assert gbdt.model_from_json(payload).num_features == 3
+        payload["trees"][1][field][node] = bad
+        with pytest.raises(FormatError, match=match):
+            gbdt.model_from_json(payload)

@@ -8,7 +8,7 @@ from hemtriage.errors import ArityError, DataError, UndefinedMetricError
 from hemtriage.metrics import (ConfusionMatrix, binomial_ci, boxplot_stats,
                                boxplot_stats_by_class, build_report, compute_auc,
                                compute_confusion, compute_metrics, cumulative_curves,
-                               log_loss, report_to_csv, roc_points)
+                               log_loss, roc_points, save_report)
 
 # Published external-validation confusion rows (counts per type, n = 5965).
 EXTERNAL_ROWS = {
@@ -267,11 +267,12 @@ class TestReport:
         assert (any_cm.tp, any_cm.fn, any_cm.tn, any_cm.fp) == \
             (direct.tp, direct.fn, direct.tn, direct.fp)
 
-    def test_csv_has_published_column_order(self, rng):
+    def test_csv_has_published_column_order(self, rng, tmp_path):
         decisions = rng.integers(0, 2, (10, 5)).astype(bool)
         truths = decisions.copy()
         truths[0] = ~truths[0]
-        text = report_to_csv(build_report(decisions, truths))
+        save_report(build_report(decisions, truths), tmp_path / "r.csv", tmp_path / "r.txt")
+        text = (tmp_path / "r.csv").read_text()
         header = text.splitlines()[0]
         assert header == "Hemorrhage,TP,FN,TN,FP,SEN,SPEC,PPV,NPV,AUC,Acc,BAcc,MCC,F1"
         assert len(text.splitlines()) == 7

@@ -164,6 +164,13 @@ class TestProbCsv:
         with pytest.raises(FormatError):
             load_slice_probs(path)
 
+    def test_short_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "probs.csv"
+        path.write_text("scan_id,slice_index,p_edh,p_sdh,p_sah,p_ivh,p_iph\n"
+                        "s1,0,0.1,0.2\n")
+        with pytest.raises(FormatError, match=r"probs\.csv: line 2: 4 cells but the header has 7"):
+            load_slice_probs(path)
+
 
 class TestSliceModelFile:
     def test_round_trip(self, tmp_path, rng):

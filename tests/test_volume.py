@@ -4,8 +4,9 @@ from hypothesis import given, strategies as st
 
 from hemtriage.errors import ArityError, ConfigError, DataError, FormatError
 from hemtriage.volume import (DEFAULT_WINDOWS, CtVolume, ManifestRow, ScanLabels, WindowSpec,
-                              apply_window, load_manifest, load_slice_labels, load_volume,
-                              save_manifest, save_slice_labels, stack_channels, store_volume)
+                              apply_window, load_manifest, load_manifest_volumes,
+                              load_slice_labels, load_volume, save_manifest, save_slice_labels,
+                              stack_channels, store_volume)
 
 from conftest import make_volume, labels_from_matrix
 
@@ -213,3 +214,25 @@ class TestSliceLabelCsv:
                         "s0,0,0,0,0,0,0\ns0,2,0,0,0,0,0\n")
         with pytest.raises(FormatError, match="contiguous"):
             load_slice_labels(path)
+
+    def test_short_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "slices.csv"
+        path.write_text("scan_id,slice_index,edh,sdh,sah,ivh,iph\n"
+                        "s0,0,0,0,0,0,0\ns1\n")
+        with pytest.raises(FormatError, match=r"slices\.csv: line 3: 1 cells but the header has 7"):
+            load_slice_labels(path)
+
+
+class TestManifestVolumes:
+    @pytest.mark.parametrize("matrix, match", [
+        ([[0, 0, 1, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]], "OR over slice labels"),
+        ([[0, 0, 0, 0, 0], [0, 0, 0, 0, 0]], "slice count"),
+    ])
+    def test_slice_labels_must_agree_with_manifest_and_volume(self, tmp_path, matrix, match):
+        store_volume(make_volume("s0", num_slices=3), tmp_path / "s0.ctv")
+        save_manifest([ManifestRow("s0", "p0", "s0.ctv", ScanLabels.from_vector([0] * 5))],
+                      tmp_path / "manifest.csv")
+        labels = tmp_path / "labels.csv"
+        save_slice_labels({"s0": np.array(matrix, dtype=bool)}, labels)
+        with pytest.raises(FormatError, match=rf"labels\.csv: scan s0: .*{match}"):
+            load_manifest_volumes(tmp_path / "manifest.csv", labels)
