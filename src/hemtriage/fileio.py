@@ -1,14 +1,16 @@
-"""Atomic file writes and the one CSV reader and writer.
+"""Atomic file writes, the one CSV reader and writer, and the one JSON reader.
 
 Every artifact this package emits goes through a temp-file-plus-rename so an
 interrupted run never leaves a half-written file behind. Every CSV table
-goes through ``write_csv`` and ``read_csv``.
+goes through ``write_csv`` and ``read_csv``; every JSON model or threshold
+file goes through ``read_json``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -66,6 +68,22 @@ def read_csv(path, columns, parse, what: str):
                     yield reader.line_num, parse([record[i] for i in picks])
         except (csv.Error, ValueError) as exc:  # ValueError covers UnicodeDecodeError
             raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def read_json(path, what: str):
+    """The JSON value in ``path``. Text that is not UTF-8 JSON, including the
+    non-standard ``NaN`` and ``Infinity``, raises a ``FormatError`` naming the
+    file. A number too large for a float still reads as infinite, so callers
+    range-check the numbers they take."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, parse_constant=_reject_constant)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise FormatError(f"{path}: {what} is not UTF-8 JSON: {exc}") from exc
 
 
 def parse_flags(cells) -> list[bool]:

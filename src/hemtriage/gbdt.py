@@ -586,8 +586,10 @@ def model_from_json(payload: dict) -> GbdtModel:
             trees=tuple(_tree_from_json(t) for t in payload["trees"]),
             num_features=int(payload["num_features"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed model record: {exc}") from exc
+    if not math.isfinite(model.base_score):
+        raise FormatError("model base_score must be finite")
     _check_trees(model)
     return model
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gbdt
 from .errors import ArityError, DataError, FormatError, PipelineError, TrainingError
-from .fileio import atomic_write_text, read_slice_table, write_csv
+from .fileio import atomic_write_text, read_json, read_slice_table, write_csv
 from .volume import (DEFAULT_WINDOWS, HEMORRHAGE_TYPES, NUM_TYPES, CtVolume, WindowSpec,
                      stack_channels)
 
@@ -166,11 +166,7 @@ def save_slice_model(classifier: ReferenceSliceClassifier, windows, path) -> Non
 
 
 def load_slice_model(path) -> tuple[ReferenceSliceClassifier, tuple[WindowSpec, ...]]:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+    payload = read_json(path, "slice model")
     if not isinstance(payload, dict) or payload.get("format") != _SLICE_MODEL_FORMAT:
         raise FormatError(f"{path}: not a {_SLICE_MODEL_FORMAT} record")
     if payload.get("version") != 1:

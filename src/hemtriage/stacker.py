@@ -14,7 +14,7 @@ import numpy as np
 
 from . import gbdt
 from .errors import ArityError, ConfigError, DataError, FormatError, PipelineError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_json
 from .slicemodel import predict_by_scan
 from .volume import NUM_TYPES
 
@@ -103,11 +103,7 @@ def save_stacker_model(ensemble: gbdt.GbdtEnsemble, delta_s: int, path) -> None:
 
 
 def load_stacker_model(path) -> tuple[gbdt.GbdtEnsemble, int]:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+    payload = read_json(path, "stacker model")
     if not isinstance(payload, dict) or payload.get("format") != _STACKER_FORMAT:
         raise FormatError(f"{path}: not a {_STACKER_FORMAT} record")
     if payload.get("version") != 1:
@@ -115,8 +111,11 @@ def load_stacker_model(path) -> tuple[gbdt.GbdtEnsemble, int]:
     try:
         delta_s = int(payload["delta_s"])
         ensemble = gbdt.ensemble_from_json(payload["ensemble"])
-    except (KeyError, TypeError, ValueError, PipelineError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, PipelineError) as exc:
         raise FormatError(f"{path}: malformed stacker model: {exc}") from exc
+    if ensemble.num_types != NUM_TYPES:
+        raise FormatError(f"{path}: stacker model must cover {NUM_TYPES} types, "
+                          f"got {ensemble.num_types}")
     if ensemble.num_features != window_length(delta_s):
         raise FormatError(f"{path}: stored delta_s disagrees with ensemble feature count")
     return ensemble, delta_s

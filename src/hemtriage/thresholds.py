@@ -8,6 +8,14 @@ thresholding the per-type max over slices. The optimizer searches
 the default objective is the balanced accuracy of the scan-level any-type
 decision. AUC itself is threshold-free, so it cannot serve as a threshold
 search objective.
+
+The posterior is never refit from scratch. One lower Cholesky factor ``L`` of
+the design kernel grows by a row per evaluated point; each candidate is
+whitened once as ``V = L^-1 K(X, candidate)``, giving mean ``V . (L^-1 y)``
+and variance ``1 - |V|^2``. The axis-line candidates of an anchor stay fixed
+while it remains among the best points, so their ``V`` only gains a row per
+new point; a step costs O(candidates x points) rather than a dense solve over
+every candidate.
 """
 
 from __future__ import annotations
@@ -17,10 +25,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.special import erf
 
 from .errors import ArityError, ConfigError, DataError, FormatError, UndefinedMetricError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_json
 from .metrics import compute_confusion, compute_metrics
 from .volume import HEMORRHAGE_TYPES, NUM_TYPES
 
@@ -132,8 +141,63 @@ def _norm_cdf(z):
 
 
 def _rbf_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    # Squared distance summed one axis at a time: the same floats as summing
+    # an (a, b, axes) difference stack, without that temporary.
+    sq = (a[:, None, 0] - b[None, :, 0]) ** 2
+    for axis in range(1, a.shape[1]):
+        sq += (a[:, None, axis] - b[None, :, axis]) ** 2
     return np.exp(-sq / (2.0 * _GP_LENGTH_SCALE ** 2))
+
+
+def _cholesky_append(factor: np.ndarray, n: int, column: np.ndarray) -> None:
+    """Grow ``factor[:n, :n]``, the lower Cholesky factor of the design kernel,
+    by row ``n`` for a new point whose kernel against the first ``n`` points is
+    ``column``. A pivot that is not positive raises ``LinAlgError``."""
+    row = (solve_triangular(factor[:n, :n], column, lower=True, check_finite=False)
+           if n else column)
+    pivot = 1.0 + _GP_NOISE - row @ row
+    if not pivot > 0.0:
+        raise np.linalg.LinAlgError(f"design kernel is not positive definite at point {n}")
+    factor[n, :n] = row
+    factor[n, n] = math.sqrt(pivot)
+
+
+class _Block:
+    """Candidates with ``V = L^-1 K(X, candidates)`` against the first ``n``
+    design points; the posterior variance of a candidate is ``1 - sum V^2``
+    over its column. ``extend`` adds one row of ``V`` per new design point."""
+
+    def __init__(self, candidates, design, factor):
+        n = len(design)
+        self.candidates = candidates
+        self.whitened = np.empty((len(factor), len(candidates)))
+        self.whitened[:n] = solve_triangular(factor[:n, :n], _rbf_kernel(candidates, design).T,
+                                             lower=True)
+        self.sumsq = np.einsum("ij,ij->j", self.whitened[:n], self.whitened[:n])
+        self.n = n
+
+    def extend(self, design, factor):
+        for j in range(self.n, len(design)):
+            column = _rbf_kernel(self.candidates, design[j:j + 1])[:, 0]
+            row = (column - factor[j, :j] @ self.whitened[:j]) / factor[j, j]
+            self.whitened[j] = row
+            self.sumsq += row * row
+        self.n = len(design)
+        return self
+
+    def posterior(self, beta):
+        mu = beta @ self.whitened[:self.n]
+        return mu, np.maximum(1.0 - self.sumsq, 1e-12)
+
+
+def _axis_lines(point: np.ndarray, breakpoints) -> np.ndarray:
+    """``point`` with one coordinate swept over that axis's breakpoints, axis by axis."""
+    lines = []
+    for axis in range(NUM_TYPES):
+        line = np.repeat(point[None, :], len(breakpoints[axis]), axis=0)
+        line[:, axis] = breakpoints[axis]
+        lines.append(line)
+    return np.vstack(lines)
 
 
 def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
@@ -163,8 +227,13 @@ def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
     lo, hi = SEARCH_BOUNDS
     sampler = qmc.Halton(d=NUM_TYPES, scramble=True, seed=seed)
     rng = np.random.default_rng(seed)
-    X = lo + sampler.random(min(_NUM_INITIAL_POINTS, budget)) * (hi - lo)
-    y = np.array([score(x, vectors, labels) for x in X])
+    X = np.empty((budget, NUM_TYPES))
+    factor = np.zeros((budget, budget))
+    n = min(_NUM_INITIAL_POINTS, budget)
+    X[:n] = lo + sampler.random(n) * (hi - lo)
+    for j in range(n):
+        _cholesky_append(factor, j, _rbf_kernel(X[:j], X[j:j + 1])[:, 0])
+    y = np.array([score(x, vectors, labels) for x in X[:n]])
 
     # The objective only changes where a threshold crosses an observed scan
     # probability, so those per-axis values (and the plateau just above each)
@@ -175,44 +244,42 @@ def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
         above = np.append((values[:-1] + values[1:]) / 2.0, hi)
         breakpoints.append(np.unique(np.clip(np.concatenate([values, above]), lo, hi)))
 
-    total_steps = budget - len(X)
+    lines: dict[int, _Block] = {}  # anchor index -> its axis-line block
+    total_steps = budget - n
     for step in range(total_steps):
+        design = X[:n]
         # Standardized targets keep the unit-variance kernel honest about
         # how much improvement is plausible.
         spread = max(float(y.std()), 1e-9)
         y_std = (y - y.mean()) / spread
-        kernel = _rbf_kernel(X, X) + _GP_NOISE * np.eye(len(X))
-        alpha = np.linalg.solve(kernel, y_std)
+        beta = solve_triangular(factor[:n, :n], y_std, lower=True)
 
         # Early steps mix global quasi-random candidates with local moves;
         # the tail ranks only single-coordinate moves around the best points,
-        # which walks plateau edges the way a threshold sweep would.
+        # which walks plateau edges the way a threshold sweep would. An
+        # anchor's axis lines stay fixed while it remains an anchor, so its
+        # block only gains a row per new point; blocks of former anchors go.
         refining = step >= total_steps - _REFINE_TAIL
-        anchors = np.argsort(-y)[:_REFINE_TOP if refining else 4]
-        pool = []
+        anchors = [int(a) for a in np.argsort(-y)[:_REFINE_TOP if refining else 4]]
+        lines = {a: lines[a].extend(design, factor) if a in lines
+                 else _Block(_axis_lines(X[a], breakpoints), design, factor)
+                 for a in anchors}
+        pool = [lines[a] for a in anchors]
         if not refining:
-            pool.append(lo + sampler.random(512) * (hi - lo))
-        for anchor in anchors:
-            for axis in range(NUM_TYPES):
-                line = np.repeat(X[anchor][None, :], len(breakpoints[axis]), axis=0)
-                line[:, axis] = breakpoints[axis]
-                pool.append(line)
-        if not refining:
-            pool.extend(np.clip(X[anchors[0]] + rng.normal(0.0, scale, size=(128, NUM_TYPES)),
-                                lo, hi)
-                        for scale in (0.02, 0.06))
-        candidates = np.vstack(pool)
+            pool.insert(0, _Block(lo + sampler.random(512) * (hi - lo), design, factor))
+            local = [np.clip(X[anchors[0]] + rng.normal(0.0, scale, size=(128, NUM_TYPES)), lo, hi)
+                     for scale in (0.02, 0.06)]
+            pool.append(_Block(np.vstack(local), design, factor))
 
-        cross = _rbf_kernel(candidates, X)
-        mu = cross @ alpha
-        solved = np.linalg.solve(kernel, cross.T)
-        var = np.maximum(1.0 - np.einsum("ij,ji->i", cross, solved), 1e-12)
+        mu, var = (np.concatenate(parts) for parts in zip(*(b.posterior(beta) for b in pool)))
         sigma = np.sqrt(var)
         z = (mu - y_std.max()) / sigma
         improvement = sigma * (z * _norm_cdf(z) + _norm_pdf(z))
-        chosen = candidates[int(np.argmax(improvement))]
-        X = np.vstack([X, chosen])
+        chosen = np.concatenate([b.candidates for b in pool])[int(np.argmax(improvement))]
+        _cholesky_append(factor, n, _rbf_kernel(design, chosen[None, :])[:, 0])
+        X[n] = chosen
         y = np.append(y, score(chosen, vectors, labels))
+        n += 1
 
     winner = int(np.argmax(y))
     return ThresholdSet.from_array(X[winner]), float(y[winner])
@@ -224,14 +291,12 @@ def save_thresholds(thresholds: ThresholdSet, path) -> None:
 
 
 def load_thresholds(path) -> ThresholdSet:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+    payload = read_json(path, "threshold file")
     if not isinstance(payload, dict) or set(payload) != set(_THRESHOLD_KEYS):
         raise FormatError(f"{path}: threshold file must contain exactly the keys {_THRESHOLD_KEYS}")
     try:
         return ThresholdSet(*(float(payload[key]) for key in _THRESHOLD_KEYS))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

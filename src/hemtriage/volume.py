@@ -10,6 +10,7 @@ per-slice label CSV.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,8 +40,9 @@ class WindowSpec:
     width: float
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ConfigError(f"window width must be positive, got {self.width}")
+        if not (math.isfinite(self.center) and 0 < self.width < math.inf):
+            raise ConfigError(f"window must have a finite center and a finite positive width, "
+                              f"got ({self.center}, {self.width})")
 
 
 #: Brain, subdural, and soft-tissue windows; the standard triple for blood /

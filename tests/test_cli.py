@@ -119,6 +119,26 @@ class TestStackApplyValidation:
         assert "delta" in capsys.readouterr().err.lower()
 
 
+class TestJsonInputErrors:
+    @pytest.mark.parametrize("command", ["stack-apply", "slice-predict", "evaluate"])
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"format": '])
+    def test_bad_json_input_names_file(self, pipeline_dir, tmp_path, capsys, command, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        manifest = str(pipeline_dir / "data" / "manifest.csv")
+        argv = {
+            "stack-apply": ["--model", str(bad), "--probs",
+                            str(pipeline_dir / "oof" / "oof_probs.csv")],
+            "slice-predict": ["--model", str(bad), "--manifest", manifest],
+            "evaluate": ["--thresholds", str(bad), "--manifest", manifest,
+                         "--probs", str(pipeline_dir / "refined.csv")],
+        }[command]
+        out = tmp_path / "out"
+        assert run([command, *argv, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert str(bad) in capsys.readouterr().err
+
+
 class TestOptimizeSummary:
     def test_prints_plain_float_thresholds(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "thresholds.json"

@@ -239,3 +239,12 @@ class TestStackerFile:
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="delta_s"):
             load_stacker_model(path)
+
+    def test_ensemble_missing_a_type_rejected(self, tmp_path, rng):
+        probs, labels = synthetic_scans(rng, 10)
+        configs = [gbdt.GbdtConfig(rounds=4, growth="leafwise", seed=0)]
+        ensemble = train_stacker(probs, labels, 2, configs)
+        path = tmp_path / "four_types.json"
+        save_stacker_model(gbdt.GbdtEnsemble(groups=(ensemble.groups[0][:4],)), 2, path)
+        with pytest.raises(FormatError, match="four_types.json: .*5 types, got 4"):
+            load_stacker_model(path)

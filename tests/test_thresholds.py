@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hemtriage.errors import ArityError, ConfigError, FormatError, UndefinedMetricError
+from hemtriage.errors import (ArityError, ConfigError, FormatError, PipelineError,
+                             UndefinedMetricError)
+from hemtriage import thresholds as th
 from hemtriage.thresholds import (OBJECTIVES, PUBLISHED_THRESHOLDS, ThresholdSet,
                                   aggregate_scan, binarize_slice, load_thresholds,
                                   optimize_thresholds, save_thresholds)
@@ -38,6 +42,65 @@ def grid_oracle(vectors, labels, step=0.01):
                 thresholds[axis] = grid[index]
                 improved = True
     return best, thresholds
+
+
+def direct_solve_optimize(vectors, labels, objective="any_bacc", budget=150, seed=0):
+    """Independent reference: the GP-EI loop refitting the posterior from
+    scratch each step, with an LU solve over every candidate. Returns every
+    evaluated point and its objective value, in order."""
+    from scipy.stats import qmc
+
+    def kernel(a, b):
+        sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        return np.exp(-sq / (2.0 * th._GP_LENGTH_SCALE ** 2))
+
+    score = OBJECTIVES[objective]
+    lo, hi = th.SEARCH_BOUNDS
+    sampler = qmc.Halton(d=5, scramble=True, seed=seed)
+    rng = np.random.default_rng(seed)
+    X = lo + sampler.random(min(th._NUM_INITIAL_POINTS, budget)) * (hi - lo)
+    y = np.array([score(x, vectors, labels) for x in X])
+    breakpoints = []
+    for t in range(5):
+        values = np.unique(vectors[:, t])
+        above = np.append((values[:-1] + values[1:]) / 2.0, hi)
+        breakpoints.append(np.unique(np.clip(np.concatenate([values, above]), lo, hi)))
+    total_steps = budget - len(X)
+    for step in range(total_steps):
+        y_std = (y - y.mean()) / max(float(y.std()), 1e-9)
+        design = kernel(X, X) + th._GP_NOISE * np.eye(len(X))
+        refining = step >= total_steps - th._REFINE_TAIL
+        anchors = np.argsort(-y)[:th._REFINE_TOP if refining else 4]
+        pool = [] if refining else [lo + sampler.random(512) * (hi - lo)]
+        for anchor in anchors:
+            for axis in range(5):
+                line = np.repeat(X[anchor][None, :], len(breakpoints[axis]), axis=0)
+                line[:, axis] = breakpoints[axis]
+                pool.append(line)
+        if not refining:
+            pool.extend(np.clip(X[anchors[0]] + rng.normal(0.0, scale, size=(128, 5)), lo, hi)
+                        for scale in (0.02, 0.06))
+        candidates = np.vstack(pool)
+        cross = kernel(candidates, X)
+        mu = cross @ np.linalg.solve(design, y_std)
+        var = np.maximum(1.0 - np.einsum("ij,ji->i", cross, np.linalg.solve(design, cross.T)),
+                         1e-12)
+        sigma = np.sqrt(var)
+        z = (mu - y_std.max()) / sigma
+        improvement = sigma * (z * th._norm_cdf(z) + th._norm_pdf(z))
+        chosen = candidates[int(np.argmax(improvement))]
+        X = np.vstack([X, chosen])
+        y = np.append(y, score(chosen, vectors, labels))
+    return X, y
+
+
+def repeated_probability_scans(seed, num_scans):
+    """Scan vectors on a quarter grid, so many scans share each value."""
+    rng = np.random.default_rng(seed)
+    labels = rng.random((num_scans, 5)) < 0.15
+    labels[0, 0], labels[1] = True, False
+    vectors = rng.beta(1.2, 6, (num_scans, 5)) + labels * rng.uniform(0.2, 0.6, (num_scans, 5))
+    return np.round(np.clip(vectors, 0, 1) * 4) / 4, labels
 
 
 def validation_scans(seed, num_scans=200, hard_frac=0.12):
@@ -205,6 +268,43 @@ class TestOptimizer:
         assert worst <= 0.02
 
 
+class TestOptimizerEquivalence:
+    @pytest.mark.parametrize("case, objective, budget, seed", [
+        ("validation", "any_bacc", 60, 3),
+        ("validation", "mean_type_bacc", 60, 1),
+        ("repeated", "any_bacc", 150, 12),
+    ])
+    def test_same_evaluations_as_direct_solve(self, monkeypatch, case, objective, budget, seed):
+        vectors, labels = (validation_scans(7) if case == "validation"
+                           else repeated_probability_scans(13, 12))
+        X, y = direct_solve_optimize(vectors, labels, objective, budget, seed)
+        evaluated = []
+        score = OBJECTIVES[objective]
+        monkeypatch.setitem(OBJECTIVES, objective,
+                            lambda x, v, l: evaluated.append(np.array(x)) or score(x, v, l))
+        best, value = optimize_thresholds(vectors, labels, objective, budget, seed)
+        assert np.array_equal(np.array(evaluated), X)
+        assert np.array_equal(best.as_array(), X[np.argmax(y)]) and value == y.max()
+
+    def test_grown_factor_matches_cholesky_on_repeated_points(self):
+        rng = np.random.default_rng(0)
+        X = np.vstack([rng.random((5, 5)), np.full((30, 5), 0.4), rng.random((5, 5))])
+        factor = np.zeros((len(X), len(X)))
+        for j in range(len(X)):
+            th._cholesky_append(factor, j, th._rbf_kernel(X[:j], X[j:j + 1])[:, 0])
+        expected = np.linalg.cholesky(th._rbf_kernel(X, X) + th._GP_NOISE * np.eye(len(X)))
+        assert np.isfinite(factor).all()
+        np.testing.assert_allclose(factor, expected, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("column", [[1.5], [np.nan]])
+    def test_non_positive_pivot_raises(self, column):
+        factor = np.zeros((2, 2))
+        th._cholesky_append(factor, 0, np.zeros(0))
+        with pytest.raises(np.linalg.LinAlgError):
+            th._cholesky_append(factor, 1, np.array(column))
+        assert factor[1].tolist() == [0.0, 0.0]
+
+
 class TestThresholdFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "thresholds.json"
@@ -215,4 +315,15 @@ class TestThresholdFile:
         path = tmp_path / "thresholds.json"
         path.write_text('{"t_edh": 0.5}')
         with pytest.raises(FormatError):
+            load_thresholds(path)
+
+    @pytest.mark.parametrize("value, error", [("2.0", "t_edh must lie in"),
+                                              ("0.0", "t_edh must lie in"),
+                                              ("NaN", "NaN is not a JSON number"),
+                                              ("-Infinity", "-Infinity is not a JSON number")])
+    def test_bad_value_names_file(self, tmp_path, value, error):
+        path = tmp_path / "thresholds.json"
+        save_thresholds(PUBLISHED_THRESHOLDS, path)
+        path.write_text(path.read_text().replace("0.47", value))
+        with pytest.raises(PipelineError, match=re.escape(str(path)) + ": .*" + re.escape(error)):
             load_thresholds(path)

@@ -37,6 +37,12 @@ class TestApplyWindow:
         with pytest.raises(ConfigError):
             WindowSpec(40, -10)
 
+    @pytest.mark.parametrize("center, width", [(float("nan"), 80), (float("inf"), 80),
+                                               (40, float("inf")), (40, float("nan"))])
+    def test_non_finite_window_rejected(self, center, width):
+        with pytest.raises(ConfigError):
+            WindowSpec(center, width)
+
     @given(st.integers(-1024, 4095), st.integers(-1024, 4095),
            st.floats(-500, 1500), st.floats(1, 2000))
     def test_monotone_in_hu(self, hu1, hu2, center, width):
