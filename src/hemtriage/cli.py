@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import folds, gbdt, metrics, slicemodel, stacker, svgplots, synth, thresholds
-from .errors import ConfigError, PipelineError
+from .errors import ArityError, ConfigError, PipelineError
 from .fileio import atomic_write_text, parse_flags, read_scan_table, write_csv
 from .volume import (HEMORRHAGE_TYPES, NUM_TYPES, WindowSpec, check_manifest_coverage,
                      load_manifest, load_manifest_volumes, load_slice_labels)
@@ -136,10 +136,23 @@ def cmd_oof(args) -> None:
     print(f"{args.folds}-fold out-of-fold predictions -> {out_dir / 'oof_probs.csv'}")
 
 
+def _check_oof_slice_labels(oof_path, probs, labels_path, labels) -> None:
+    """The slice label CSV must label every slice of every OOF scan."""
+    missing = [scan_id for scan_id in probs if scan_id not in labels]
+    if missing:
+        raise ConfigError(f"{labels_path}: slice label CSV lacks {len(missing)} scans of "
+                          f"the OOF CSV {oof_path}: {missing[:5]}")
+    for scan_id, rows in probs.items():
+        if rows.shape[0] != labels[scan_id].shape[0]:
+            raise ArityError(f"scan {scan_id}: {rows.shape[0]} slices in the OOF CSV {oof_path} "
+                             f"vs {labels[scan_id].shape[0]} in {labels_path}")
+
+
 def cmd_stack_train(args) -> None:
     probs = slicemodel.load_slice_probs(args.oof)
     if args.slice_labels is not None:
         labels = load_slice_labels(args.slice_labels)
+        _check_oof_slice_labels(args.oof, probs, args.slice_labels, labels)
     elif args.manifest is not None:
         manifest = load_manifest(args.manifest)
         check_manifest_coverage(args.oof, "OOF CSV", probs, manifest, complete=False)

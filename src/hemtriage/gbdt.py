@@ -12,23 +12,21 @@ g = p - y with hessians h = p(1 - p); a leaf is worth
 is the second-order formula
 0.5 * [GL^2/(HL+l) + GR^2/(HR+l) - (GL+GR)^2/(HL+HR+l)].
 
-Leafwise and depthwise growth share one best-first loop that splits the open
-leaf with the smallest priority: -gain for leafwise, (depth, -gain) for
-depthwise, which finishes each level before the next; ties go to the earliest
-leaf. Their split search is exact: candidate thresholds are midpoints between
-consecutive distinct sorted feature values. Oblivious trees need one
-candidate grid shared by every leaf of a level, so their candidates come from
-per-feature borders computed once per training run (these are all the exact
-midpoints whenever a feature has at most 64 distinct values).
-
-There are two split searches because one histogram engine for all three modes
-(LightGBM-style, Ke et al. 2017) does not yet hold the test margins. Measured
-on a 2-core x86-64 host: capping leafwise/depthwise at 63 borders, as
-oblivious growth does, widens the ensemble-vs-best-member margin in
-test_default_presets_ensemble_close_to_best_member from 0.0098 to 0.0215
-against its 0.02 bound, and caps of 127 and 255 also fail it; exact rank bins
-keep the margin (0.0097) but take acceptance 5 from 87 s to 304 s against its
-300 s budget.
+Each training matrix is binned once, one bin per distinct value of each
+feature, and both split searches read those bins. Leafwise and depthwise
+growth share one best-first loop that splits the open leaf with the smallest
+priority: -gain for leafwise, (depth, -gain) for depthwise, which finishes
+each level before the next; ties go to the earliest leaf. Their search is
+exact: candidates are the midpoints between neighbouring values present in a
+node, and equal computed gains go to the lowest feature, then the lowest
+threshold (gains equal in exact arithmetic may differ in the last bit). The
+smaller child of a split is histogrammed from its rows and the larger one is
+its parent minus that sibling (Ke et al. 2017). An oblivious level histograms
+all its leaves at once, and exact bins would make that histogram 6x larger on
+the stacker's windows, so oblivious growth searches at most 63 borders per
+feature (all the midpoints when a feature has at most 64 distinct values).
+Node-wise growth keeps every midpoint: a 63-border cap there failed
+test_default_presets_ensemble_close_to_best_member.
 
 A split with zero gain is accepted on mixed-label nodes. Degenerate targets
 like 4-point XOR are perfectly symmetric at the base score, so every root
@@ -189,7 +187,7 @@ def train(features, labels, config: GbdtConfig) -> GbdtModel:
     """
     X = _as_matrix(features)
     y = np.asarray(labels, dtype=np.float64).ravel()
-    if X.shape[0] == 0:
+    if X.size == 0:
         raise TrainingError("cannot train on an empty feature matrix")
     if y.shape[0] != X.shape[0]:
         raise ArityError(f"{X.shape[0]} rows but {y.shape[0]} labels")
@@ -205,10 +203,8 @@ def train(features, labels, config: GbdtConfig) -> GbdtModel:
         warnings.warn("all labels belong to one class; model is base score only", stacklevel=2)
         return GbdtModel(base_score=base_score, trees=(), num_features=num_features)
 
-    if config.growth == "oblivious":
-        grower = _ObliviousGrower(X, config)
-    else:
-        grower = _ExactGrower(X, config)
+    bins = _Bins(X)
+    grower = (_ObliviousGrower if config.growth == "oblivious" else _NodeGrower)(bins, config)
     rng = np.random.default_rng(config.seed)
     margins = np.full(n, base_score)
     trees = []
@@ -261,80 +257,75 @@ def _tree_values(tree: Tree, X: np.ndarray) -> np.ndarray:
 
 
 class _TreeBuilder:
+    """Node records [feature, threshold, left, right, value] in creation order."""
+
     def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
+        self.nodes: list[list] = []
 
     def add_leaf(self, value: float) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(value)
-        return len(self.feature) - 1
+        self.nodes.append([-1, 0.0, -1, -1, value])
+        return len(self.nodes) - 1
 
     def to_split(self, node: int, feature: int, threshold: float, left: int, right: int) -> None:
-        self.feature[node] = feature
-        self.threshold[node] = threshold
-        self.left[node] = left
-        self.right[node] = right
-        self.value[node] = 0.0
+        self.nodes[node] = [feature, threshold, left, right, 0.0]
 
     def build(self) -> Tree:
+        feature, threshold, left, right, value = zip(*self.nodes)
         return Tree(
-            feature=np.asarray(self.feature, dtype=np.int32),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int32),
-            right=np.asarray(self.right, dtype=np.int32),
-            value=np.asarray(self.value, dtype=np.float64),
+            feature=np.asarray(feature, dtype=np.int32),
+            threshold=np.asarray(threshold, dtype=np.float64),
+            left=np.asarray(left, dtype=np.int32),
+            right=np.asarray(right, dtype=np.int32),
+            value=np.asarray(value, dtype=np.float64),
         )
+
+
+class _Bins:
+    """One bin per distinct value of each feature, the features' bins
+    concatenated in feature order: a bin id names its feature and value, and
+    within a feature bin order is value order."""
+
+    def __init__(self, X: np.ndarray):
+        columns = [np.unique(column, return_inverse=True) for column in X.T]
+        sizes = [len(distinct) for distinct, _ in columns]
+        self.value = np.concatenate([distinct for distinct, _ in columns])
+        self.feature = np.repeat(np.arange(X.shape[1]), sizes)
+        self.starts = np.cumsum([0] + sizes)  # first bin of each feature, then the end
+        self.codes = np.column_stack([inverse + start
+                                      for (_, inverse), start in zip(columns, self.starts)])
 
 
 @dataclass(eq=False)
 class _Leaf:
     node: int
     depth: int
-    sidx: np.ndarray   # (features, rows) row ids sorted per feature
-    vals: np.ndarray   # feature values in the same order
-    gs: np.ndarray
-    hs: np.ndarray
-    grad_sum: float
-    hess_sum: float
-    best: tuple[float, int, float] | None  # (gain, local feature, threshold)
+    rows: np.ndarray
+    present: np.ndarray | None  # sorted ids of the bins holding any of rows
+    hist: np.ndarray | None     # (gradient, hessian, count) sums per present bin
+    best: tuple[float, int, float] | None = None  # (gain, last bin of the left side, threshold)
 
 
-class _ExactGrower:
-    """Presorted exact split search shared by leafwise and depthwise growth."""
+class _NodeGrower:
+    """Best-first exact split search shared by leafwise and depthwise growth."""
 
-    def __init__(self, X: np.ndarray, config: GbdtConfig):
-        self.X = X
+    def __init__(self, bins: _Bins, config: GbdtConfig):
+        self.bins = bins
         self.config = config
-        order = np.argsort(X, axis=0, kind="stable")
-        self.order_t = np.ascontiguousarray(order.T.astype(np.int32))
-        self.vals_t = np.ascontiguousarray(np.take_along_axis(X, order, axis=0).T)
+        self.slot = np.empty(len(bins.value), dtype=np.intp)  # bin id -> position in a node
 
     def grow(self, g, h, y, rows, feats) -> Tree:
         self.g, self.h, self.y = g, h, y
-        self.feats = feats
-        n = self.X.shape[0]
-        sidx = self.order_t[feats]
-        vals = self.vals_t[feats]
-        if len(rows) != n:
-            keep = np.zeros(n, dtype=bool)
-            keep[rows] = True
-            member = keep[sidx]
-            m = len(rows)
-            sidx = sidx[member].reshape(len(feats), m)
-            vals = vals[member].reshape(len(feats), m)
+        # Bin codes of the tree's sampled feature columns; a bin id still names its feature.
+        self.codes = self.bins.codes if len(feats) == self.bins.codes.shape[1] \
+            else self.bins.codes[:, feats]
         builder = _TreeBuilder()
         by_level = self.config.growth == "depthwise"
         # Splittable leaves by priority; node ids follow creation order, so the
         # earliest leaf wins ties.
         heap = []
-        new_leaves = [self._make_leaf(builder, 0, sidx, vals)]
+        every_bin = np.arange(len(self.bins.value))
+        root_hist = self._histogram(rows, every_bin)
+        new_leaves = [self._make_leaf(builder, 0, rows, every_bin, root_hist)]
         for _ in range(self.config.max_leaves - 1):
             for leaf in new_leaves:
                 if leaf.best is not None:
@@ -345,70 +336,82 @@ class _ExactGrower:
             new_leaves = self._split(builder, heapq.heappop(heap)[1])
         return builder.build()
 
-    def _make_leaf(self, builder, depth, sidx, vals) -> _Leaf:
-        gs = self.g[sidx]
-        hs = self.h[sidx]
-        grad_sum = float(gs[0].sum())
-        hess_sum = float(hs[0].sum())
+    def _histogram(self, rows, present):
+        """(gradient, hessian, count) sums of ``rows`` per bin of ``present``,
+        sorted bin ids that include every bin the rows occupy."""
+        size = len(present)
+        local = self.codes.take(rows, axis=0)
+        if size < len(self.slot):  # else every bin is present and ids are positions
+            self.slot[present] = np.arange(size)
+            local = self.slot.take(local)
+        flat = local.ravel()
+        hist = np.empty((3, size))
+        hist[0] = np.bincount(flat, np.repeat(self.g[rows], local.shape[1]), minlength=size)
+        hist[1] = np.bincount(flat, np.repeat(self.h[rows], local.shape[1]), minlength=size)
+        hist[2] = np.bincount(flat, minlength=size)
+        return hist
+
+    def _make_leaf(self, builder, depth, rows, present, hist) -> _Leaf:
+        grad_sum = float(self.g[rows].sum())
+        hess_sum = float(self.h[rows].sum())
         node = builder.add_leaf(-grad_sum / (hess_sum + self.config.l2_reg)
                                 * self.config.learning_rate)
-        leaf = _Leaf(node, depth, sidx, vals, gs, hs, grad_sum, hess_sum, None)
-        if self.config.max_depth is None or depth < self.config.max_depth:
-            leaf.best = self._eval_split(leaf)
+        leaf = _Leaf(node, depth, rows, None, None)
+        if hist is not None:
+            keep = np.flatnonzero(hist[2])
+            leaf.present, leaf.hist = present[keep], hist.take(keep, axis=1)
+            leaf.best = self._best_split(leaf, grad_sum, hess_sum)
         return leaf
 
-    def _eval_split(self, leaf: _Leaf):
+    def _best_split(self, leaf: _Leaf, grad_sum: float, hess_sum: float):
         msl = self.config.min_samples_leaf
         lam = self.config.l2_reg
-        m = leaf.sidx.shape[1]
-        if m < 2 * msl:
+        m = len(leaf.rows)
+        if m < 2 * msl or np.ptp(self.y[leaf.rows]) == 0:
+            return None  # too few rows, or label-pure: nothing a split can improve
+        # first[i] is where the present bins of position i's feature start; a
+        # cut after position i is valid when position i + 1 has the same feature.
+        bounds = np.searchsorted(leaf.present, self.bins.starts)
+        first = np.repeat(bounds[:-1], np.diff(bounds))
+        cuts = np.flatnonzero(first[1:] == first[:-1])
+        sums = np.zeros((3, len(leaf.present) + 1))
+        np.cumsum(leaf.hist, axis=1, out=sums[:, 1:])
+        left_g, left_h, left_c = sums.take(cuts + 1, axis=1) - sums.take(first[cuts], axis=1)
+        if msl > 1:  # a valid cut always leaves one row on each side
+            enough = (left_c >= msl) & (m - left_c >= msl)
+            cuts, left_g, left_h = cuts[enough], left_g[enough], left_h[enough]
+        if not len(cuts):
             return None
-        node_y = self.y[leaf.sidx[0]]
-        if node_y.min() == node_y.max():
-            return None  # label-pure; nothing a split can improve
-        left_g = np.cumsum(leaf.gs, axis=1)[:, :-1]
-        left_h = np.cumsum(leaf.hs, axis=1)[:, :-1]
-        right_g = leaf.grad_sum - left_g
-        right_h = leaf.hess_sum - left_h
-        parent = leaf.grad_sum ** 2 / (leaf.hess_sum + lam)
-        gain = 0.5 * (left_g ** 2 / (left_h + lam) + right_g ** 2 / (right_h + lam) - parent)
-        counts = np.arange(1, m)
-        valid = leaf.vals[:, 1:] != leaf.vals[:, :-1]
-        valid &= (counts >= msl) & (m - counts >= msl)
-        gain = np.where(valid, gain, -np.inf)
-        best = gain.max()
-        if best < -_GAIN_NOISE_RELATIVE * (1.0 + abs(parent)):
+        right_g = grad_sum - left_g
+        right_h = hess_sum - left_h
+        score = left_g ** 2 / (left_h + lam) + right_g ** 2 / (right_h + lam)
+        at = int(np.argmax(score))  # first hit: lowest feature, then lowest threshold
+        parent = grad_sum ** 2 / (hess_sum + lam)
+        gain = 0.5 * (score[at] - parent)
+        if gain < -_GAIN_NOISE_RELATIVE * (1.0 + abs(parent)):
             return None
-        flat = int(np.argmax(gain == best))  # first hit: lowest feature, then lowest threshold
-        local_feature, cut = divmod(flat, m - 1)
-        low = leaf.vals[local_feature, cut]
-        high = leaf.vals[local_feature, cut + 1]
+        low_bin, high_bin = leaf.present[cuts[at]], leaf.present[cuts[at] + 1]
+        low, high = self.bins.value[low_bin], self.bins.value[high_bin]
         threshold = low + (high - low) / 2.0
         if threshold >= high:  # rounding collapsed the midpoint onto the upper value
             threshold = low
-        return float(best), int(local_feature), float(threshold)
+        return float(gain), int(low_bin), float(threshold)
 
     def _split(self, builder, leaf: _Leaf) -> tuple[_Leaf, _Leaf]:
-        _, local_feature, threshold = leaf.best
-        keep = np.zeros(self.X.shape[0], dtype=bool)
-        left_rows = leaf.sidx[local_feature][leaf.vals[local_feature] <= threshold]
-        keep[left_rows] = True
-        member = keep[leaf.sidx]
-        num_feats = leaf.sidx.shape[0]
-        num_left = len(left_rows)
-
-        def take(arr, mask, width):
-            return arr[mask].reshape(num_feats, width)
-
-        left = self._make_leaf(builder, leaf.depth + 1,
-                               take(leaf.sidx, member, num_left),
-                               take(leaf.vals, member, num_left))
-        right = self._make_leaf(builder, leaf.depth + 1,
-                                take(leaf.sidx, ~member, leaf.sidx.shape[1] - num_left),
-                                take(leaf.vals, ~member, leaf.sidx.shape[1] - num_left))
-        builder.to_split(leaf.node, int(self.feats[local_feature]), threshold,
-                         left.node, right.node)
-        leaf.sidx = leaf.vals = leaf.gs = leaf.hs = None  # free node data early
+        _, low_bin, threshold = leaf.best
+        feature = int(self.bins.feature[low_bin])
+        go_left = self.bins.codes[:, feature].take(leaf.rows) <= low_bin
+        parts = (leaf.rows[go_left], leaf.rows[~go_left])
+        depth = leaf.depth + 1
+        hists = [None, None]
+        if self.config.max_depth is None or depth < self.config.max_depth:
+            small = int(len(parts[1]) < len(parts[0]))
+            hists[small] = self._histogram(parts[small], leaf.present)
+            hists[1 - small] = leaf.hist - hists[small]
+        left = self._make_leaf(builder, depth, parts[0], leaf.present, hists[0])
+        right = self._make_leaf(builder, depth, parts[1], leaf.present, hists[1])
+        builder.to_split(leaf.node, feature, threshold, left.node, right.node)
+        leaf.rows = leaf.present = leaf.hist = None  # free node data early
         return left, right
 
 
@@ -420,29 +423,25 @@ class _ObliviousGrower:
     the level totals on each side of the shared split.
     """
 
-    def __init__(self, X: np.ndarray, config: GbdtConfig):
+    def __init__(self, bins: _Bins, config: GbdtConfig):
         self.config = config
         self.borders: list[np.ndarray] = []
-        codes = np.empty(X.shape, dtype=np.int16)
-        for j in range(X.shape[1]):
-            distinct = np.unique(X[:, j])
-            if len(distinct) < 2:
-                borders = np.empty(0)
-            else:
-                borders = (distinct[:-1] + distinct[1:]) / 2.0
-                if len(borders) > _OBLIVIOUS_MAX_BORDERS:
-                    pick = np.linspace(0, len(borders) - 1, _OBLIVIOUS_MAX_BORDERS)
-                    borders = borders[np.unique(pick.round().astype(int))]
+        border_codes = []
+        for distinct in np.split(bins.value, bins.starts[1:-1]):
+            borders = (distinct[:-1] + distinct[1:]) / 2.0
+            if len(borders) > _OBLIVIOUS_MAX_BORDERS:
+                pick = np.linspace(0, len(borders) - 1, _OBLIVIOUS_MAX_BORDERS)
+                borders = borders[np.unique(pick.round().astype(int))]
             self.borders.append(borders)
-            codes[:, j] = np.searchsorted(borders, X[:, j], side="left")
-        self.codes = codes
+            border_codes.append(np.searchsorted(borders, distinct, side="left"))
+        self.codes = np.concatenate(border_codes)[bins.codes]
 
     def grow(self, g, h, y, rows, feats) -> Tree:
         lam = self.config.l2_reg
         msl = self.config.min_samples_leaf
         lr = self.config.learning_rate
         m = len(rows)
-        codes = self.codes[np.ix_(rows, feats)].astype(np.int64)
+        codes = self.codes[np.ix_(rows, feats)]
         border_lens = np.array([len(self.borders[j]) for j in feats])
         stride = int(border_lens.max(initial=0)) + 1
         g_rows = g[rows]

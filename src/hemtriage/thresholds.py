@@ -16,6 +16,9 @@ and variance ``1 - |V|^2``. The axis-line candidates of an anchor stay fixed
 while it remains among the best points, so their ``V`` only gains a row per
 new point; a step costs O(candidates x points) rather than a dense solve over
 every candidate.
+
+scipy is imported inside the optimizer's functions only: its import is most of
+the package's start-up time, and no other command needs it.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import erf
 
 from .errors import ArityError, ConfigError, DataError, FormatError, UndefinedMetricError
 from .fileio import atomic_write_text, read_json
@@ -137,6 +138,8 @@ def _norm_pdf(z):
 
 
 def _norm_cdf(z):
+    from scipy.special import erf
+
     return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
 
 
@@ -153,6 +156,8 @@ def _cholesky_append(factor: np.ndarray, n: int, column: np.ndarray) -> None:
     """Grow ``factor[:n, :n]``, the lower Cholesky factor of the design kernel,
     by row ``n`` for a new point whose kernel against the first ``n`` points is
     ``column``. A pivot that is not positive raises ``LinAlgError``."""
+    from scipy.linalg import solve_triangular
+
     row = (solve_triangular(factor[:n, :n], column, lower=True, check_finite=False)
            if n else column)
     pivot = 1.0 + _GP_NOISE - row @ row
@@ -168,6 +173,8 @@ class _Block:
     over its column. ``extend`` adds one row of ``V`` per new design point."""
 
     def __init__(self, candidates, design, factor):
+        from scipy.linalg import solve_triangular
+
         n = len(design)
         self.candidates = candidates
         self.whitened = np.empty((len(factor), len(candidates)))
@@ -209,6 +216,7 @@ def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
     highest expected improvement. Returns the best evaluated point and its
     objective value. Deterministic given the seed.
     """
+    from scipy.linalg import solve_triangular
     from scipy.stats import qmc
 
     vectors = np.asarray(scan_vectors, dtype=np.float64)

@@ -1,13 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import hemtriage
 from hemtriage import slicemodel
 from hemtriage.cli import main
 from hemtriage.slicemodel import extract_features, load_slice_probs, save_slice_probs
-from hemtriage.volume import HEMORRHAGE_TYPES
+from hemtriage.volume import HEMORRHAGE_TYPES, load_slice_labels, save_slice_labels
 
 
 def run(argv):
@@ -106,6 +111,42 @@ class TestStackTrainFallback:
                     "--delta-s", "1", "--out", str(tmp_path / "x.json")])
         assert code == 1
         assert "slice-labels" in capsys.readouterr().err
+
+
+class TestOofSliceLabelsContract:
+    """stack-train --slice-labels must label every slice of every OOF scan."""
+
+    def rewrite_labels(self, pipeline_dir, tmp_path, edit):
+        labels = load_slice_labels(pipeline_dir / "data" / "slice_labels.csv")
+        edit(labels)
+        path = tmp_path / "slice_labels.csv"
+        save_slice_labels(labels, path)
+        return path
+
+    def stack_train(self, pipeline_dir, labels, out):
+        return run(["stack-train", "--oof", str(pipeline_dir / "oof" / "oof_probs.csv"),
+                    "--slice-labels", str(labels), "--delta-s", "1", "--rounds", "2",
+                    "--out", str(out)])
+
+    def test_oof_scan_missing_from_labels(self, pipeline_dir, tmp_path, capsys):
+        labels = self.rewrite_labels(pipeline_dir, tmp_path, lambda labels: labels.pop("s0003"))
+        out = tmp_path / "stacker.json"
+        assert self.stack_train(pipeline_dir, labels, out) == 1
+        oof = pipeline_dir / "oof" / "oof_probs.csv"
+        assert (f"{labels}: slice label CSV lacks 1 scans of the OOF CSV {oof}: ['s0003']"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_slice_count_mismatch(self, pipeline_dir, tmp_path, capsys):
+        labels = self.rewrite_labels(pipeline_dir, tmp_path,
+                                     lambda labels: labels.update(s0005=labels["s0005"][:-1]))
+        out = tmp_path / "stacker.json"
+        assert self.stack_train(pipeline_dir, labels, out) == 1
+        oof = pipeline_dir / "oof" / "oof_probs.csv"
+        slices = load_slice_probs(oof)["s0005"].shape[0]
+        assert (f"scan s0005: {slices} slices in the OOF CSV {oof} vs {slices - 1} in {labels}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestStackApplyValidation:
@@ -307,3 +348,12 @@ class TestDeterminism:
                     "--manifest", str(tmp_path / "nope.csv"),
                     "--out", str(tmp_path / "out.csv")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_importing_the_cli_leaves_scipy_unimported():
+    # Only the threshold optimizer needs scipy, and importing it is most of
+    # the start-up time of every command.
+    src = str(Path(hemtriage.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, hemtriage.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

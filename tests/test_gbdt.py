@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hemtriage import gbdt
 from hemtriage.errors import ArityError, ConfigError, DataError, TrainingError
@@ -46,17 +48,21 @@ def brute_force_root_split(X, y, lam):
     return gain, feature, threshold
 
 
-def brute_force_leaf_gain(X, g, h, rows, lam):
+def split_gain(g, h, left, right, lam):
+    gl, hl, gr, hr = g[left].sum(), h[left].sum(), g[right].sum(), h[right].sum()
+    return 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - (gl + gr) ** 2 / (hl + hr + lam))
+
+
+def brute_force_leaf_gain(X, g, h, rows, lam, features=None, min_samples_leaf=1):
     """Oracle: best split gain inside one leaf (a row mask), -inf if none exists."""
     best = -math.inf
-    for feature in range(X.shape[1]):
+    for feature in range(X.shape[1]) if features is None else features:
         values = np.unique(X[rows, feature])
         for lo, hi in zip(values[:-1], values[1:]):
             left = rows & (X[:, feature] <= (lo + hi) / 2)
             right = rows & ~left
-            gl, hl, gr, hr = g[left].sum(), h[left].sum(), g[right].sum(), h[right].sum()
-            best = max(best, 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam)
-                                    - (gl + gr) ** 2 / (hl + hr + lam)))
+            if min(left.sum(), right.sum()) >= min_samples_leaf:
+                best = max(best, split_gain(g, h, left, right, lam))
     return best
 
 
@@ -148,6 +154,9 @@ class TestTrainBasics:
     def test_empty_training_set(self):
         with pytest.raises(TrainingError):
             gbdt.train(np.zeros((0, 3)), np.zeros(0), gbdt.GbdtConfig())
+        for growth in gbdt.GROWTH_MODES:  # rows but no feature columns
+            with pytest.raises(TrainingError):
+                gbdt.train(np.zeros((4, 0)), XOR_Y, gbdt.GbdtConfig(growth=growth, max_depth=2))
 
     def test_non_finite_feature(self):
         X = np.array([[1.0], [np.nan]])
@@ -196,6 +205,54 @@ class TestEngineAgainstOracles:
             gain, feature, threshold = brute_force_root_split(X, y, lam)
             assert tree.feature[0] == feature
             assert tree.threshold[0] == pytest.approx(threshold, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_rows=st.integers(4, 40),
+           num_features=st.integers(1, 5), min_samples_leaf=st.sampled_from([1, 3]),
+           lam=st.sampled_from([0.0, 1.0]), feature_subsample=st.sampled_from([1.0, 0.6]),
+           depth=st.sampled_from([2, 3]), growth=st.sampled_from(["depthwise", "leafwise"]))
+    def test_every_split_is_a_brute_force_best(self, seed, num_rows, num_features,
+                                               min_samples_leaf, lam, feature_subsample,
+                                               depth, growth):
+        # Values on a quarter grid make ties within and across features common.
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 5, (num_rows, num_features)) / 4.0
+        y = rng.integers(0, 2, num_rows).astype(float)
+        y[:2] = (0.0, 1.0)
+        config = gbdt.GbdtConfig(rounds=1, learning_rate=1.0, l2_reg=lam, growth=growth,
+                                 max_depth=depth, max_leaves=2 ** depth,
+                                 min_samples_leaf=min_samples_leaf,
+                                 feature_subsample=feature_subsample, seed=seed % 1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no invalid cut is ever divided
+            model = gbdt.train(X, y, config)
+        tree = model.trees[0]
+        # With row sampling off, the feature draw is the first draw of the seed.
+        features = gbdt._subsample(np.random.default_rng(config.seed), num_features,
+                                   feature_subsample)
+        p = gbdt._sigmoid(np.full(num_rows, model.base_score))
+        g, h = p - y, p * (1.0 - p)
+        rows_of = {0: np.ones(num_rows, dtype=bool)}
+        depth_of = {0: 0}
+        for node in range(tree.num_nodes):  # children always follow their parent
+            rows = rows_of[node]
+            best = brute_force_leaf_gain(X, g, h, rows, lam, features, min_samples_leaf)
+            scale = 1.0 + g[rows].sum() ** 2 / (h[rows].sum() + lam)
+            feature = tree.feature[node]
+            if feature < 0:
+                if depth_of[node] < depth and y[rows].min() != y[rows].max():
+                    assert best < -1e-12 * scale  # an open leaf had nothing to take
+                continue
+            left = rows & (X[:, feature] <= tree.threshold[node])
+            right = rows & ~left
+            assert feature in features
+            assert min(left.sum(), right.sum()) >= min_samples_leaf
+            assert split_gain(g, h, left, right, lam) == pytest.approx(best, rel=1e-12,
+                                                                       abs=1e-12 * scale)
+            low, high = X[left, feature].max(), X[right, feature].min()
+            assert tree.threshold[node] == low + (high - low) / 2.0
+            for child, part in ((tree.left[node], left), (tree.right[node], right)):
+                rows_of[child], depth_of[child] = part, depth_of[node] + 1
 
     def test_single_leaf_value_formula(self):
         # One round forced to a single leaf (min_samples_leaf too large to

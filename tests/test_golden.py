@@ -101,29 +101,29 @@ GOLDEN = {
     "data/volumes/s0009.ctv": "ebf7564b67b199da7f44a163e994bf9384fcefd029721784dcb049109ec3a7f2",
     "data/volumes/s0010.ctv": "1ff9b255c52bf6733b8582103ee22a19a23f2af63f4f4edd4a0c8e6cbb63f245",
     "data/volumes/s0011.ctv": "2ff25e78998bd98a3e6c91c8faaf60d22c13002b3ce2fdd6fb4cba16579438c5",
-    "eval/report.csv": "ca6219687997026cdfb9081e4fd24efe46c906811b2df4ed11d4137be33c6533",
-    "eval/report.txt": "6948f70970ca87c7ab1ddce0c9f7a92b083ac66bbb929ad92dfd0018694ef5c4",
+    "eval/report.csv": "72ab951a298ff0fce52307bcc17a852384302deda9e37029aaba3b253fd38269",
+    "eval/report.txt": "bf02c5e8dbba961319bbb67cd7f5aa31e094cdce59ce71c87898a54bb469b899",
     "oof/folds.csv": "5aec209728f5d9ab172828d365fdf6d5c96a79fd9fafd1e2699863d9ba64fede",
-    "oof/oof_probs.csv": "31df2f315f50b2fff45dcb7ba7aa2c924edb7719c13b18cbf729b8138713f0a0",
-    "probs.csv": "d6553ef7dddc1fe5b91aef77c888b9cd797b1d8e998d8c27573f71c095fc1f04",
-    "refined.csv": "41d169db318cc5ab2a367dabc86fd74e7d9abacf3b596544b96f5ece05042fd4",
-    "report/boxplot.svg": "e03b31d8803137ba019637f2efe7b3481ef85f4241068cdb2dfc3834f5e9b67e",
-    "report/boxplot_stats.csv": "a32b42ef2119790c9fb72b466b0291d2316648f7677c5b4ac1e2e6770f3d190a",
-    "report/ci_summary.csv": "6512ebdfbcf214d972dae53691ddae53789e8dd0c1b771725700f41df756959d",
-    "report/cumulative_any.svg": "5ea23f1ee159cdd4be96d5448b88c2431137f2f4819fb8ad622859de257542c5",
-    "report/cumulative_curves.csv": "b3a7f8267693c8204acdeabc20da32edc250cfa7e853737cd6e954395b26f326",
-    "report/cumulative_edh.svg": "8f91e47b2bc30235cec4f741da4c7cf655c38d0e3df91c421fa98093bc0628ce",
+    "oof/oof_probs.csv": "768f6099a50dd749f11d953b42f1817d89a4b3237e55ce3db4f288105f945758",
+    "probs.csv": "3df1b85c79229ff35c173ba795b22ca68adefbf23bfd8030c7c14925b09bea85",
+    "refined.csv": "aaa3064a96797358b3fb1b5671b3cbbca264c406d1ea7463393a2181403ba7f3",
+    "report/boxplot.svg": "7bd43338fdc4595da8390de5ce921d98925f2a61c58b807ca5b95a7a9b25f69c",
+    "report/boxplot_stats.csv": "77cd0c658dcc0563afb9b651839b8f1784679968b97578ff2b47ba2d0b02e7b7",
+    "report/ci_summary.csv": "b75c023256856cbfe9f5868a36f9b81700f8f872cbf98ade0eeb682c96462ea5",
+    "report/cumulative_any.svg": "c6ec89dfb0a72054221345792c606b398287d5a52f5f69c715b135dd17619008",
+    "report/cumulative_curves.csv": "34cd4426ae73c3fbad0044ca5b4a2fcacef5fa5f1c1a5c32672d8cbce6c4c8ef",
+    "report/cumulative_edh.svg": "406d1a638c3bc498a87d2c15c676645e135d407c797abd3c6f87fb219243e259",
     "report/cumulative_iph.svg": "b86257d20f4583496ce94701aa3a1253457e6a2ac6c48fabef918de317e18922",
     "report/cumulative_ivh.svg": "5b32e7c4f04ef6d932d582fd12061d96136461734ea618b967b7882b4c2f9837",
     "report/cumulative_sah.svg": "8075e45fcaf426d40aa053d575f8329efab9a75df2890312b46f391a52439f60",
-    "report/cumulative_sdh.svg": "67213c2923dcb3feea108863917ddb13d959ff48fae781aece5c42cd6c7946ba",
-    "report/roc_curves.csv": "77f34d85fb4f5ceb0456a03dd0256edf3594b6328eef3021c01bedeeb976180a",
-    "report/roc_curves.svg": "67eecb14c2e064daf9b6412eddd0ed35c6bab67376dbee277644b15790230cd6",
-    "slice_model.json": "ee1615e6dbffce2eba43f19730a872eca88f4a045a0f915fdecf52127c7653a9",
-    "stacker.json": "f54939cbb4d91735b032e9f7329cf8f016f4a069d94c44946dd4e5c1e6ec99bd",
-    "stacker_broadcast.json": "3fd28f15c2052f7a1b38be521879adfcd05da5bc0601764faf03308f1465d7f7",
-    "thresholds.json": "a7a527a4508bbf0ca91d085b5ac21d30b1a1b074d2989ff11184a2d87459659a",
-    "thresholds_mean_type.json": "2688556fb9dc2a8c0e99f2a76f557c7254ffbc585fda8d8a6551b7b1857959b0",
+    "report/cumulative_sdh.svg": "5c7df71606cbebb927080aea3569885cc98e311e328a41fed1f64150d883294b",
+    "report/roc_curves.csv": "0be708e2647f2ad0c6d4e086f595ac08a20dea3b9c4fc09275f043d593f3b66d",
+    "report/roc_curves.svg": "2dbec7cf513985794ca11b8f1fa7ec1bf31e5aed69dd592321130c5fccf61e6e",
+    "slice_model.json": "8afbd5352c92138932e36c688e128b0a50dc2fec1e62c7cc8a3bbe5007bf225d",
+    "stacker.json": "31e5b24171ee5a7ebc3e203d6e20e9e2c01bc6edbe8ff28d0f0d6c0a4eb8990b",
+    "stacker_broadcast.json": "70051ad44345a068ed6d882abd84f4b8c4c7c408533e0c7a5a6660c17e4115dd",
+    "thresholds.json": "aade61b134ea5d7ef5e4bdccf8be2dc72c862d5d794e643ac150e5c444365bf4",
+    "thresholds_mean_type.json": "e1f323ded079ebcb78f7acc6d4cdb04f9292f17b87d9b24ea4e988c1512be4fa",
 }
 
 
@@ -155,10 +155,10 @@ GOLDEN_GROWTH = {
     "data/volumes/s0022.ctv": "53e1c2cd97d24a9fae195ad05b42701fe4a9189a87a3d3b0d9e30cd055a9110a",
     "data/volumes/s0023.ctv": "5f695ad666f52caf2d17e321a32874fc4cfc934a2a4505d3466acb53e669ac8d",
     "oof/folds.csv": "dc57d9eee59e7fe5b89f8ffe50ae7f5241953bf3c93660ed3196f6d7245f7d24",
-    "oof/oof_probs.csv": "0b7fd23361e760b09e3365d3417704d8ca45e29cf1e61151217ff90134955b32",
-    "refined.csv": "2e691c19cb9c848837a2874f667484fb18242fdee68954c9292538f7d5917fe6",
-    "stacker.json": "463bd681acc5d8d65c08182011c00391741efea528b7eaa8561930712534e934",
-    "stacker_broadcast.json": "936d97a5b7950f5c2c75b486202d379c69dc6788a647f72217d89eb554f44477",
+    "oof/oof_probs.csv": "d26e3a11aa543e6550d5275b78ce1ee1c4fd3245e3c8e4bb37871edb1c689eec",
+    "refined.csv": "10dc4ed8539f0d978ef9533a694deb0937d6d6a231404102bb6973302f6c12b4",
+    "stacker.json": "575ed4fd805d8c4b2e3951c2fdf37bc6359862a3fe1734f234a7bffbced6e1ec",
+    "stacker_broadcast.json": "3aca310e17186526c0fa350406cd9b6956e5f19b56d31c0aac1d38a9e5c26eb4",
 }
 
 
