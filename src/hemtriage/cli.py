@@ -9,6 +9,7 @@ a command exits 0 only when every declared output was produced.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import warnings
 from pathlib import Path
@@ -91,7 +92,6 @@ def cmd_synth(args) -> None:
 def _reference_config(rounds):
     config = slicemodel.DEFAULT_REFERENCE_CONFIG
     if rounds is not None:
-        import dataclasses
         config = dataclasses.replace(config, rounds=rounds)
     return config
 
@@ -103,7 +103,7 @@ def _volume_features(volumes, windows) -> dict[str, np.ndarray]:
 def cmd_slice_train(args) -> None:
     windows = _parse_windows(args.windows)
     volumes = load_manifest_volumes(args.manifest, args.slice_labels, args.volumes)
-    features = np.concatenate([slicemodel.volume_features(v, windows) for v in volumes])
+    features = np.concatenate(list(_volume_features(volumes, windows).values()))
     labels = np.concatenate(list(_slice_label_matrices(volumes).values()))
     classifier = slicemodel.train_reference_classifier(
         features, labels, _reference_config(args.rounds), seed=args.seed)
@@ -128,8 +128,7 @@ def cmd_oof(args) -> None:
     config = _reference_config(args.rounds)
     oof = folds.generate_oof(
         _volume_features(volumes, windows), _slice_label_matrices(volumes), assignment,
-        lambda X, Y, s: slicemodel.train_reference_classifier(X, Y, config, seed=s),
-        seed=args.seed)
+        lambda X, Y: slicemodel.train_reference_classifier(X, Y, config))
     out_dir = Path(args.out)
     folds.save_fold_csv(rows, assignment, out_dir / "folds.csv")
     slicemodel.save_slice_probs(oof, out_dir / "oof_probs.csv")
@@ -161,7 +160,7 @@ def cmd_stack_train(args) -> None:
                   for scan_id, rows in probs.items()}
     else:
         raise ConfigError("stack-train needs --slice-labels or --manifest")
-    presets = gbdt.default_presets(seed=args.seed, rounds=args.rounds)
+    presets = gbdt.default_presets(rounds=args.rounds)
     ensemble = stacker.train_stacker(probs, labels, args.delta_s, presets)
     stacker.save_stacker_model(ensemble, args.delta_s, args.out)
     print(f"stacker (delta_s={args.delta_s}, {len(presets)} presets) -> {args.out}")
@@ -327,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slice-labels", default=None)
     p.add_argument("--windows", default="40:80,80:200,40:380")
     p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="only labels the model identity: training draws no random numbers")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_slice_train)
 
@@ -356,7 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scan-level labels to broadcast when no per-slice CSV exists")
     p.add_argument("--delta-s", type=int, default=2)
     p.add_argument("--rounds", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="no effect: training draws no random numbers; accepted so that "
+                        "existing command lines keep working")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stack_train)
 

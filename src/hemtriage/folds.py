@@ -169,12 +169,12 @@ def _repair_balance(ordered, groups, counts, group_fold, fold_counts, fold_sizes
             apply(pid, target)
 
 
-def generate_oof(features_by_scan, labels_by_scan, assignment: FoldAssignment, train_fn,
-                 seed: int = 0) -> dict[str, np.ndarray]:
+def generate_oof(features_by_scan, labels_by_scan, assignment: FoldAssignment,
+                 train_fn) -> dict[str, np.ndarray]:
     """Out-of-fold per-slice probabilities for every scan.
 
     ``features_by_scan`` and ``labels_by_scan`` map each scan to its per-slice
-    feature and label matrices. For each fold, ``train_fn(X, Y, fold_seed)``
+    feature and label matrices. For each fold, ``train_fn(X, Y)``
     fits a model on the rows of the other folds' scans (concatenated in input
     order) and its ``classify_features`` predicts the held-out scans in one
     call, so every prediction comes from a model that never saw that scan's
@@ -193,8 +193,7 @@ def generate_oof(features_by_scan, labels_by_scan, assignment: FoldAssignment, t
         if not train_ids:
             raise TrainingError(f"fold {fold} leaves no training scans")
         classifier = train_fn(np.concatenate([features_by_scan[s] for s in train_ids]),
-                              np.concatenate([labels_by_scan[s] for s in train_ids]),
-                              seed * 10007 + fold)
+                              np.concatenate([labels_by_scan[s] for s in train_ids]))
         out.update(predict_by_scan(classifier.classify_features,
                                    {scan_id: features_by_scan[scan_id] for scan_id in held_out}))
     return {scan_id: out[scan_id] for scan_id in scan_ids}

@@ -28,6 +28,11 @@ feature (all the midpoints when a feature has at most 64 distinct values).
 Node-wise growth keeps every midpoint: a 63-border cap there failed
 test_default_presets_ensemble_close_to_best_member.
 
+Every round fits every row and every feature: there is no row or column
+subsampling, and so no random state. Each grower therefore already knows the
+leaf every training row ends in and hands it back with the tree, and the
+training margins are updated from those leaves without walking the tree.
+
 A split with zero gain is accepted on mixed-label nodes. Degenerate targets
 like 4-point XOR are perfectly symmetric at the base score, so every root
 candidate has exactly zero gain; refusing those splits would freeze training
@@ -64,11 +69,8 @@ class GbdtConfig:
     max_leaves: int = 31
     max_depth: int | None = None
     min_samples_leaf: int = 1
-    row_subsample: float = 1.0
-    feature_subsample: float = 1.0
     l2_reg: float = 1.0
     growth: str = "leafwise"
-    seed: int = 0
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -81,10 +83,6 @@ class GbdtConfig:
             raise ConfigError("max_depth must be positive when set")
         if self.min_samples_leaf < 1:
             raise ConfigError("min_samples_leaf must be a positive integer")
-        if not 0.0 < self.row_subsample <= 1.0:
-            raise ConfigError("row_subsample must lie in (0, 1]")
-        if not 0.0 < self.feature_subsample <= 1.0:
-            raise ConfigError("feature_subsample must lie in (0, 1]")
         if self.l2_reg < 0.0:
             raise ConfigError("l2_reg must be non-negative")
         if self.growth not in GROWTH_MODES:
@@ -93,15 +91,15 @@ class GbdtConfig:
             raise ConfigError(f"{self.growth} growth requires max_depth")
 
 
-def default_presets(seed: int = 0, rounds: int = 200) -> tuple[GbdtConfig, ...]:
+def default_presets(rounds: int = 200) -> tuple[GbdtConfig, ...]:
     """The three structurally diverse presets averaged by ensembles."""
     return (
         GbdtConfig(rounds=rounds, learning_rate=0.05, max_leaves=31,
-                   growth="leafwise", l2_reg=1.0, seed=seed),
+                   growth="leafwise", l2_reg=1.0),
         GbdtConfig(rounds=rounds, learning_rate=0.05, max_leaves=64, max_depth=6,
-                   growth="oblivious", l2_reg=1.0, seed=seed),
+                   growth="oblivious", l2_reg=1.0),
         GbdtConfig(rounds=rounds, learning_rate=0.05, max_leaves=64, max_depth=6,
-                   growth="depthwise", l2_reg=1.0, seed=seed),
+                   growth="depthwise", l2_reg=1.0),
     )
 
 
@@ -180,7 +178,7 @@ def _as_matrix(features) -> np.ndarray:
 
 
 def train(features, labels, config: GbdtConfig) -> GbdtModel:
-    """Fit one binary model. Deterministic given config.seed.
+    """Fit one binary model; the same inputs always give the same trees.
 
     All-one-class labels yield a base-score-only model (with a warning), so a
     degenerate target predicts its clipped base rate everywhere.
@@ -205,26 +203,14 @@ def train(features, labels, config: GbdtConfig) -> GbdtModel:
 
     bins = _Bins(X)
     grower = (_ObliviousGrower if config.growth == "oblivious" else _NodeGrower)(bins, config)
-    rng = np.random.default_rng(config.seed)
     margins = np.full(n, base_score)
     trees = []
     for _ in range(config.rounds):
         p = _sigmoid(margins)
-        g = p - y
-        h = p * (1.0 - p)
-        rows = _subsample(rng, n, config.row_subsample)
-        feats = _subsample(rng, num_features, config.feature_subsample)
-        tree = grower.grow(g, h, y, rows, feats)
+        tree, leaf_of = grower.grow(p - y, p * (1.0 - p), y)
         trees.append(tree)
-        margins += _tree_values(tree, X)
+        margins += tree.value[leaf_of]
     return GbdtModel(base_score=base_score, trees=tuple(trees), num_features=num_features)
-
-
-def _subsample(rng, count: int, fraction: float) -> np.ndarray:
-    if fraction >= 1.0:
-        return np.arange(count)
-    take = max(1, int(round(fraction * count)))
-    return np.sort(rng.choice(count, size=take, replace=False))
 
 
 def raw_score(model: GbdtModel, features) -> np.ndarray:
@@ -313,19 +299,19 @@ class _NodeGrower:
         self.config = config
         self.slot = np.empty(len(bins.value), dtype=np.intp)  # bin id -> position in a node
 
-    def grow(self, g, h, y, rows, feats) -> Tree:
+    def grow(self, g, h, y) -> tuple[Tree, np.ndarray]:
+        """The tree and, per training row, the node id of the leaf it ends in."""
         self.g, self.h, self.y = g, h, y
-        # Bin codes of the tree's sampled feature columns; a bin id still names its feature.
-        self.codes = self.bins.codes if len(feats) == self.bins.codes.shape[1] \
-            else self.bins.codes[:, feats]
+        self.leaf_of = np.zeros(len(y), dtype=np.intp)
         builder = _TreeBuilder()
         by_level = self.config.growth == "depthwise"
         # Splittable leaves by priority; node ids follow creation order, so the
         # earliest leaf wins ties.
         heap = []
         every_bin = np.arange(len(self.bins.value))
-        root_hist = self._histogram(rows, every_bin)
-        new_leaves = [self._make_leaf(builder, 0, rows, every_bin, root_hist)]
+        rows = np.arange(len(y))
+        new_leaves = [self._make_leaf(builder, 0, rows, every_bin,
+                                      self._histogram(rows, every_bin))]
         for _ in range(self.config.max_leaves - 1):
             for leaf in new_leaves:
                 if leaf.best is not None:
@@ -334,13 +320,13 @@ class _NodeGrower:
             if not heap:
                 break
             new_leaves = self._split(builder, heapq.heappop(heap)[1])
-        return builder.build()
+        return builder.build(), self.leaf_of
 
     def _histogram(self, rows, present):
         """(gradient, hessian, count) sums of ``rows`` per bin of ``present``,
         sorted bin ids that include every bin the rows occupy."""
         size = len(present)
-        local = self.codes.take(rows, axis=0)
+        local = self.bins.codes.take(rows, axis=0)
         if size < len(self.slot):  # else every bin is present and ids are positions
             self.slot[present] = np.arange(size)
             local = self.slot.take(local)
@@ -356,6 +342,7 @@ class _NodeGrower:
         hess_sum = float(self.h[rows].sum())
         node = builder.add_leaf(-grad_sum / (hess_sum + self.config.l2_reg)
                                 * self.config.learning_rate)
+        self.leaf_of[rows] = node
         leaf = _Leaf(node, depth, rows, None, None)
         if hist is not None:
             keep = np.flatnonzero(hist[2])
@@ -435,38 +422,37 @@ class _ObliviousGrower:
             self.borders.append(borders)
             border_codes.append(np.searchsorted(borders, distinct, side="left"))
         self.codes = np.concatenate(border_codes)[bins.codes]
+        border_lens = np.array([len(borders) for borders in self.borders])
+        self.stride = int(border_lens.max(initial=0)) + 1
+        self.cut_valid = np.arange(self.stride - 1) < border_lens[:, None]
 
-    def grow(self, g, h, y, rows, feats) -> Tree:
+    def grow(self, g, h, y) -> tuple[Tree, np.ndarray]:
+        """The tree and, per training row, the node id of the leaf it ends in."""
         lam = self.config.l2_reg
         msl = self.config.min_samples_leaf
         lr = self.config.learning_rate
-        m = len(rows)
-        codes = self.codes[np.ix_(rows, feats)]
-        border_lens = np.array([len(self.borders[j]) for j in feats])
-        stride = int(border_lens.max(initial=0)) + 1
-        g_rows = g[rows]
-        h_rows = h[rows]
-        g_rep = np.repeat(g_rows, len(feats))
-        h_rep = np.repeat(h_rows, len(feats))
-        node_y = y[rows]
+        codes, stride = self.codes, self.stride
+        m, num_features = codes.shape
+        g_rep = np.repeat(g, num_features)
+        h_rep = np.repeat(h, num_features)
         levels: list[tuple[int, float]] = []
         leaf_of = np.zeros(m, dtype=np.int64)
 
-        if stride > 1 and node_y.min() != node_y.max():
-            feature_offsets = np.arange(len(feats), dtype=np.int64)
-            cut_valid = np.arange(stride - 1) < border_lens[:, None]
+        if stride > 1 and y.min() != y.max():
+            feature_offsets = np.arange(num_features, dtype=np.int64)
             for _ in range(self.config.max_depth):
                 num_leaves = 1 << len(levels)
-                flat = ((leaf_of[:, None] * len(feats) + feature_offsets) * stride + codes).ravel()
-                size = num_leaves * len(feats) * stride
+                flat = ((leaf_of[:, None] * num_features + feature_offsets) * stride
+                        + codes).ravel()
+                size = num_leaves * num_features * stride
                 hist_g = np.bincount(flat, weights=g_rep, minlength=size)
                 hist_h = np.bincount(flat, weights=h_rep, minlength=size)
                 hist_c = np.bincount(flat, minlength=size).astype(np.float64)
-                hist_g = hist_g.reshape(num_leaves, len(feats), stride)
-                hist_h = hist_h.reshape(num_leaves, len(feats), stride)
-                hist_c = hist_c.reshape(num_leaves, len(feats), stride)
-                total_g = np.bincount(leaf_of, weights=g_rows, minlength=num_leaves)
-                total_h = np.bincount(leaf_of, weights=h_rows, minlength=num_leaves)
+                hist_g = hist_g.reshape(num_leaves, num_features, stride)
+                hist_h = hist_h.reshape(num_leaves, num_features, stride)
+                hist_c = hist_c.reshape(num_leaves, num_features, stride)
+                total_g = np.bincount(leaf_of, weights=g, minlength=num_leaves)
+                total_h = np.bincount(leaf_of, weights=h, minlength=num_leaves)
                 left_g = np.cumsum(hist_g, axis=2)[:, :, :-1]
                 left_h = np.cumsum(hist_h, axis=2)[:, :, :-1]
                 left_c = np.cumsum(hist_c, axis=2)[:, :, :-1]
@@ -477,25 +463,26 @@ class _ObliviousGrower:
                         - _safe_ratio(total_g, total_h + lam)[:, None, None])
                 gain = 0.5 * gain.sum(axis=0)
                 left_total = left_c.sum(axis=0)
-                valid = cut_valid & (left_total >= msl) & (m - left_total >= msl)
+                valid = self.cut_valid & (left_total >= msl) & (m - left_total >= msl)
                 gain = np.where(valid, gain, -np.inf)
                 best = gain.max()
                 parent = float(_safe_ratio(total_g, total_h + lam).sum())
                 if best < -_GAIN_NOISE_RELATIVE * (1.0 + abs(parent)):
                     break
                 flat_best = int(np.argmax(gain == best))
-                local_feature, cut = divmod(flat_best, stride - 1)
-                levels.append((int(feats[local_feature]), float(self.borders[feats[local_feature]][cut])))
-                leaf_of = leaf_of * 2 + (codes[:, local_feature] > cut)
+                feature, cut = divmod(flat_best, stride - 1)
+                levels.append((feature, float(self.borders[feature][cut])))
+                leaf_of = leaf_of * 2 + (codes[:, feature] > cut)
 
         depth = len(levels)
         num_leaves = 1 << depth
-        leaf_g = np.bincount(leaf_of, weights=g_rows, minlength=num_leaves)
-        leaf_h = np.bincount(leaf_of, weights=h_rows, minlength=num_leaves)
+        leaf_g = np.bincount(leaf_of, weights=g, minlength=num_leaves)
+        leaf_h = np.bincount(leaf_of, weights=h, minlength=num_leaves)
         leaf_n = np.bincount(leaf_of, minlength=num_leaves)
         denom = leaf_h + lam
         values = np.where((leaf_n > 0) & (denom > 0), -leaf_g / np.where(denom > 0, denom, 1.0), 0.0)
-        return _assemble_full_tree(levels, values * lr)
+        # Heap layout: the leaves follow the num_leaves - 1 interior nodes.
+        return _assemble_full_tree(levels, values * lr), leaf_of + (num_leaves - 1)
 
 
 def _safe_ratio(num, den):

@@ -15,7 +15,6 @@ fraction n/N (1-based slice index over slice count).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -39,7 +38,7 @@ _BASE_RATE_CLIP = 1e-6
 #: Reference classifier training setup; small trees keep per-fold training cheap.
 DEFAULT_REFERENCE_CONFIG = gbdt.GbdtConfig(
     rounds=60, learning_rate=0.1, max_leaves=8, max_depth=3,
-    min_samples_leaf=5, growth="depthwise", l2_reg=1.0, seed=0)
+    min_samples_leaf=5, growth="depthwise", l2_reg=1.0)
 
 
 def extract_features(image, position: float = 0.0) -> np.ndarray:
@@ -96,8 +95,10 @@ def train_reference_classifier(features, slice_labels, config=None, seed: int = 
                                ) -> ReferenceSliceClassifier:
     """Fit one binary booster per type on handcrafted slice features.
 
-    A type whose labels are all one class falls back to a base-score-only
-    model, i.e. a constant clipped base-rate probability (gbdt warns).
+    Training draws no random numbers: ``seed`` only labels the classifier's
+    identity string. A type whose labels are all one class falls back to a
+    base-score-only model, i.e. a constant clipped base-rate probability
+    (gbdt warns).
     """
     X = np.asarray(features, dtype=np.float64)
     Y = np.asarray(slice_labels)
@@ -107,7 +108,6 @@ def train_reference_classifier(features, slice_labels, config=None, seed: int = 
         raise ArityError(f"slice labels must be ({X.shape[0]}, {NUM_TYPES}), got {Y.shape}")
     if config is None:
         config = DEFAULT_REFERENCE_CONFIG
-    config = dataclasses.replace(config, seed=seed)
     models = [gbdt.train(X, Y[:, t].astype(np.float64), config) for t in range(NUM_TYPES)]
     identity = f"reference-gbdt-v1(rounds={config.rounds},seed={seed})"
     return ReferenceSliceClassifier(models, identity)

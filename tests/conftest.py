@@ -21,8 +21,9 @@ def labels_from_matrix(matrix):
 
 class MemorizingClassifier:
     """Leakage sentinel: perfect on byte-identical training feature rows,
-    clueless (constant 0.5) elsewhere. Build it as ``train_fn(X, Y, seed)``
-    would: from a feature matrix and its slice label matrix."""
+    clueless (constant 0.5) elsewhere. It is built the way ``generate_oof``
+    calls ``train_fn(X, Y)``: from a feature matrix and its slice label
+    matrix, so the class itself can be passed as ``train_fn``."""
 
     def __init__(self, features, labels):
         self.memory = {row.tobytes(): np.asarray(label, dtype=float)

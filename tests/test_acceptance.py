@@ -165,7 +165,7 @@ def test_acceptance_4_gbdt_properties():
 
     # XOR training loss below 0.05 within 50 rounds.
     config = gbdt.GbdtConfig(rounds=50, learning_rate=0.5, l2_reg=0.1,
-                             growth="depthwise", max_depth=2, max_leaves=4, seed=0)
+                             growth="depthwise", max_depth=2, max_leaves=4)
     model = gbdt.train(X, y, config)
     assert len(model.trees) <= 50
     xor_loss = log_loss(gbdt.predict(model, X), y)
@@ -178,7 +178,7 @@ def test_acceptance_4_gbdt_properties():
     for growth, extra in (("leafwise", {}), ("depthwise", {"max_depth": 4}),
                           ("oblivious", {"max_depth": 4})):
         cfg = gbdt.GbdtConfig(rounds=40, learning_rate=0.1, l2_reg=1.0, growth=growth,
-                              max_leaves=15, seed=1, **extra)
+                              max_leaves=15, **extra)
         trained = gbdt.train(Xr, yr, cfg)
         margins = np.full(len(yr), trained.base_score)
         previous = log_loss(gbdt._sigmoid(margins), yr)
@@ -188,9 +188,8 @@ def test_acceptance_4_gbdt_properties():
             assert current <= previous + 1e-12, growth
             previous = current
 
-    # Identical seeds give identical models.
-    cfg = gbdt.GbdtConfig(rounds=20, row_subsample=0.7, feature_subsample=0.8,
-                          growth="leafwise", seed=42)
+    # Training twice on the same inputs gives identical models.
+    cfg = gbdt.GbdtConfig(rounds=20, growth="leafwise")
     a = gbdt.train(Xr, yr, cfg)
     b = gbdt.train(Xr, yr, cfg)
     probe = rng.random((50, 6))
@@ -222,16 +221,16 @@ def test_acceptance_5_stacker_benefit():
     features_by_scan = {v.scan_id: volume_features(v, DEFAULT_WINDOWS) for v in dev}
     labels_by_scan = {v.scan_id: v.labels.slice_labels for v in dev}
 
-    def train_fn(X, Y, seed):
-        return slicemodel.train_reference_classifier(X, Y, None, seed=seed)
+    def train_fn(X, Y):
+        return slicemodel.train_reference_classifier(X, Y)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        oof = folds.generate_oof(features_by_scan, labels_by_scan, assignment, train_fn, seed=0)
+        oof = folds.generate_oof(features_by_scan, labels_by_scan, assignment, train_fn)
         ensemble = stacker.train_stacker(oof, labels_by_scan, delta_s=2,
-                                         configs=gbdt.default_presets(seed=0, rounds=100))
+                                         configs=gbdt.default_presets(rounds=100))
         full_classifier = train_fn(np.concatenate(list(features_by_scan.values())),
-                                   np.concatenate(list(labels_by_scan.values())), 99)
+                                   np.concatenate(list(labels_by_scan.values())))
 
     probs_eval = predict_by_scan(full_classifier.classify_features,
                                  {v.scan_id: volume_features(v, DEFAULT_WINDOWS) for v in holdout})
@@ -293,7 +292,7 @@ def test_acceptance_7_leakage_sentinel():
 
     # Out-of-fold: fold isolation forces it back to guessing.
     oof = folds.generate_oof(features_by_scan, labels_by_scan, assignment,
-                             lambda X, Y, seed: MemorizingClassifier(X, Y), seed=0)
+                             MemorizingClassifier)
     oof_accuracy = float((scan_decisions(oof) == truth).mean())
     elapsed = time.time() - start
     assert oof_accuracy < 1.0

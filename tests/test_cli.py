@@ -225,6 +225,15 @@ class TestProbsManifestContract:
         assert str(path) in err and "2 scans not in the manifest: ['x1', 'x0']" in err
         assert not (tmp_path / "thresholds.json").exists()
 
+    def test_report_checks_probs_against_manifest(self, pipeline_dir, tmp_path, capsys):
+        path = self.rewrite_probs(pipeline_dir, tmp_path, lambda probs: probs.pop("s0002"))
+        assert run(["report", "--manifest", str(pipeline_dir / "data" / "manifest.csv"),
+                    "--probs", str(path), "--thresholds", str(pipeline_dir / "thresholds.json"),
+                    "--out", str(tmp_path / "report")]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "lacks 1 manifest scans: ['s0002']" in err
+        assert not (tmp_path / "report").exists()
+
 
 class TestSliceLabelsManifestContract:
     """A per-slice label CSV may name only manifest scans; manifest scans it
@@ -241,6 +250,56 @@ class TestSliceLabelsManifestContract:
         assert run(argv + (["--folds", "3"] if command == "oof" else [])) == 1
         assert (f"{labels}: slice label CSV has 1 scans not in the manifest: ['ghost']"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+
+class TestVolumeContracts:
+    """Commands that load volumes tie each volume file to its manifest row
+    and to its rows in the per-slice label CSV."""
+
+    @staticmethod
+    def argv(command, pipeline_dir, manifest, out):
+        extra = {"slice-train": ["--rounds", "2"], "oof": ["--folds", "3", "--rounds", "2"],
+                 "slice-predict": ["--model", str(pipeline_dir / "slice_model.json")]}[command]
+        return [command, "--manifest", str(manifest), "--volumes", str(pipeline_dir / "data"),
+                *extra, "--out", str(out)]
+
+    @pytest.mark.parametrize("command", ["slice-train", "oof", "slice-predict"])
+    def test_volume_of_another_scan_rejected(self, pipeline_dir, tmp_path, capsys, command):
+        text = (pipeline_dir / "data" / "manifest.csv").read_text()
+        rows = list(csv.DictReader(text.splitlines()))
+        wrong = rows[1]["path"]
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(text.replace(rows[0]["path"], wrong, 1))
+        out = tmp_path / "out"
+        assert run(self.argv(command, pipeline_dir, manifest, out)) == 1
+        assert (f"{wrong}: file scan_id 's0001' disagrees with manifest 's0000'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @staticmethod
+    def drop_last_slice(labels):
+        labels["s0005"] = labels["s0005"][:-1]
+        return "s0005", "slice label matrix length must match the slice count"
+
+    @staticmethod
+    def mark_a_negative_type(labels):
+        scan_id = next(s for s, matrix in labels.items() if not matrix[:, 0].any())
+        labels[scan_id][0, 0] = True
+        return scan_id, "scan-level labels must equal the OR over slice labels"
+
+    @pytest.mark.parametrize("command", ["slice-train", "oof"])
+    @pytest.mark.parametrize("edit", ["drop_last_slice", "mark_a_negative_type"])
+    def test_slice_labels_must_agree_with_volume_and_manifest(self, pipeline_dir, tmp_path,
+                                                             capsys, command, edit):
+        labels = load_slice_labels(pipeline_dir / "data" / "slice_labels.csv")
+        scan_id, message = getattr(self, edit)(labels)
+        path = tmp_path / "slice_labels.csv"
+        save_slice_labels(labels, path)
+        out = tmp_path / "out"
+        argv = self.argv(command, pipeline_dir, pipeline_dir / "data" / "manifest.csv", out)
+        assert run(argv + ["--slice-labels", str(path)]) == 1
+        assert f"{path}: scan {scan_id}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 

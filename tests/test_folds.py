@@ -116,10 +116,6 @@ def two_slice_volume(scan_id, patient_id, positive, seed):
                        height=6, width=6, seed=seed, labels=labels_from_matrix(matrix))
 
 
-def memorizer_train_fn(features, labels, seed):
-    return MemorizingClassifier(features, labels)
-
-
 class TestGenerateOof:
     def build(self, n=12):
         volumes = [two_slice_volume(f"s{i}", f"p{i}", positive=i % 3 == 0, seed=100 + i)
@@ -140,7 +136,7 @@ class TestGenerateOof:
         assignment = assign_folds(rows, k=3, seed=0)
         features, labels = self.matrices(volumes)
 
-        oof = generate_oof(features, labels, assignment, memorizer_train_fn)
+        oof = generate_oof(features, labels, assignment, MemorizingClassifier)
         for volume in volumes:
             np.testing.assert_allclose(oof[volume.scan_id], 0.5)
 
@@ -153,7 +149,7 @@ class TestGenerateOof:
     def test_covers_every_slice_once(self):
         volumes, rows = self.build()
         assignment = assign_folds(rows, k=4, seed=0)
-        oof = generate_oof(*self.matrices(volumes), assignment, memorizer_train_fn)
+        oof = generate_oof(*self.matrices(volumes), assignment, MemorizingClassifier)
         assert sorted(oof) == sorted(v.scan_id for v in volumes)
         assert all(oof[v.scan_id].shape == (v.num_slices, 5) for v in volumes)
 
@@ -161,15 +157,15 @@ class TestGenerateOof:
         volumes, rows = self.build()
         assignment = assign_folds(rows, k=3, seed=1)
         features, labels = self.matrices(volumes)
-        a = generate_oof(features, labels, assignment, memorizer_train_fn, seed=5)
-        b = generate_oof(features, labels, assignment, memorizer_train_fn, seed=5)
+        a = generate_oof(features, labels, assignment, MemorizingClassifier)
+        b = generate_oof(features, labels, assignment, MemorizingClassifier)
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_missing_assignment_rejected(self):
         volumes, rows = self.build(6)
         assignment = FoldAssignment(k=2, fold_of={v.scan_id: 0 for v in volumes[:-1]})
         with pytest.raises(ConfigError):
-            generate_oof(*self.matrices(volumes), assignment, memorizer_train_fn)
+            generate_oof(*self.matrices(volumes), assignment, MemorizingClassifier)
 
     def test_fold_without_positives_warns_and_falls_back(self):
         # All positives for one type live in a single fold: training folds
@@ -187,7 +183,7 @@ class TestGenerateOof:
         assignment = assign_folds(rows_, k=3, seed=0)
         with pytest.warns(UserWarning, match="one class"):
             oof = generate_oof(*self.matrices(volumes), assignment,
-                               lambda X, Y, seed: train_reference_classifier(X, Y, seed=seed))
+                               train_reference_classifier)
         # s0's model trains without s0's fold, so it never sees an IPH
         # positive and predicts the clipped base rate for that type.
         np.testing.assert_allclose(oof["s0"][:, 4], 1e-6)

@@ -53,10 +53,10 @@ def split_gain(g, h, left, right, lam):
     return 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - (gl + gr) ** 2 / (hl + hr + lam))
 
 
-def brute_force_leaf_gain(X, g, h, rows, lam, features=None, min_samples_leaf=1):
+def brute_force_leaf_gain(X, g, h, rows, lam, min_samples_leaf=1):
     """Oracle: best split gain inside one leaf (a row mask), -inf if none exists."""
     best = -math.inf
-    for feature in range(X.shape[1]) if features is None else features:
+    for feature in range(X.shape[1]):
         values = np.unique(X[rows, feature])
         for lo, hi in zip(values[:-1], values[1:]):
             left = rows & (X[:, feature] <= (lo + hi) / 2)
@@ -84,14 +84,12 @@ class TestConfig:
     def test_rate_bounds(self):
         with pytest.raises(ConfigError):
             gbdt.GbdtConfig(learning_rate=0.0)
-        with pytest.raises(ConfigError):
-            gbdt.GbdtConfig(row_subsample=1.5)
 
 
 class TestXor:
     def test_depthwise_learns_xor(self):
         config = gbdt.GbdtConfig(rounds=50, learning_rate=0.5, l2_reg=0.1,
-                                 growth="depthwise", max_depth=2, max_leaves=4, seed=0)
+                                 growth="depthwise", max_depth=2, max_leaves=4)
         model = gbdt.train(XOR_X, XOR_Y, config)
         probs = gbdt.predict(model, XOR_X)
         assert log_loss(probs, XOR_Y) < 0.05
@@ -103,7 +101,7 @@ class TestXor:
     ])
     def test_other_growth_modes_learn_xor(self, growth, extra):
         config = gbdt.GbdtConfig(rounds=50, learning_rate=0.5, l2_reg=0.1,
-                                 growth=growth, max_leaves=4, seed=0, **extra)
+                                 growth=growth, max_leaves=4, **extra)
         model = gbdt.train(XOR_X, XOR_Y, config)
         assert log_loss(gbdt.predict(model, XOR_X), XOR_Y) < 0.05
 
@@ -111,7 +109,7 @@ class TestXor:
         # One full Newton step (lr 1, no regularization) from the base rate
         # already routes all four points to pure leaves.
         config = gbdt.GbdtConfig(rounds=1, learning_rate=1.0, l2_reg=0.0,
-                                 growth="depthwise", max_depth=2, max_leaves=4, seed=0)
+                                 growth="depthwise", max_depth=2, max_leaves=4)
         model = gbdt.train(XOR_X, XOR_Y, config)
         tree = model.trees[0]
         assert (tree.feature >= 0).sum() == 3  # root plus both children split
@@ -123,7 +121,7 @@ class TestXor:
         # (per-round Newton steps are bounded by lr/(h + l2)); it must still
         # descend monotonically and classify perfectly.
         config = gbdt.GbdtConfig(rounds=50, learning_rate=0.1, l2_reg=1.0,
-                                 growth="depthwise", max_depth=2, max_leaves=4, seed=0)
+                                 growth="depthwise", max_depth=2, max_leaves=4)
         model = gbdt.train(XOR_X, XOR_Y, config)
         losses = model_losses_per_round(model, XOR_X, XOR_Y)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -134,7 +132,7 @@ class TestXor:
 
 class TestTrainBasics:
     def test_all_negative_labels_constant_base_rate(self):
-        config = gbdt.GbdtConfig(rounds=10, growth="leafwise", seed=0)
+        config = gbdt.GbdtConfig(rounds=10, growth="leafwise")
         with pytest.warns(UserWarning, match="one class"):
             model = gbdt.train(np.random.default_rng(0).random((20, 3)),
                                np.zeros(20), config)
@@ -146,7 +144,7 @@ class TestTrainBasics:
         X = np.linspace(0, 1, 30).reshape(-1, 1)
         y = (X[:, 0] > 0.5).astype(float)
         config = gbdt.GbdtConfig(rounds=20, learning_rate=0.3, l2_reg=0.1,
-                                 growth="depthwise", max_depth=2, seed=0)
+                                 growth="depthwise", max_depth=2)
         model = gbdt.train(X, y, config)
         probs = gbdt.predict(model, X)
         assert np.array_equal(probs >= 0.5, y.astype(bool))
@@ -180,7 +178,7 @@ class TestPredict:
     def test_outputs_strictly_inside_unit_interval(self, rng):
         X = rng.random((60, 4))
         y = (X[:, 0] > 0.4).astype(float)
-        model = gbdt.train(X, y, gbdt.GbdtConfig(rounds=30, growth="leafwise", seed=2))
+        model = gbdt.train(X, y, gbdt.GbdtConfig(rounds=30, growth="leafwise"))
         probs = gbdt.predict(model, rng.random((40, 4)))
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
@@ -199,7 +197,7 @@ class TestEngineAgainstOracles:
                 continue
             lam = 1.0
             config = gbdt.GbdtConfig(rounds=1, learning_rate=0.1, l2_reg=lam,
-                                     growth="depthwise", max_depth=1, max_leaves=2, seed=0)
+                                     growth="depthwise", max_depth=1, max_leaves=2)
             model = gbdt.train(X, y, config)
             tree = model.trees[0]
             gain, feature, threshold = brute_force_root_split(X, y, lam)
@@ -209,11 +207,10 @@ class TestEngineAgainstOracles:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), num_rows=st.integers(4, 40),
            num_features=st.integers(1, 5), min_samples_leaf=st.sampled_from([1, 3]),
-           lam=st.sampled_from([0.0, 1.0]), feature_subsample=st.sampled_from([1.0, 0.6]),
+           lam=st.sampled_from([0.0, 1.0]),
            depth=st.sampled_from([2, 3]), growth=st.sampled_from(["depthwise", "leafwise"]))
     def test_every_split_is_a_brute_force_best(self, seed, num_rows, num_features,
-                                               min_samples_leaf, lam, feature_subsample,
-                                               depth, growth):
+                                               min_samples_leaf, lam, depth, growth):
         # Values on a quarter grid make ties within and across features common.
         rng = np.random.default_rng(seed)
         X = rng.integers(0, 5, (num_rows, num_features)) / 4.0
@@ -221,22 +218,18 @@ class TestEngineAgainstOracles:
         y[:2] = (0.0, 1.0)
         config = gbdt.GbdtConfig(rounds=1, learning_rate=1.0, l2_reg=lam, growth=growth,
                                  max_depth=depth, max_leaves=2 ** depth,
-                                 min_samples_leaf=min_samples_leaf,
-                                 feature_subsample=feature_subsample, seed=seed % 1000)
+                                 min_samples_leaf=min_samples_leaf)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # no invalid cut is ever divided
             model = gbdt.train(X, y, config)
         tree = model.trees[0]
-        # With row sampling off, the feature draw is the first draw of the seed.
-        features = gbdt._subsample(np.random.default_rng(config.seed), num_features,
-                                   feature_subsample)
         p = gbdt._sigmoid(np.full(num_rows, model.base_score))
         g, h = p - y, p * (1.0 - p)
         rows_of = {0: np.ones(num_rows, dtype=bool)}
         depth_of = {0: 0}
         for node in range(tree.num_nodes):  # children always follow their parent
             rows = rows_of[node]
-            best = brute_force_leaf_gain(X, g, h, rows, lam, features, min_samples_leaf)
+            best = brute_force_leaf_gain(X, g, h, rows, lam, min_samples_leaf=min_samples_leaf)
             scale = 1.0 + g[rows].sum() ** 2 / (h[rows].sum() + lam)
             feature = tree.feature[node]
             if feature < 0:
@@ -245,7 +238,6 @@ class TestEngineAgainstOracles:
                 continue
             left = rows & (X[:, feature] <= tree.threshold[node])
             right = rows & ~left
-            assert feature in features
             assert min(left.sum(), right.sum()) >= min_samples_leaf
             assert split_gain(g, h, left, right, lam) == pytest.approx(best, rel=1e-12,
                                                                        abs=1e-12 * scale)
@@ -261,7 +253,7 @@ class TestEngineAgainstOracles:
         y = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0])
         lam, lr = 0.7, 0.3
         config = gbdt.GbdtConfig(rounds=1, learning_rate=lr, l2_reg=lam,
-                                 min_samples_leaf=6, growth="leafwise", seed=0)
+                                 min_samples_leaf=6, growth="leafwise")
         model = gbdt.train(X, y, config)
         tree = model.trees[0]
         assert len(tree.feature) == 1 and tree.feature[0] == -1
@@ -275,7 +267,7 @@ class TestEngineAgainstOracles:
         for growth, extra in (("leafwise", {}), ("depthwise", {"max_depth": 4}),
                               ("oblivious", {"max_depth": 4})):
             config = gbdt.GbdtConfig(rounds=40, learning_rate=0.1, l2_reg=1.0,
-                                     growth=growth, max_leaves=15, seed=3, **extra)
+                                     growth=growth, max_leaves=15, **extra)
             model = gbdt.train(X, y, config)
             losses = model_losses_per_round(model, X, y)
             assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:])), growth
@@ -284,26 +276,88 @@ class TestEngineAgainstOracles:
         X = rng.random((50, 3))
         y = (X[:, 0] > 0.5).astype(float)
         config = gbdt.GbdtConfig(rounds=5, min_samples_leaf=8, growth="leafwise",
-                                 max_leaves=12, seed=0)
+                                 max_leaves=12)
         model = gbdt.train(X, y, config)
         for tree in model.trees:
-            counts = _leaf_counts(tree, X)
-            assert all(c >= 8 for c in counts.values())
+            _, counts = np.unique(_walk_to_leaves(tree, X), return_counts=True)
+            assert counts.min() >= 8
 
 
-def _leaf_counts(tree, X):
-    nodes = np.zeros(len(X), dtype=int)
-    while True:
-        feat = tree.feature[nodes]
-        interior = feat >= 0
-        if not interior.any():
-            break
-        x = X[np.arange(len(X)), np.where(interior, feat, 0)]
-        go_left = x <= tree.threshold[nodes]
-        step = np.where(go_left, tree.left[nodes], tree.right[nodes])
-        nodes = np.where(interior, step, nodes)
-    unique, counts = np.unique(nodes, return_counts=True)
-    return dict(zip(unique.tolist(), counts.tolist()))
+def _walk_to_leaves(tree, X):
+    """Node id of the leaf each row of X reaches, one row at a time."""
+    leaves = []
+    for row in X:
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = row[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        leaves.append(node)
+    return np.array(leaves)
+
+
+def _grow_rounds(X, y, config):
+    """Boost like ``gbdt.train``, yielding each round's tree and the leaf
+    node of every training row that its grower hands back."""
+    grower_class = gbdt._ObliviousGrower if config.growth == "oblivious" else gbdt._NodeGrower
+    grower = grower_class(gbdt._Bins(X), config)
+    margins = np.zeros(len(y))
+    for _ in range(config.rounds):
+        p = gbdt._sigmoid(margins)
+        tree, leaf_of = grower.grow(p - y, p * (1.0 - p), y)
+        yield tree, leaf_of
+        margins += gbdt._tree_values(tree, X)
+
+
+class TestLeavesFromGrowth:
+    """``train`` updates its margins from the leaves the grower reports, so
+    those must be exactly the leaves a walk of the tree reaches."""
+
+    GROWTHS = [
+        ("leafwise", {"max_leaves": 8}),
+        ("depthwise", {"max_depth": 3, "max_leaves": 8}),
+        ("depthwise", {"max_depth": 2, "max_leaves": 64}),  # the depth cap binds
+        ("oblivious", {"max_depth": 3}),
+    ]
+
+    @pytest.mark.parametrize("growth,extra", GROWTHS)
+    @pytest.mark.parametrize("min_samples_leaf", [1, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grown_leaf_values_equal_walked_values(self, growth, extra, min_samples_leaf, seed):
+        rng = np.random.default_rng(seed)
+        num_rows = 40
+        y = rng.integers(0, 2, num_rows).astype(float)
+        y[:2] = (0.0, 1.0)
+        # Column 0 holds 1.0 and the next float up, whose midpoint rounds
+        # down onto 1.0; it mostly tracks the label so it gets split on. The
+        # other columns sit on a quarter grid, where ties are common.
+        tracks = np.where(rng.random(num_rows) < 0.8, y, 1.0 - y)
+        X = np.column_stack([np.where(tracks > 0, np.nextafter(1.0, 2.0), 1.0),
+                             rng.integers(0, 5, (num_rows, 3)) / 4.0])
+        config = gbdt.GbdtConfig(rounds=4, learning_rate=0.5, growth=growth,
+                                 min_samples_leaf=min_samples_leaf, **extra)
+        split_on_collapsed_midpoint = False
+        for tree, leaf_of in _grow_rounds(X, y, config):
+            assert np.array_equal(leaf_of, _walk_to_leaves(tree, X))
+            assert tree.value[leaf_of].tobytes() == gbdt._tree_values(tree, X).tobytes()
+            split_on_collapsed_midpoint |= bool(np.any(
+                (tree.feature == 0) & (tree.threshold == 1.0)))
+        assert split_on_collapsed_midpoint
+
+    def test_train_never_walks_a_tree(self, monkeypatch, rng):
+        walks = []
+
+        def spy(tree, X):
+            walks.append(tree)
+            return walk(tree, X)
+
+        walk = gbdt._tree_values
+        monkeypatch.setattr(gbdt, "_tree_values", spy)
+        X = rng.integers(0, 5, (60, 4)) / 4.0
+        y = (X[:, 0] + rng.random(60) > 0.9).astype(float)
+        for growth, extra in self.GROWTHS:
+            model = gbdt.train(X, y, gbdt.GbdtConfig(rounds=5, growth=growth, **extra))
+            assert len(model.trees) == 5
+        assert walks == []
 
 
 class TestGrowthOrder:
@@ -346,10 +400,10 @@ class TestGrowthOrder:
 
 class TestDeterminism:
     def test_identical_seed_identical_model(self, rng):
+        # Training draws no random numbers: the same inputs give the same trees.
         X = rng.random((80, 5))
         y = (X[:, 1] > 0.5).astype(float)
-        config = gbdt.GbdtConfig(rounds=15, row_subsample=0.8, feature_subsample=0.8,
-                                 growth="leafwise", seed=11)
+        config = gbdt.GbdtConfig(rounds=15, growth="leafwise")
         a = gbdt.train(X, y, config)
         b = gbdt.train(X, y, config)
         assert a.base_score == b.base_score
@@ -357,21 +411,12 @@ class TestDeterminism:
         probe = rng.random((10, 5))
         assert np.array_equal(gbdt.predict(a, probe), gbdt.predict(b, probe))
 
-    def test_different_seed_differs_under_subsampling(self, rng):
-        X = rng.random((80, 5))
-        y = (X[:, 1] > 0.5).astype(float)
-        base = dict(rounds=15, row_subsample=0.6, growth="leafwise")
-        a = gbdt.train(X, y, gbdt.GbdtConfig(seed=1, **base))
-        b = gbdt.train(X, y, gbdt.GbdtConfig(seed=2, **base))
-        probe = rng.random((30, 5))
-        assert not np.array_equal(gbdt.predict(a, probe), gbdt.predict(b, probe))
-
 
 class TestEnsemble:
     def test_single_config_matches_member(self, rng):
         X = rng.random((60, 4))
         Y = rng.integers(0, 2, (60, 5)).astype(float)
-        config = gbdt.GbdtConfig(rounds=10, growth="leafwise", seed=0)
+        config = gbdt.GbdtConfig(rounds=10, growth="leafwise")
         ensemble = gbdt.train_ensemble(X, Y, [config])
         probe = rng.random((10, 4))
         expected = np.column_stack([gbdt.predict(ensemble.groups[0][t], probe)
@@ -381,7 +426,7 @@ class TestEnsemble:
     def test_identical_configs_mean_equals_member(self, rng):
         X = rng.random((60, 4))
         Y = rng.integers(0, 2, (60, 5)).astype(float)
-        config = gbdt.GbdtConfig(rounds=8, growth="leafwise", seed=5)
+        config = gbdt.GbdtConfig(rounds=8, growth="leafwise")
         ensemble = gbdt.train_ensemble(X, Y, [config, config, config])
         probe = rng.random((10, 4))
         member = np.column_stack([gbdt.predict(ensemble.groups[0][t], probe)
@@ -412,7 +457,7 @@ class TestPersistence:
     def test_model_round_trip_bit_exact(self, rng):
         X = rng.random((50, 4))
         y = (X[:, 0] > 0.5).astype(float)
-        model = gbdt.train(X, y, gbdt.GbdtConfig(rounds=12, growth="leafwise", seed=7))
+        model = gbdt.train(X, y, gbdt.GbdtConfig(rounds=12, growth="leafwise"))
         payload = gbdt.model_to_json(model)
         import json
         restored = gbdt.model_from_json(json.loads(json.dumps(payload)))
@@ -448,7 +493,7 @@ class TestPersistence:
         from hemtriage.errors import FormatError
         X = rng.random((40, 3))
         model = gbdt.train(X, (X[:, 0] > 0.5).astype(float),
-                           gbdt.GbdtConfig(rounds=3, max_leaves=4, seed=0))
+                           gbdt.GbdtConfig(rounds=3, max_leaves=4))
         payload = gbdt.model_to_json(model)
         assert gbdt.model_from_json(payload).num_features == 3
         payload["trees"][1][field][node] = bad

@@ -95,7 +95,7 @@ class TestTrainApply:
         probs, _ = synthetic_scans(rng, 30)
         labels = {k: rows >= 0.5 for k, rows in probs.items()}
         configs = [gbdt.GbdtConfig(rounds=40, learning_rate=0.2, growth="leafwise",
-                                   max_leaves=8, l2_reg=0.1, seed=0)]
+                                   max_leaves=8, l2_reg=0.1)]
         ensemble = train_stacker(probs, labels, delta_s=1, configs=configs)
         X, Y = stack_training_data(probs, labels, 1)
         refined = ensemble.predict(X)
@@ -107,7 +107,7 @@ class TestTrainApply:
         # Single-slice spikes are noise; true positives span 3+ slices.
         probs, labels = synthetic_scans(rng, 60, noise_rate=0.3)
         configs = [gbdt.GbdtConfig(rounds=60, learning_rate=0.1, growth="leafwise",
-                                   max_leaves=15, l2_reg=1.0, seed=0)]
+                                   max_leaves=15, l2_reg=1.0)]
         ensemble = train_stacker(probs, labels, delta_s=2, configs=configs)
         refined = apply_stacker_all(ensemble, probs, 2)
         scan_truth = np.array([labels[k].any() for k in sorted(probs)])
@@ -119,7 +119,7 @@ class TestTrainApply:
 
     def test_determinism(self, rng):
         probs, labels = synthetic_scans(rng, 20)
-        configs = [gbdt.GbdtConfig(rounds=10, growth="leafwise", seed=4)]
+        configs = [gbdt.GbdtConfig(rounds=10, growth="leafwise")]
         a = train_stacker(probs, labels, 1, configs)
         b = train_stacker(probs, labels, 1, configs)
         probe = build_windows(probs["s001"], 1)
@@ -127,7 +127,7 @@ class TestTrainApply:
 
     def test_apply_preserves_shape_and_range(self, rng):
         probs, labels = synthetic_scans(rng, 20)
-        configs = [gbdt.GbdtConfig(rounds=8, growth="leafwise", seed=0)]
+        configs = [gbdt.GbdtConfig(rounds=8, growth="leafwise")]
         ensemble = train_stacker(probs, labels, 2, configs)
         rows = probs["s003"]
         refined = apply_one(ensemble, rows, 2)
@@ -143,7 +143,7 @@ class TestTrainApply:
 
     def test_delta_mismatch_rejected(self, rng):
         probs, labels = synthetic_scans(rng, 10)
-        configs = [gbdt.GbdtConfig(rounds=4, growth="leafwise", seed=0)]
+        configs = [gbdt.GbdtConfig(rounds=4, growth="leafwise")]
         ensemble = train_stacker(probs, labels, 1, configs)
         with pytest.raises(ConfigError, match="delta_s"):
             apply_one(ensemble, probs["s001"], 2)
@@ -167,7 +167,7 @@ class TestTrainApply:
 @pytest.fixture(scope="module")
 def preset_ensemble():
     probs, labels = synthetic_scans(np.random.default_rng(7), 20)
-    return train_stacker(probs, labels, 1, gbdt.default_presets(seed=0, rounds=6))
+    return train_stacker(probs, labels, 1, gbdt.default_presets(rounds=6))
 
 
 class TestBatchEquivalence:
@@ -219,7 +219,7 @@ class TestSliceDuplicationInvariance:
 class TestStackerFile:
     def test_round_trip_and_stored_delta(self, tmp_path, rng):
         probs, labels = synthetic_scans(rng, 10)
-        configs = [gbdt.GbdtConfig(rounds=4, growth="leafwise", seed=0)]
+        configs = [gbdt.GbdtConfig(rounds=4, growth="leafwise")]
         ensemble = train_stacker(probs, labels, 2, configs)
         path = tmp_path / "stacker.json"
         save_stacker_model(ensemble, 2, path)
@@ -230,7 +230,7 @@ class TestStackerFile:
 
     def test_inconsistent_stored_delta_rejected(self, tmp_path, rng):
         probs, labels = synthetic_scans(rng, 10)
-        configs = [gbdt.GbdtConfig(rounds=4, growth="leafwise", seed=0)]
+        configs = [gbdt.GbdtConfig(rounds=4, growth="leafwise")]
         ensemble = train_stacker(probs, labels, 2, configs)
         import json
         payload = {"format": "hemtriage/stacker-model", "version": 1, "delta_s": 1,
@@ -242,7 +242,7 @@ class TestStackerFile:
 
     def test_ensemble_missing_a_type_rejected(self, tmp_path, rng):
         probs, labels = synthetic_scans(rng, 10)
-        configs = [gbdt.GbdtConfig(rounds=4, growth="leafwise", seed=0)]
+        configs = [gbdt.GbdtConfig(rounds=4, growth="leafwise")]
         ensemble = train_stacker(probs, labels, 2, configs)
         path = tmp_path / "four_types.json"
         save_stacker_model(gbdt.GbdtEnsemble(groups=(ensemble.groups[0][:4],)), 2, path)
