@@ -100,22 +100,38 @@ def _volume_features(volumes, windows) -> dict[str, np.ndarray]:
     return {v.scan_id: slicemodel.volume_features(v, windows) for v in volumes}
 
 
+def _slice_shape(source, volumes, shape=None) -> tuple[int, int]:
+    """The (height, width) of every volume's slices, which must equal
+    ``shape`` when given (a slice model's) and else the first volume's: the
+    histogram features count pixels, so one model reads one slice shape."""
+    shape = shape or (volumes[0].height, volumes[0].width)
+    for volume in volumes:
+        if (volume.height, volume.width) != shape:
+            raise ConfigError(f"{source}: scan {volume.scan_id} has {volume.height}x"
+                              f"{volume.width} slices, expected {shape[0]}x{shape[1]}")
+    return shape
+
+
 def cmd_slice_train(args) -> None:
     windows = _parse_windows(args.windows)
     volumes = load_manifest_volumes(args.manifest, args.slice_labels, args.volumes)
+    shape = _slice_shape(args.manifest, volumes)
     features = np.concatenate(list(_volume_features(volumes, windows).values()))
     labels = np.concatenate(list(_slice_label_matrices(volumes).values()))
-    classifier = slicemodel.train_reference_classifier(
-        features, labels, _reference_config(args.rounds), seed=args.seed)
-    slicemodel.save_slice_model(classifier, windows, args.out)
-    print(f"trained {classifier.identity} on {features.shape[0]} slices -> {args.out}")
+    config = _reference_config(args.rounds)
+    ensemble = gbdt.train_ensemble(features, labels, (config,))
+    identity = f"reference-gbdt-v1(rounds={config.rounds},seed={args.seed})"
+    slicemodel.save_slice_model(ensemble, identity, slicemodel.SliceInput(windows, shape),
+                                args.out)
+    print(f"trained {identity} on {features.shape[0]} slices -> {args.out}")
 
 
 def cmd_slice_predict(args) -> None:
-    classifier, windows = slicemodel.load_slice_model(args.model)
+    ensemble, expected = slicemodel.load_slice_model(args.model)
     volumes = load_manifest_volumes(args.manifest, volumes_root=args.volumes)
-    probs = slicemodel.predict_by_scan(classifier.classify_features,
-                                       _volume_features(volumes, windows))
+    _slice_shape(args.model, volumes, expected.shape)
+    probs = slicemodel.predict_by_scan(ensemble.predict,
+                                       _volume_features(volumes, expected.windows))
     slicemodel.save_slice_probs(probs, args.out)
     print(f"predicted {sum(p.shape[0] for p in probs.values())} slices -> {args.out}")
 
@@ -124,11 +140,12 @@ def cmd_oof(args) -> None:
     windows = _parse_windows(args.windows)
     rows = load_manifest(args.manifest)
     volumes = load_manifest_volumes(args.manifest, args.slice_labels, args.volumes)
+    _slice_shape(args.manifest, volumes)
     assignment = folds.assign_folds(rows, args.folds, seed=args.seed)
     config = _reference_config(args.rounds)
     oof = folds.generate_oof(
         _volume_features(volumes, windows), _slice_label_matrices(volumes), assignment,
-        lambda X, Y: slicemodel.train_reference_classifier(X, Y, config))
+        lambda X, Y: gbdt.train_ensemble(X, Y, (config,)))
     out_dir = Path(args.out)
     folds.save_fold_csv(rows, assignment, out_dir / "folds.csv")
     slicemodel.save_slice_probs(oof, out_dir / "oof_probs.csv")
@@ -223,12 +240,8 @@ def cmd_report(args) -> None:
     scores = _scan_scores(rows, args.probs)
     decisions, _ = thresholds.binarize_slice(scores, threshold_set)
     out_dir = Path(args.out)
-    label_scores = {label: scores[:, t] for t, label in enumerate(HEMORRHAGE_TYPES)}
-    label_scores["any"] = scores.max(axis=1)
-    label_truths = {label: truths[:, t] for t, label in enumerate(HEMORRHAGE_TYPES)}
-    label_truths["any"] = truths.any(axis=1)
-    label_decisions = {label: decisions[:, t] for t, label in enumerate(HEMORRHAGE_TYPES)}
-    label_decisions["any"] = decisions.any(axis=1)
+    label_decisions, label_truths, label_scores = metrics.report_columns(decisions, truths,
+                                                                         scores)
     label_thresholds = dict(zip(HEMORRHAGE_TYPES, threshold_set.as_array()))
 
     _write_roc(out_dir, label_scores, label_truths)
@@ -320,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("slice-train", help="train the reference slice classifier")
+    p = sub.add_parser("slice-train", help="train the reference slice model")
     p.add_argument("--manifest", required=True)
     p.add_argument("--volumes", default=None, help="root for manifest paths (default: manifest dir)")
     p.add_argument("--slice-labels", default=None)

@@ -174,11 +174,11 @@ def generate_oof(features_by_scan, labels_by_scan, assignment: FoldAssignment,
     """Out-of-fold per-slice probabilities for every scan.
 
     ``features_by_scan`` and ``labels_by_scan`` map each scan to its per-slice
-    feature and label matrices. For each fold, ``train_fn(X, Y)``
-    fits a model on the rows of the other folds' scans (concatenated in input
-    order) and its ``classify_features`` predicts the held-out scans in one
-    call, so every prediction comes from a model that never saw that scan's
-    fold.
+    feature and label matrices. For each fold, ``train_fn(X, Y)`` fits a model
+    (the CLI's is a one-group ``gbdt.GbdtEnsemble``) on the rows of the other
+    folds' scans (concatenated in input order) and its ``predict`` scores the
+    held-out scans in one call, so every prediction comes from a model that
+    never saw that scan's fold.
     """
     scan_ids = list(features_by_scan)
     missing = [scan_id for scan_id in scan_ids if scan_id not in assignment.fold_of]
@@ -192,9 +192,9 @@ def generate_oof(features_by_scan, labels_by_scan, assignment: FoldAssignment,
         train_ids = [scan_id for scan_id in scan_ids if assignment.fold_of[scan_id] != fold]
         if not train_ids:
             raise TrainingError(f"fold {fold} leaves no training scans")
-        classifier = train_fn(np.concatenate([features_by_scan[s] for s in train_ids]),
-                              np.concatenate([labels_by_scan[s] for s in train_ids]))
-        out.update(predict_by_scan(classifier.classify_features,
+        model = train_fn(np.concatenate([features_by_scan[s] for s in train_ids]),
+                         np.concatenate([labels_by_scan[s] for s in train_ids]))
+        out.update(predict_by_scan(model.predict,
                                    {scan_id: features_by_scan[scan_id] for scan_id in held_out}))
     return {scan_id: out[scan_id] for scan_id in scan_ids}
 

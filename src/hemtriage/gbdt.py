@@ -138,9 +138,13 @@ class GbdtEnsemble:
         widths = {len(group) for group in self.groups}
         if widths != {len(self.groups[0])}:
             raise ConfigError("all ensemble groups must cover the same types")
-        dims = {model.num_features for group in self.groups for model in group}
-        if len(dims) != 1:
+        if len({model.num_features for model in self.models}) != 1:
             raise ConfigError("all ensemble members must share one feature dimensionality")
+
+    @property
+    def models(self) -> tuple[GbdtModel, ...]:
+        """Every member, group by group, in type order within a group."""
+        return tuple(model for group in self.groups for model in group)
 
     @property
     def num_types(self) -> int:

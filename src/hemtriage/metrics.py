@@ -263,12 +263,21 @@ def label_report(label: str, cm: ConfusionMatrix, scores=None, truths=None) -> L
     )
 
 
+def report_columns(decisions, truths, scores=None):
+    """Columns of (scans, 5) decisions, truths and optional scores, each keyed
+    by ``REPORT_LABELS``; "any" ORs decisions and truths and takes the
+    per-type max of scores."""
+    def columns(matrix, any_of):
+        return dict(zip(REPORT_LABELS, [*matrix.T, any_of(matrix, axis=1)]))
+    return (columns(decisions, np.any), columns(truths, np.any),
+            None if scores is None else columns(scores, np.max))
+
+
 def build_report(decisions, truths, scores=None) -> MetricsReport:
     """Six-row report (five types plus any) from per-scan decisions/labels.
 
     ``decisions`` and ``truths`` are (scans, 5) booleans; optional ``scores``
-    are (scans, 5) probabilities for AUC. The any row ORs decisions and truths
-    and scores with the per-type max.
+    are (scans, 5) probabilities for AUC; ``report_columns`` derives "any".
     """
     decisions = np.asarray(decisions, dtype=bool)
     truths = np.asarray(truths, dtype=bool)
@@ -279,14 +288,12 @@ def build_report(decisions, truths, scores=None) -> MetricsReport:
         scores = np.asarray(scores, dtype=np.float64)
         if scores.shape != decisions.shape:
             raise ArityError(f"scores shape {scores.shape} must match decisions")
-    rows = []
-    for t, label in enumerate(HEMORRHAGE_TYPES):
-        rows.append(label_report(label, compute_confusion(decisions[:, t], truths[:, t]),
-                                 scores[:, t] if scores is not None else None, truths[:, t]))
-    rows.append(label_report("any", compute_confusion(decisions.any(axis=1), truths.any(axis=1)),
-                             scores.max(axis=1) if scores is not None else None,
-                             truths.any(axis=1)))
-    return MetricsReport(rows=tuple(rows))
+    label_decisions, label_truths, label_scores = report_columns(decisions, truths, scores)
+    return MetricsReport(rows=tuple(
+        label_report(label, compute_confusion(label_decisions[label], label_truths[label]),
+                     label_scores[label] if label_scores is not None else None,
+                     label_truths[label])
+        for label in REPORT_LABELS))
 
 
 def _cell(value: float | None) -> str:

@@ -1,11 +1,13 @@
-"""The reference slice classifier and the slice-probability exchange files.
+"""The reference slice model and the slice-probability exchange files.
 
 A slice model maps each slice of a volume to a 5-vector of independent
 per-type probabilities. External models (for instance trained deep networks)
 plug in through the slice-probability CSV (``save_slice_probs`` /
 ``load_slice_probs``); weighing, stacking and thresholding read only that.
-The reference classifier ships in-repo: gradient-boosted trees over
-handcrafted windowed-intensity features.
+The reference model ships in-repo: a one-group ``gbdt.GbdtEnsemble``, one
+booster per type over handcrafted windowed-intensity features. Its file
+records the slice shape it was trained on, because the histogram features
+are raw pixel counts that only compare across one slice size.
 
 Volumes go to probabilities on one path: ``volume_features`` featurizes every
 slice of a volume once, and ``predict_by_scan`` runs one predict call over
@@ -16,11 +18,12 @@ fraction n/N (1-based slice index over slice count).
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 import numpy as np
 
 from . import gbdt
-from .errors import ArityError, DataError, FormatError, PipelineError, TrainingError
+from .errors import DataError, FormatError, PipelineError
 from .fileio import atomic_write_text, read_json, read_slice_table, write_csv
 from .volume import (DEFAULT_WINDOWS, HEMORRHAGE_TYPES, NUM_TYPES, CtVolume, WindowSpec,
                      stack_channels)
@@ -33,9 +36,7 @@ FEATURE_LENGTH = 3 * CHANNEL_FEATURES + 1  # plus slice position fraction
 _PROB_COLUMNS = ("scan_id", "slice_index") + tuple(f"p_{t}" for t in HEMORRHAGE_TYPES)
 _SLICE_MODEL_FORMAT = "hemtriage/slice-model"
 
-_BASE_RATE_CLIP = 1e-6
-
-#: Reference classifier training setup; small trees keep per-fold training cheap.
+#: Reference model training setup; small trees keep per-fold training cheap.
 DEFAULT_REFERENCE_CONFIG = gbdt.GbdtConfig(
     rounds=60, learning_rate=0.1, max_leaves=8, max_depth=3,
     min_samples_leaf=5, growth="depthwise", l2_reg=1.0)
@@ -68,49 +69,6 @@ def extract_features(image, position: float = 0.0) -> np.ndarray:
         cursor += 6
     out[cursor] = position
     return out
-
-
-class ReferenceSliceClassifier:
-    """Gradient-boosted trees over handcrafted features, one model per type."""
-
-    def __init__(self, models, identity: str):
-        models = tuple(models)
-        if len(models) != NUM_TYPES:
-            raise ArityError(f"need one model per hemorrhage type, got {len(models)}")
-        dims = {model.num_features for model in models}
-        if dims != {FEATURE_LENGTH}:
-            raise DataError(f"reference models must consume {FEATURE_LENGTH} features")
-        self.models = models
-        self.identity = identity
-
-    def classify_features(self, features) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
-        out = np.empty((features.shape[0], NUM_TYPES))
-        for t, model in enumerate(self.models):
-            out[:, t] = gbdt.predict(model, features)
-        return out
-
-
-def train_reference_classifier(features, slice_labels, config=None, seed: int = 0
-                               ) -> ReferenceSliceClassifier:
-    """Fit one binary booster per type on handcrafted slice features.
-
-    Training draws no random numbers: ``seed`` only labels the classifier's
-    identity string. A type whose labels are all one class falls back to a
-    base-score-only model, i.e. a constant clipped base-rate probability
-    (gbdt warns).
-    """
-    X = np.asarray(features, dtype=np.float64)
-    Y = np.asarray(slice_labels)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise TrainingError("empty or malformed training set")
-    if Y.shape != (X.shape[0], NUM_TYPES):
-        raise ArityError(f"slice labels must be ({X.shape[0]}, {NUM_TYPES}), got {Y.shape}")
-    if config is None:
-        config = DEFAULT_REFERENCE_CONFIG
-    models = [gbdt.train(X, Y[:, t].astype(np.float64), config) for t in range(NUM_TYPES)]
-    identity = f"reference-gbdt-v1(rounds={config.rounds},seed={seed})"
-    return ReferenceSliceClassifier(models, identity)
 
 
 def slice_positions(num_slices: int) -> np.ndarray:
@@ -154,29 +112,45 @@ def load_slice_probs(path) -> dict[str, np.ndarray]:
     return result
 
 
-def save_slice_model(classifier: ReferenceSliceClassifier, windows, path) -> None:
+class SliceInput(NamedTuple):
+    """What a slice model assumes of the volumes it scores."""
+
+    windows: tuple[WindowSpec, ...]
+    shape: tuple[int, int]  # (height, width) of every slice
+
+
+def save_slice_model(ensemble: gbdt.GbdtEnsemble, identity: str, expected: SliceInput,
+                     path) -> None:
     payload = {
         "format": _SLICE_MODEL_FORMAT,
-        "version": 1,
-        "identity": classifier.identity,
-        "windows": [[spec.center, spec.width] for spec in windows],
-        "models": [gbdt.model_to_json(m) for m in classifier.models],
+        "version": 2,
+        "identity": identity,
+        "windows": [[spec.center, spec.width] for spec in expected.windows],
+        "slice_shape": list(expected.shape),
+        "models": [gbdt.model_to_json(m) for m in ensemble.models],
     }
     atomic_write_text(path, json.dumps(payload) + "\n")
 
 
-def load_slice_model(path) -> tuple[ReferenceSliceClassifier, tuple[WindowSpec, ...]]:
+def load_slice_model(path) -> tuple[gbdt.GbdtEnsemble, SliceInput]:
     payload = read_json(path, "slice model")
     if not isinstance(payload, dict) or payload.get("format") != _SLICE_MODEL_FORMAT:
         raise FormatError(f"{path}: not a {_SLICE_MODEL_FORMAT} record")
-    if payload.get("version") != 1:
+    if payload.get("version") != 2:
         raise FormatError(f"{path}: unsupported version {payload.get('version')!r}")
     try:
         windows = tuple(WindowSpec(float(c), float(w)) for c, w in payload["windows"])
-        models = [gbdt.model_from_json(m) for m in payload["models"]]
-        classifier = ReferenceSliceClassifier(models, str(payload["identity"]))
+        models = tuple(gbdt.model_from_json(m) for m in payload["models"])
+        ensemble = gbdt.GbdtEnsemble(groups=(models,))
     except (KeyError, TypeError, ValueError, PipelineError) as exc:
         raise FormatError(f"{path}: malformed slice model: {exc}") from exc
     if len(windows) != 3:
         raise FormatError(f"{path}: slice model must carry 3 windows")
-    return classifier, windows
+    shape = payload.get("slice_shape")
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(side) is int and side >= 1 for side in shape)):
+        raise FormatError(f"{path}: slice_shape must be two positive integers, got {shape!r}")
+    if (ensemble.num_types, ensemble.num_features) != (NUM_TYPES, FEATURE_LENGTH):
+        raise FormatError(f"{path}: a slice model needs {NUM_TYPES} models of {FEATURE_LENGTH} "
+                          f"features, got {ensemble.num_types} of {ensemble.num_features}")
+    return ensemble, SliceInput(windows, tuple(shape))

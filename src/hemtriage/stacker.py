@@ -66,17 +66,15 @@ def stack_training_data(probs_by_scan, labels_by_scan, delta_s: int
     return np.concatenate(features), np.concatenate(labels)
 
 
-def train_stacker(probs_by_scan, labels_by_scan, delta_s: int = 2,
-                  configs=None) -> gbdt.GbdtEnsemble:
-    """Train the refining ensemble on (out-of-fold) slice probabilities.
+def train_stacker(probs_by_scan, labels_by_scan, delta_s: int, configs) -> gbdt.GbdtEnsemble:
+    """Train the refining ensemble, one group per config, on (out-of-fold)
+    slice probabilities.
 
     Feeding in-fold predictions here leaks labels; the CLI wires this from the
     out-of-fold command's output.
     """
-    if configs is None:
-        configs = gbdt.default_presets()
     X, Y = stack_training_data(probs_by_scan, labels_by_scan, delta_s)
-    return gbdt.train_ensemble(X, Y.astype(np.float64), configs)
+    return gbdt.train_ensemble(X, Y, configs)
 
 
 def apply_stacker_all(ensemble: gbdt.GbdtEnsemble, probs_by_scan, delta_s: int

@@ -29,7 +29,7 @@ class MemorizingClassifier:
         self.memory = {row.tobytes(): np.asarray(label, dtype=float)
                        for row, label in zip(np.asarray(features, dtype=np.float64), labels)}
 
-    def classify_features(self, features):
+    def predict(self, features):
         return np.array([self.memory.get(row.tobytes(), np.full(5, 0.5))
                          for row in np.asarray(features, dtype=np.float64)])
 

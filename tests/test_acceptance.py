@@ -222,17 +222,17 @@ def test_acceptance_5_stacker_benefit():
     labels_by_scan = {v.scan_id: v.labels.slice_labels for v in dev}
 
     def train_fn(X, Y):
-        return slicemodel.train_reference_classifier(X, Y)
+        return gbdt.train_ensemble(X, Y, (slicemodel.DEFAULT_REFERENCE_CONFIG,))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         oof = folds.generate_oof(features_by_scan, labels_by_scan, assignment, train_fn)
         ensemble = stacker.train_stacker(oof, labels_by_scan, delta_s=2,
                                          configs=gbdt.default_presets(rounds=100))
-        full_classifier = train_fn(np.concatenate(list(features_by_scan.values())),
-                                   np.concatenate(list(labels_by_scan.values())))
+        full_model = train_fn(np.concatenate(list(features_by_scan.values())),
+                              np.concatenate(list(labels_by_scan.values())))
 
-    probs_eval = predict_by_scan(full_classifier.classify_features,
+    probs_eval = predict_by_scan(full_model.predict,
                                  {v.scan_id: volume_features(v, DEFAULT_WINDOWS) for v in holdout})
     refined_eval = stacker.apply_stacker_all(ensemble, probs_eval, 2)
     truth = np.array([v.labels.any for v in holdout])
@@ -286,7 +286,7 @@ def test_acceptance_7_leakage_sentinel():
     # In-fold: the memorizer saw every scan, so it is perfect by construction.
     in_fold = MemorizingClassifier(np.concatenate(list(features_by_scan.values())),
                                    np.concatenate(list(labels_by_scan.values())))
-    in_probs = predict_by_scan(in_fold.classify_features, features_by_scan)
+    in_probs = predict_by_scan(in_fold.predict, features_by_scan)
     in_accuracy = float((scan_decisions(in_probs) == truth).mean())
     assert in_accuracy == 1.0
 

@@ -12,7 +12,9 @@ import hemtriage
 from hemtriage import slicemodel
 from hemtriage.cli import main
 from hemtriage.slicemodel import extract_features, load_slice_probs, save_slice_probs
-from hemtriage.volume import HEMORRHAGE_TYPES, load_slice_labels, save_slice_labels
+from hemtriage.volume import HEMORRHAGE_TYPES, load_slice_labels, save_slice_labels, store_volume
+
+from conftest import make_volume
 
 
 def run(argv):
@@ -254,8 +256,9 @@ class TestSliceLabelsManifestContract:
 
 
 class TestVolumeContracts:
-    """Commands that load volumes tie each volume file to its manifest row
-    and to its rows in the per-slice label CSV."""
+    """Commands that load volumes tie each volume file to its manifest row,
+    to its rows in the per-slice label CSV and to one slice shape (the
+    histogram features count pixels)."""
 
     @staticmethod
     def argv(command, pipeline_dir, manifest, out):
@@ -300,6 +303,23 @@ class TestVolumeContracts:
         argv = self.argv(command, pipeline_dir, pipeline_dir / "data" / "manifest.csv", out)
         assert run(argv + ["--slice-labels", str(path)]) == 1
         assert f"{path}: scan {scan_id}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["slice-train", "oof", "slice-predict"])
+    def test_slice_shape_must_agree(self, pipeline_dir, tmp_path, capsys, command):
+        # slice-train and oof read the 48x48 pipeline scans plus one 24x24
+        # scan; slice-predict runs the 48x48 model on a 24x24 cohort.
+        small = tmp_path / "small.ctv"
+        store_volume(make_volume(scan_id="small", patient_id="psmall", num_slices=3,
+                                 height=24, width=24, seed=1), small)
+        lines = (pipeline_dir / "data" / "manifest.csv").read_text().splitlines()
+        manifest = tmp_path / "manifest.csv"
+        kept = lines[:1] if command == "slice-predict" else lines
+        manifest.write_text("\n".join([*kept, f"small,psmall,{small},0,0,0,0,0"]) + "\n")
+        out = tmp_path / "out"
+        assert run(self.argv(command, pipeline_dir, manifest, out)) == 1
+        source = pipeline_dir / "slice_model.json" if command == "slice-predict" else manifest
+        assert f"{source}: scan small has 24x24 slices, expected 48x48" in capsys.readouterr().err
         assert not out.exists()
 
 

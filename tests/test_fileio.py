@@ -16,7 +16,7 @@ from hemtriage import gbdt
 from hemtriage.cli import _load_decisions
 from hemtriage.errors import PipelineError
 from hemtriage.fileio import read_csv, write_csv
-from hemtriage.slicemodel import (FEATURE_LENGTH, ReferenceSliceClassifier, load_slice_model,
+from hemtriage.slicemodel import (FEATURE_LENGTH, SliceInput, load_slice_model,
                                   load_slice_probs, save_slice_model)
 from hemtriage.stacker import load_stacker_model, save_stacker_model, window_length
 from hemtriage.thresholds import PUBLISHED_THRESHOLDS, load_thresholds, save_thresholds
@@ -142,8 +142,8 @@ def small_models(num_features):
 
 
 def write_slice_model(path):
-    save_slice_model(ReferenceSliceClassifier(small_models(FEATURE_LENGTH), "fuzz"),
-                     DEFAULT_WINDOWS, path)
+    save_slice_model(gbdt.GbdtEnsemble(groups=(small_models(FEATURE_LENGTH),)), "fuzz",
+                     SliceInput(DEFAULT_WINDOWS, (8, 8)), path)
 
 
 def write_stacker_model(path):

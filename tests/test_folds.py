@@ -3,9 +3,10 @@ import csv
 import numpy as np
 import pytest
 
+from hemtriage import gbdt
 from hemtriage.errors import ConfigError, InfeasibleError
 from hemtriage.folds import FoldAssignment, assign_folds, generate_oof, save_fold_csv
-from hemtriage.slicemodel import train_reference_classifier, volume_features
+from hemtriage.slicemodel import DEFAULT_REFERENCE_CONFIG, volume_features
 from hemtriage.volume import ManifestRow, ScanLabels
 
 from conftest import MemorizingClassifier, labels_from_matrix, make_volume
@@ -143,7 +144,7 @@ class TestGenerateOof:
         in_fold = MemorizingClassifier(np.concatenate(list(features.values())),
                                        np.concatenate(list(labels.values())))
         for volume in volumes:
-            rows_pred = in_fold.classify_features(features[volume.scan_id])
+            rows_pred = in_fold.predict(features[volume.scan_id])
             assert np.array_equal(rows_pred >= 0.5, volume.labels.slice_labels)
 
     def test_covers_every_slice_once(self):
@@ -183,7 +184,7 @@ class TestGenerateOof:
         assignment = assign_folds(rows_, k=3, seed=0)
         with pytest.warns(UserWarning, match="one class"):
             oof = generate_oof(*self.matrices(volumes), assignment,
-                               train_reference_classifier)
+                               lambda X, Y: gbdt.train_ensemble(X, Y, (DEFAULT_REFERENCE_CONFIG,)))
         # s0's model trains without s0's fold, so it never sees an IPH
         # positive and predicts the clipped base rate for that type.
         np.testing.assert_allclose(oof["s0"][:, 4], 1e-6)

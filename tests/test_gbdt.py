@@ -152,6 +152,8 @@ class TestTrainBasics:
     def test_empty_training_set(self):
         with pytest.raises(TrainingError):
             gbdt.train(np.zeros((0, 3)), np.zeros(0), gbdt.GbdtConfig())
+        with pytest.raises(TrainingError):
+            gbdt.train_ensemble(np.zeros((0, 3)), np.zeros((0, 5)), [gbdt.GbdtConfig()])
         for growth in gbdt.GROWTH_MODES:  # rows but no feature columns
             with pytest.raises(TrainingError):
                 gbdt.train(np.zeros((4, 0)), XOR_Y, gbdt.GbdtConfig(growth=growth, max_depth=2))
@@ -414,14 +416,18 @@ class TestDeterminism:
 
 class TestEnsemble:
     def test_single_config_matches_member(self, rng):
+        # A one-group ensemble (the slice model) predicts each type's member
+        # bit for bit: the mean over one group is (0.0 + p) / 1 == p.
         X = rng.random((60, 4))
-        Y = rng.integers(0, 2, (60, 5)).astype(float)
-        config = gbdt.GbdtConfig(rounds=10, growth="leafwise")
+        Y = rng.integers(0, 2, (60, 5)).astype(bool)
+        config = gbdt.GbdtConfig(rounds=10, growth="depthwise", max_depth=3)
         ensemble = gbdt.train_ensemble(X, Y, [config])
+        assert ensemble.models == ensemble.groups[0]
         probe = rng.random((10, 4))
-        expected = np.column_stack([gbdt.predict(ensemble.groups[0][t], probe)
-                                    for t in range(5)])
-        assert np.allclose(ensemble.predict(probe), expected)
+        out = ensemble.predict(probe)
+        for t, model in enumerate(ensemble.models):
+            assert np.array_equal(out[:, t], gbdt.predict(model, probe))
+            assert np.array_equal(out[:, t], gbdt.predict(gbdt.train(X, Y[:, t], config), probe))
 
     def test_identical_configs_mean_equals_member(self, rng):
         X = rng.random((60, 4))

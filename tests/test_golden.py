@@ -119,7 +119,7 @@ GOLDEN = {
     "report/cumulative_sdh.svg": "5c7df71606cbebb927080aea3569885cc98e311e328a41fed1f64150d883294b",
     "report/roc_curves.csv": "0be708e2647f2ad0c6d4e086f595ac08a20dea3b9c4fc09275f043d593f3b66d",
     "report/roc_curves.svg": "2dbec7cf513985794ca11b8f1fa7ec1bf31e5aed69dd592321130c5fccf61e6e",
-    "slice_model.json": "8afbd5352c92138932e36c688e128b0a50dc2fec1e62c7cc8a3bbe5007bf225d",
+    "slice_model.json": "fdbd754c3695a4346dd0a19c4a168ec6323125a0fdd444336d4f865993c9a3a9",
     "stacker.json": "31e5b24171ee5a7ebc3e203d6e20e9e2c01bc6edbe8ff28d0f0d6c0a4eb8990b",
     "stacker_broadcast.json": "70051ad44345a068ed6d882abd84f4b8c4c7c408533e0c7a5a6660c17e4115dd",
     "thresholds.json": "aade61b134ea5d7ef5e4bdccf8be2dc72c862d5d794e643ac150e5c444365bf4",

@@ -1,11 +1,15 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
-from hemtriage.errors import DataError, FormatError, TrainingError
-from hemtriage.slicemodel import (BLOOD_BAND, FEATURE_LENGTH, HISTOGRAM_BINS,
-                                  extract_features, load_slice_model, load_slice_probs,
-                                  predict_by_scan, save_slice_model, save_slice_probs,
-                                  slice_positions, train_reference_classifier,
+from hemtriage import gbdt
+from hemtriage.errors import DataError, FormatError
+from hemtriage.slicemodel import (BLOOD_BAND, DEFAULT_REFERENCE_CONFIG, FEATURE_LENGTH,
+                                  HISTOGRAM_BINS, SliceInput, extract_features,
+                                  load_slice_model, load_slice_probs, predict_by_scan,
+                                  save_slice_model, save_slice_probs, slice_positions,
                                   volume_features)
 from hemtriage.volume import DEFAULT_WINDOWS
 
@@ -74,43 +78,36 @@ class TestExtractFeatures:
             extract_features(np.zeros((2, 4, 4)))
 
 
-class TestReferenceClassifier:
-    def make_separable(self, rng, n=120):
-        """Features whose column 0 linearly separates every type."""
-        X = rng.random((n, FEATURE_LENGTH))
-        labels = np.tile((X[:, 0] > 0.5)[:, None], (1, 5))
-        return X, labels
+def make_separable(rng, n=120):
+    """Features whose column 0 linearly separates every type."""
+    X = rng.random((n, FEATURE_LENGTH))
+    labels = np.tile((X[:, 0] > 0.5)[:, None], (1, 5))
+    return X, labels
 
+
+def train_reference(X, labels):
+    return gbdt.train_ensemble(X, labels, (DEFAULT_REFERENCE_CONFIG,))
+
+
+class TestReferenceModel:
     def test_separable_reaches_perfect_training_accuracy(self, rng):
-        X, labels = self.make_separable(rng)
-        classifier = train_reference_classifier(X, labels, seed=0)
-        probs = classifier.classify_features(X)
+        X, labels = make_separable(rng)
+        probs = train_reference(X, labels).predict(X)
         assert np.array_equal(probs >= 0.5, labels)
 
     def test_all_negative_type_constant_clipped_base_rate(self, rng):
-        X, labels = self.make_separable(rng)
+        X, labels = make_separable(rng)
         labels = labels.copy()
         labels[:, 2] = False
         with pytest.warns(UserWarning):
-            classifier = train_reference_classifier(X, labels, seed=0)
-        probs = classifier.classify_features(X)
+            model = train_reference(X, labels)
+        probs = model.predict(X)
         assert np.allclose(probs[:, 2], 1e-6)
 
-    def test_same_seed_same_model(self, rng):
-        X, labels = self.make_separable(rng)
-        a = train_reference_classifier(X, labels, seed=3)
-        b = train_reference_classifier(X, labels, seed=3)
-        probe = rng.random((10, FEATURE_LENGTH))
-        assert np.array_equal(a.classify_features(probe), b.classify_features(probe))
-
-    def test_empty_training_set(self):
-        with pytest.raises(TrainingError):
-            train_reference_classifier(np.zeros((0, FEATURE_LENGTH)), np.zeros((0, 5)))
-
-    def test_classify_consumes_windowed_image(self, rng):
-        X, labels = self.make_separable(rng)
-        classifier = train_reference_classifier(X, labels, seed=0)
-        out = classifier.classify_features(volume_features(make_volume(num_slices=4, seed=3)))
+    def test_predict_consumes_volume_features(self, rng):
+        X, labels = make_separable(rng)
+        out = train_reference(X, labels).predict(
+            volume_features(make_volume(num_slices=4, seed=3)))
         assert out.shape == (4, 5) and np.all((out > 0) & (out < 1))
 
 
@@ -173,15 +170,44 @@ class TestProbCsv:
 
 
 class TestSliceModelFile:
+    @staticmethod
+    def write(path, ensemble):
+        save_slice_model(ensemble, "ref", SliceInput(DEFAULT_WINDOWS, (24, 32)), path)
+        return json.loads(path.read_text())
+
     def test_round_trip(self, tmp_path, rng):
-        X = rng.random((60, FEATURE_LENGTH))
-        labels = np.tile((X[:, 0] > 0.5)[:, None], (1, 5))
-        classifier = train_reference_classifier(X, labels, seed=0)
         path = tmp_path / "slice_model.json"
-        save_slice_model(classifier, DEFAULT_WINDOWS, path)
-        restored, windows = load_slice_model(path)
-        assert windows == DEFAULT_WINDOWS
-        assert restored.identity == classifier.identity
+        ensemble = train_reference(*make_separable(rng, n=60))
+        assert self.write(path, ensemble)["identity"] == "ref"
+        restored, expected = load_slice_model(path)
+        assert expected == SliceInput(DEFAULT_WINDOWS, (24, 32))
         probe = rng.random((8, FEATURE_LENGTH))
-        assert np.array_equal(restored.classify_features(probe),
-                              classifier.classify_features(probe))
+        assert np.array_equal(restored.predict(probe), ensemble.predict(probe))
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"version": 1, "slice_shape": None}, "unsupported version 1"),
+        ({"slice_shape": None}, "slice_shape must be two positive integers"),
+        ({"slice_shape": [24]}, "slice_shape must be two positive integers"),
+        ({"slice_shape": [24, 0]}, "slice_shape must be two positive integers"),
+        ({"slice_shape": [24, 32.0]}, "slice_shape must be two positive integers"),
+        ({"slice_shape": [24, True]}, "slice_shape must be two positive integers"),
+    ])
+    def test_rejects_version_1_and_bad_slice_shape(self, tmp_path, rng, edit, message):
+        path = tmp_path / "slice_model.json"
+        payload = self.write(path, train_reference(*make_separable(rng, n=60)))
+        path.write_text(json.dumps({**payload, **edit}))
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: {message}"):
+            load_slice_model(path)
+
+    @pytest.mark.parametrize("num_types, num_features", [(4, FEATURE_LENGTH),
+                                                         (5, FEATURE_LENGTH - 1)])
+    def test_rejects_models_of_another_shape(self, tmp_path, rng, num_types, num_features):
+        X = rng.random((30, num_features))
+        models = tuple(gbdt.train(X, X[:, t] > 0.5, gbdt.GbdtConfig(rounds=2, max_leaves=3))
+                       for t in range(num_types))
+        path = tmp_path / "slice_model.json"
+        self.write(path, gbdt.GbdtEnsemble(groups=(models,)))
+        message = (f"a slice model needs 5 models of {FEATURE_LENGTH} features, "
+                   f"got {num_types} of {num_features}")
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: {message}"):
+            load_slice_model(path)
