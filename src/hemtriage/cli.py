@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from . import folds, gbdt, metrics, slicemodel, stacker, svgplots, synth, thresh
 from .errors import ArityError, ConfigError, PipelineError
 from .fileio import atomic_write_text, parse_flags, read_scan_table, write_csv
 from .volume import (HEMORRHAGE_TYPES, NUM_TYPES, WindowSpec, check_manifest_coverage,
-                     load_manifest, load_manifest_volumes, load_slice_labels)
+                     load_manifest, load_manifest_volumes, load_slice_labels, slice_truth)
 
 _DECISION_COLUMNS = ("scan_id",) + HEMORRHAGE_TYPES
 
@@ -34,27 +33,6 @@ def _parse_windows(text: str) -> tuple[WindowSpec, ...]:
     if len(specs) != 3:
         raise ConfigError("--windows needs exactly three center:width pairs")
     return specs
-
-
-def _broadcast_scan_labels(scan_id, vector, num_slices) -> np.ndarray:
-    """A (num_slices, 5) label matrix repeating the scan label on every slice.
-
-    Used where a scan has no per-slice labels; it warns, since that is a
-    coarser truth.
-    """
-    warnings.warn(f"{scan_id}: no per-slice labels; broadcasting scan labels")
-    return np.tile(vector, (num_slices, 1))
-
-
-def _slice_label_matrices(volumes) -> dict[str, np.ndarray]:
-    """Per-slice label matrix of every volume, by scan_id.
-
-    Scans without per-slice labels (absent from the per-slice CSV, or no CSV
-    given) broadcast their scan label to every slice.
-    """
-    return {v.scan_id: v.labels.slice_labels if v.labels.slice_labels is not None
-            else _broadcast_scan_labels(v.scan_id, v.labels.vector(), v.num_slices)
-            for v in volumes}
 
 
 def _manifest_truths(rows) -> np.ndarray:
@@ -84,7 +62,7 @@ def cmd_synth(args) -> None:
     )
     dataset = synth.generate(config)
     paths = synth.write_dataset(dataset, args.out)
-    positives = sum(1 for v in dataset.volumes if v.labels.any)
+    positives = sum(1 for matrix in dataset.slice_labels.values() if matrix.any())
     print(f"wrote {len(dataset.volumes)} scans ({positives} positive) under {args.out}")
     print(f"manifest: {paths['manifest']}")
 
@@ -114,10 +92,11 @@ def _slice_shape(source, volumes, shape=None) -> tuple[int, int]:
 
 def cmd_slice_train(args) -> None:
     windows = _parse_windows(args.windows)
-    volumes = load_manifest_volumes(args.manifest, args.slice_labels, args.volumes)
+    rows, volumes = load_manifest_volumes(args.manifest, args.volumes)
+    truth = slice_truth(rows, {v.scan_id: v.num_slices for v in volumes}, args.slice_labels)
     shape = _slice_shape(args.manifest, volumes)
     features = np.concatenate(list(_volume_features(volumes, windows).values()))
-    labels = np.concatenate(list(_slice_label_matrices(volumes).values()))
+    labels = np.concatenate(list(truth.values()))
     config = _reference_config(args.rounds)
     ensemble = gbdt.train_ensemble(features, labels, (config,))
     identity = f"reference-gbdt-v1(rounds={config.rounds},seed={args.seed})"
@@ -128,7 +107,7 @@ def cmd_slice_train(args) -> None:
 
 def cmd_slice_predict(args) -> None:
     ensemble, expected = slicemodel.load_slice_model(args.model)
-    volumes = load_manifest_volumes(args.manifest, volumes_root=args.volumes)
+    _, volumes = load_manifest_volumes(args.manifest, args.volumes)
     _slice_shape(args.model, volumes, expected.shape)
     probs = slicemodel.predict_by_scan(ensemble.predict,
                                        _volume_features(volumes, expected.windows))
@@ -138,14 +117,13 @@ def cmd_slice_predict(args) -> None:
 
 def cmd_oof(args) -> None:
     windows = _parse_windows(args.windows)
-    rows = load_manifest(args.manifest)
-    volumes = load_manifest_volumes(args.manifest, args.slice_labels, args.volumes)
+    rows, volumes = load_manifest_volumes(args.manifest, args.volumes)
+    truth = slice_truth(rows, {v.scan_id: v.num_slices for v in volumes}, args.slice_labels)
     _slice_shape(args.manifest, volumes)
     assignment = folds.assign_folds(rows, args.folds, seed=args.seed)
     config = _reference_config(args.rounds)
-    oof = folds.generate_oof(
-        _volume_features(volumes, windows), _slice_label_matrices(volumes), assignment,
-        lambda X, Y: gbdt.train_ensemble(X, Y, (config,)))
+    oof = folds.generate_oof(_volume_features(volumes, windows), truth, assignment,
+                             lambda X, Y: gbdt.train_ensemble(X, Y, (config,)))
     out_dir = Path(args.out)
     folds.save_fold_csv(rows, assignment, out_dir / "folds.csv")
     slicemodel.save_slice_probs(oof, out_dir / "oof_probs.csv")
@@ -170,11 +148,10 @@ def cmd_stack_train(args) -> None:
         labels = load_slice_labels(args.slice_labels)
         _check_oof_slice_labels(args.oof, probs, args.slice_labels, labels)
     elif args.manifest is not None:
-        manifest = load_manifest(args.manifest)
-        check_manifest_coverage(args.oof, "OOF CSV", probs, manifest, complete=False)
-        scan_labels = {row.scan_id: row.labels.vector() for row in manifest}
-        labels = {scan_id: _broadcast_scan_labels(scan_id, scan_labels[scan_id], rows.shape[0])
-                  for scan_id, rows in probs.items()}
+        rows = load_manifest(args.manifest)
+        check_manifest_coverage(args.oof, "OOF CSV", probs, rows, complete=False)
+        labels = slice_truth([row for row in rows if row.scan_id in probs],
+                             {scan_id: slices.shape[0] for scan_id, slices in probs.items()})
     else:
         raise ConfigError("stack-train needs --slice-labels or --manifest")
     presets = gbdt.default_presets(rounds=args.rounds)

@@ -428,12 +428,19 @@ class _ObliviousGrower:
         self.codes = np.concatenate(border_codes)[bins.codes]
         border_lens = np.array([len(borders) for borders in self.borders])
         self.stride = int(border_lens.max(initial=0)) + 1
-        self.cut_valid = np.arange(self.stride - 1) < border_lens[:, None]
+        # Every row sits in some leaf at every level, so the level total left
+        # of a cut is the same at every level: count it once, here.
+        m, num_features = self.codes.shape
+        flat = (np.arange(num_features) * self.stride + self.codes).ravel()
+        counts = np.bincount(flat, minlength=num_features * self.stride)
+        left_total = np.cumsum(counts.reshape(num_features, self.stride), axis=1)[:, :-1]
+        self.cut_valid = ((np.arange(self.stride - 1) < border_lens[:, None])
+                          & (left_total >= config.min_samples_leaf)
+                          & (m - left_total >= config.min_samples_leaf))
 
     def grow(self, g, h, y) -> tuple[Tree, np.ndarray]:
         """The tree and, per training row, the node id of the leaf it ends in."""
         lam = self.config.l2_reg
-        msl = self.config.min_samples_leaf
         lr = self.config.learning_rate
         codes, stride = self.codes, self.stride
         m, num_features = codes.shape
@@ -451,30 +458,24 @@ class _ObliviousGrower:
                 size = num_leaves * num_features * stride
                 hist_g = np.bincount(flat, weights=g_rep, minlength=size)
                 hist_h = np.bincount(flat, weights=h_rep, minlength=size)
-                hist_c = np.bincount(flat, minlength=size).astype(np.float64)
                 hist_g = hist_g.reshape(num_leaves, num_features, stride)
                 hist_h = hist_h.reshape(num_leaves, num_features, stride)
-                hist_c = hist_c.reshape(num_leaves, num_features, stride)
                 total_g = np.bincount(leaf_of, weights=g, minlength=num_leaves)
                 total_h = np.bincount(leaf_of, weights=h, minlength=num_leaves)
                 left_g = np.cumsum(hist_g, axis=2)[:, :, :-1]
                 left_h = np.cumsum(hist_h, axis=2)[:, :, :-1]
-                left_c = np.cumsum(hist_c, axis=2)[:, :, :-1]
                 right_g = total_g[:, None, None] - left_g
                 right_h = total_h[:, None, None] - left_h
+                parents = _safe_ratio(total_g, total_h + lam)
                 gain = (_safe_ratio(left_g, left_h + lam)
                         + _safe_ratio(right_g, right_h + lam)
-                        - _safe_ratio(total_g, total_h + lam)[:, None, None])
-                gain = 0.5 * gain.sum(axis=0)
-                left_total = left_c.sum(axis=0)
-                valid = self.cut_valid & (left_total >= msl) & (m - left_total >= msl)
-                gain = np.where(valid, gain, -np.inf)
-                best = gain.max()
-                parent = float(_safe_ratio(total_g, total_h + lam).sum())
-                if best < -_GAIN_NOISE_RELATIVE * (1.0 + abs(parent)):
+                        - parents[:, None, None])
+                gain = np.where(self.cut_valid, 0.5 * gain.sum(axis=0), -np.inf)
+                at = int(np.argmax(gain))  # first maximum: lowest feature, then lowest cut
+                parent = float(parents.sum())
+                if gain.flat[at] < -_GAIN_NOISE_RELATIVE * (1.0 + abs(parent)):
                     break
-                flat_best = int(np.argmax(gain == best))
-                feature, cut = divmod(flat_best, stride - 1)
+                feature, cut = divmod(at, stride - 1)
                 levels.append((feature, float(self.borders[feature][cut])))
                 leaf_of = leaf_of * 2 + (codes[:, feature] > cut)
 

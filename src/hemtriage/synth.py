@@ -10,16 +10,18 @@ across a contiguous slice span:
 * IVH -- the ventricle filled with blood,
 * IPH -- an ellipse inside the parenchyma.
 
-Tissue HU values are drawn per pixel from the configured ranges, plus
+Tissue HU values are drawn per pixel from the fixed tissue ranges below, plus
 truncated Gaussian noise. Lesion pixels are kept inside the blood HU band and
 non-lesion brain pixels below it, so a clean scan has zero blood-band pixels
-inside the brain mask and every positive slice carries a countable blood
-footprint. An optional "distractor" places a blood-like blob on exactly one
-slice of a scan without labeling it, which gives the inter-slice stacker
-single-slice noise to learn away; it is off by default.
+inside the brain mask and every positive slice carries at least
+``MIN_LESION_PIXELS`` blood-band pixels. An optional "distractor" places a
+blood-like blob on exactly one slice of a scan without labeling it, which
+gives the inter-slice stacker single-slice noise to learn away; it is off by
+default.
 
 Per-scan randomness is derived from (seed, scan index), so generation order
-never changes the output.
+never changes the output. A dataset keeps its volumes (pixels only) apart from
+their per-slice truth; the manifest's scan flags are the OR of that truth.
 """
 
 from __future__ import annotations
@@ -33,6 +35,18 @@ from .errors import ConfigError, InfeasibleError
 from .volume import (HU_MAX, HU_MIN, HEMORRHAGE_TYPES, NUM_TYPES, CtVolume, ManifestRow,
                      ScanLabels, save_manifest, save_slice_labels, store_volume)
 
+#: A lesion covers this many consecutive slices, inclusive bounds.
+LESION_SPAN_MIN, LESION_SPAN_MAX = 3, 6
+MIN_LESION_PIXELS = 30
+#: Tissue HU ranges. The blood band sits above the brain range, so clean brain
+#: pixels can be clipped below it.
+BRAIN_HU = (20, 40)
+CSF_HU = (0, 15)
+BLOOD_HU = (55, 90)
+SKULL_HU = (700, 1500)
+AIR_HU = -1000
+SLICE_THICKNESS_MM = 5.0
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -42,18 +56,9 @@ class SynthConfig:
     slices_max: int = 18
     height: int = 48
     width: int = 48
-    lesion_span_min: int = 3
-    lesion_span_max: int = 6
-    min_lesion_pixels: int = 30
     noise_sigma: float = 4.0
     distractor_fraction: float = 0.0
     paired_scan_fraction: float = 0.3  # fraction of scans sharing a patient pairwise
-    brain_hu: tuple[int, int] = (20, 40)
-    csf_hu: tuple[int, int] = (0, 15)
-    blood_hu: tuple[int, int] = (55, 90)
-    skull_hu: tuple[int, int] = (700, 1500)
-    air_hu: int = -1000
-    slice_thickness_mm: float = 5.0
     seed: int = 0
 
     def __post_init__(self):
@@ -67,32 +72,22 @@ class SynthConfig:
             raise ConfigError("per-type positive fractions must sum to at most 1")
         if not 1 <= self.slices_min <= self.slices_max:
             raise ConfigError("need 1 <= slices_min <= slices_max")
-        if not 1 <= self.lesion_span_min <= self.lesion_span_max:
-            raise ConfigError("need 1 <= lesion_span_min <= lesion_span_max")
-        if self.lesion_span_min > self.slices_min:
-            raise ConfigError("lesion_span_min cannot exceed slices_min")
-        if self.min_lesion_pixels < 1:
-            raise ConfigError("min_lesion_pixels must be positive")
+        if self.slices_min < LESION_SPAN_MIN:
+            raise ConfigError(f"slices_min cannot be below the shortest lesion span, "
+                              f"{LESION_SPAN_MIN}")
         if self.noise_sigma < 0.0:
             raise ConfigError("noise_sigma must be non-negative")
         if not 0.0 <= self.distractor_fraction <= 1.0:
             raise ConfigError("distractor_fraction must lie in [0, 1]")
         if not 0.0 <= self.paired_scan_fraction <= 1.0:
             raise ConfigError("paired_scan_fraction must lie in [0, 1]")
-        for name in ("brain_hu", "csf_hu", "blood_hu", "skull_hu"):
-            low, high = getattr(self, name)
-            if not HU_MIN <= low <= high <= HU_MAX:
-                raise ConfigError(f"{name} range must sit inside [{HU_MIN}, {HU_MAX}]")
-        if not HU_MIN <= self.air_hu <= HU_MAX:
-            raise ConfigError("air_hu outside the legal HU range")
-        if self.blood_hu[0] <= self.brain_hu[1]:
-            raise ConfigError("blood HU range must sit above the brain range")
 
 
 @dataclass(frozen=True, eq=False)
 class SynthDataset:
     volumes: list[CtVolume]
     scan_paths: dict[str, str]  # scan_id -> relative volume path
+    slice_labels: dict[str, np.ndarray]  # scan_id -> (num_slices, 5) bool truth
 
 
 def _disc(yy, xx, cy, cx, radius):
@@ -103,11 +98,11 @@ def _ellipse(yy, xx, cy, cx, ry, rx):
     return ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
 
 
-def _grow_until(min_pixels, make_mask, scale: float = 1.0, tries: int = 24):
-    """Enlarge a parametric mask until it carries enough pixels."""
+def _grow_until(make_mask, scale: float = 1.0, tries: int = 24):
+    """Enlarge a parametric mask until it carries MIN_LESION_PIXELS pixels."""
     for _ in range(tries):
         mask = make_mask(scale)
-        if int(mask.sum()) >= min_pixels:
+        if int(mask.sum()) >= MIN_LESION_PIXELS:
             return mask
         scale *= 1.2
     raise InfeasibleError("lesion cannot reach the required pixel count inside the head")
@@ -133,8 +128,7 @@ class _ScanGeometry:
                                   0.30 * self.brain_radius, 0.17 * self.brain_radius)
         self.ventricle &= self.brain
 
-    def lesion_mask(self, hem_type: str, rng: np.random.Generator,
-                    min_pixels: int) -> np.ndarray:
+    def lesion_mask(self, hem_type: str, rng: np.random.Generator) -> np.ndarray:
         yy, xx, cy, cx = self.yy, self.xx, self.cy, self.cx
         radius = self.brain_radius
         angle = rng.uniform(0.0, 2.0 * np.pi)
@@ -147,7 +141,7 @@ class _ScanGeometry:
                 oy = cy + reach * np.sin(angle)
                 ox = cx + reach * np.cos(angle)
                 return self.brain & _disc(yy, xx, oy, ox, rho)
-            return _grow_until(min_pixels, make)
+            return _grow_until(make)
         if hem_type == "sdh":
             thickness0 = rng.uniform(2.5, 4.0)
             half_arc0 = rng.uniform(0.5, 0.9)
@@ -160,7 +154,7 @@ class _ScanGeometry:
                 theta = np.arctan2(yy - cy, xx - cx)
                 delta = np.abs((theta - angle + np.pi) % (2.0 * np.pi) - np.pi)
                 return self.brain & band & (delta <= half_arc)
-            return _grow_until(min_pixels, make)
+            return _grow_until(make)
         if hem_type == "sah":
             num_bands = int(rng.integers(2, 5))
             params = [(rng.uniform(0.45, 0.85) * radius,
@@ -176,14 +170,14 @@ class _ScanGeometry:
                     delta = np.abs((theta - band_angle + np.pi) % (2.0 * np.pi) - np.pi)
                     mask |= ring & (delta <= min(np.pi, half_arc * scale))
                 return self.brain & mask
-            return _grow_until(min_pixels, make)
+            return _grow_until(make)
         if hem_type == "ivh":
             def make(scale):
                 if scale == 1.0:
                     return self.ventricle
                 return self.brain & _ellipse(yy, xx, cy, cx,
                                              0.30 * radius * scale, 0.17 * radius * scale)
-            return _grow_until(min_pixels, make)
+            return _grow_until(make)
         if hem_type == "iph":
             offset = rng.uniform(0.2, 0.5) * radius
             oy = cy + offset * np.sin(angle)
@@ -193,7 +187,7 @@ class _ScanGeometry:
 
             def make(scale):
                 return self.brain & _ellipse(yy, xx, oy, ox, ry0 * scale, rx0 * scale)
-            return _grow_until(min_pixels, make)
+            return _grow_until(make)
         raise ConfigError(f"unknown hemorrhage type {hem_type!r}")
 
 
@@ -208,21 +202,20 @@ def _build_scan(config: SynthConfig, scan_index: int, lesion_types: tuple[str, .
     num_slices = int(rng.integers(config.slices_min, config.slices_max + 1))
     shape = (num_slices, config.height, config.width)
 
-    hu = np.full(shape, float(config.air_hu))
+    hu = np.full(shape, float(AIR_HU))
     skull = np.broadcast_to(geometry.skull, shape)
     brain = np.broadcast_to(geometry.brain, shape)
     ventricle = np.broadcast_to(geometry.ventricle, shape)
-    hu[skull] = rng.uniform(*config.skull_hu, size=shape)[skull]
-    hu[brain] = rng.uniform(*config.brain_hu, size=shape)[brain]
-    hu[ventricle] = rng.uniform(*config.csf_hu, size=shape)[ventricle]
+    hu[skull] = rng.uniform(*SKULL_HU, size=shape)[skull]
+    hu[brain] = rng.uniform(*BRAIN_HU, size=shape)[brain]
+    hu[ventricle] = rng.uniform(*CSF_HU, size=shape)[ventricle]
 
     slice_labels = np.zeros((num_slices, NUM_TYPES), dtype=bool)
     lesion_3d = np.zeros(shape, dtype=bool)
     for hem_type in lesion_types:
-        span = int(rng.integers(config.lesion_span_min,
-                                min(config.lesion_span_max, num_slices) + 1))
+        span = int(rng.integers(LESION_SPAN_MIN, min(LESION_SPAN_MAX, num_slices) + 1))
         start = int(rng.integers(0, num_slices - span + 1))
-        mask = geometry.lesion_mask(hem_type, rng, config.min_lesion_pixels)
+        mask = geometry.lesion_mask(hem_type, rng)
         lesion_3d[start:start + span] |= mask
         slice_labels[start:start + span, HEMORRHAGE_TYPES.index(hem_type)] = True
 
@@ -238,14 +231,14 @@ def _build_scan(config: SynthConfig, scan_index: int, lesion_types: tuple[str, .
         distractor_3d[z] = blob
 
     blood_like = lesion_3d | distractor_3d
-    hu[blood_like] = rng.uniform(*config.blood_hu, size=shape)[blood_like]
+    hu[blood_like] = rng.uniform(*BLOOD_HU, size=shape)[blood_like]
 
     if config.noise_sigma > 0:
         hu += rng.normal(0.0, config.noise_sigma, size=shape)
 
     # Keep blood pixels inside the blood band and clean brain tissue below it,
     # so blood-band pixel counts inside the brain mask are exact by construction.
-    band_low, band_high = config.blood_hu
+    band_low, band_high = BLOOD_HU
     hu[blood_like] = np.clip(hu[blood_like], band_low + 2, band_high - 2)
     clean_brain = brain & ~blood_like
     hu[clean_brain] = np.clip(hu[clean_brain], HU_MIN, band_low - 1)
@@ -293,49 +286,40 @@ def _distractor_flags(config: SynthConfig) -> np.ndarray:
 
 def generate(config: SynthConfig) -> SynthDataset:
     """Build the labeled phantom dataset; byte-identical for a fixed config."""
-    min_dim = min(config.height, config.width)
-    if min_dim < 24:
+    if min(config.height, config.width) < 24:
         raise InfeasibleError("head geometry needs at least 24x24 slices")
-    brain_area = np.pi * (0.42 * min_dim * 0.9) ** 2
-    if config.min_lesion_pixels * 4 > brain_area:
-        raise InfeasibleError(
-            f"min_lesion_pixels={config.min_lesion_pixels} does not fit a "
-            f"{config.height}x{config.width} head")
 
     lesion_types = _type_assignment(config)
     patient_of = _patient_assignment(config)
     distractors = _distractor_flags(config)
     volumes = []
     scan_paths = {}
+    slice_labels = {}
     for index in range(config.num_scans):
         scan_id = f"s{index:04d}"
-        hu, slice_labels = _build_scan(config, index, lesion_types[index], bool(distractors[index]))
-        volumes.append(CtVolume(
-            scan_id=scan_id,
-            patient_id=patient_of[index],
-            slices=hu,
-            slice_thickness_mm=config.slice_thickness_mm,
-            labels=ScanLabels.from_slice_matrix(slice_labels),
-        ))
+        hu, slice_labels[scan_id] = _build_scan(config, index, lesion_types[index],
+                                                bool(distractors[index]))
+        volumes.append(CtVolume(scan_id=scan_id, patient_id=patient_of[index], slices=hu,
+                                slice_thickness_mm=SLICE_THICKNESS_MM))
         scan_paths[scan_id] = f"volumes/{scan_id}.ctv"
-    return SynthDataset(volumes=volumes, scan_paths=scan_paths)
+    return SynthDataset(volumes=volumes, scan_paths=scan_paths, slice_labels=slice_labels)
 
 
 def write_dataset(dataset: SynthDataset, out_dir) -> dict[str, Path]:
-    """Emit volume files, the manifest CSV, and the per-slice label CSV."""
+    """Emit volume files, the manifest CSV (scan flags: the OR of each scan's
+    slice labels), and the per-slice label CSV."""
     out_dir = Path(out_dir)
     manifest_rows = []
-    slice_matrices = {}
     for volume in dataset.volumes:
         rel_path = dataset.scan_paths[volume.scan_id]
         store_volume(volume, out_dir / rel_path)
+        flags = dataset.slice_labels[volume.scan_id].any(axis=0)
         manifest_rows.append(ManifestRow(volume.scan_id, volume.patient_id, rel_path,
-                                         ScanLabels.from_vector(volume.labels.vector())))
-        slice_matrices[volume.scan_id] = volume.labels.slice_labels
+                                         ScanLabels.from_vector(flags)))
     paths = {
         "manifest": out_dir / "manifest.csv",
         "slice_labels": out_dir / "slice_labels.csv",
     }
     save_manifest(manifest_rows, paths["manifest"])
-    save_slice_labels(slice_matrices, paths["slice_labels"])
+    save_slice_labels(dataset.slice_labels, paths["slice_labels"])
     return paths

@@ -1,16 +1,19 @@
-"""CT volume data model, Hounsfield windowing, and the on-disk volume format.
+"""CT volume data model, Hounsfield windowing, the on-disk volume format, and
+per-slice truth.
 
 A volume file is one JSON header line (scan_id, patient_id, height, width,
 num_slices, slice_thickness_mm) terminated by a newline, followed by raw
 little-endian signed 16-bit HU values in slice-major, row-major order.
-Labels are not part of the file; they travel in dataset manifests and in the
-per-slice label CSV.
+Volumes carry pixels only. Scan-level flags travel in dataset manifests and
+per-slice flags in the per-slice label CSV; ``slice_truth`` is the one place
+that joins the two into the per-slice truth a model is fitted to.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,30 +70,15 @@ def stack_channels(slice_hu, specs=DEFAULT_WINDOWS) -> np.ndarray:
     return np.stack([apply_window(slice_hu, spec) for spec in specs])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ScanLabels:
-    """Scan-level hemorrhage labels, optionally backed by a per-slice matrix.
-
-    When ``slice_labels`` (shape num_slices x 5, bool) is present, each
-    scan-level flag must equal the OR over its slice column.
-    """
+    """Scan-level hemorrhage flags, one per type in ``HEMORRHAGE_TYPES`` order."""
 
     edh: bool
     sdh: bool
     sah: bool
     ivh: bool
     iph: bool
-    slice_labels: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.slice_labels is not None:
-            m = np.asarray(self.slice_labels, dtype=bool)
-            if m.ndim != 2 or m.shape[1] != NUM_TYPES:
-                raise DataError(f"slice label matrix must be (num_slices, {NUM_TYPES}), "
-                                f"got {m.shape}")
-            object.__setattr__(self, "slice_labels", m)
-            if not np.array_equal(m.any(axis=0), self.vector()):
-                raise DataError("scan-level labels must equal the OR over slice labels")
 
     def vector(self) -> np.ndarray:
         return np.array([self.edh, self.sdh, self.sah, self.ivh, self.iph], dtype=bool)
@@ -100,16 +88,11 @@ class ScanLabels:
         return bool(self.edh or self.sdh or self.sah or self.ivh or self.iph)
 
     @classmethod
-    def from_vector(cls, vec, slice_labels=None) -> "ScanLabels":
+    def from_vector(cls, vec) -> "ScanLabels":
         vec = [bool(v) for v in vec]
         if len(vec) != NUM_TYPES:
             raise ArityError(f"label vector must have {NUM_TYPES} entries, got {len(vec)}")
-        return cls(*vec, slice_labels=slice_labels)
-
-    @classmethod
-    def from_slice_matrix(cls, matrix) -> "ScanLabels":
-        matrix = np.asarray(matrix, dtype=bool)
-        return cls.from_vector(matrix.any(axis=0), slice_labels=matrix)
+        return cls(*vec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +103,6 @@ class CtVolume:
     patient_id: str
     slices: np.ndarray  # (num_slices, height, width) int16 HU
     slice_thickness_mm: float
-    labels: ScanLabels | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.slices)
@@ -133,9 +115,6 @@ class CtVolume:
         object.__setattr__(self, "slices", np.ascontiguousarray(arr, dtype=np.int16))
         if not self.slice_thickness_mm > 0:
             raise DataError(f"slice thickness must be positive, got {self.slice_thickness_mm}")
-        if self.labels is not None and self.labels.slice_labels is not None:
-            if self.labels.slice_labels.shape[0] != arr.shape[0]:
-                raise DataError("slice label matrix length must match the slice count")
 
     @property
     def num_slices(self) -> int:
@@ -164,7 +143,7 @@ def store_volume(volume: CtVolume, path) -> None:
 
 
 def load_volume(path) -> CtVolume:
-    """Read a volume file. The loaded volume carries no labels."""
+    """Read a volume file."""
     data = Path(path).read_bytes()
     newline = data.find(b"\n")
     if newline < 0:
@@ -256,31 +235,50 @@ def load_slice_labels(path) -> dict[str, np.ndarray]:
     return read_slice_table(path, _SLICE_LABEL_COLUMNS, parse_flags, "slice label CSV")
 
 
-def load_manifest_volumes(manifest_path, slice_labels_path=None, volumes_root=None) -> list[CtVolume]:
-    """Load every volume a manifest references, attaching its labels.
+def load_manifest_volumes(manifest_path,
+                          volumes_root=None) -> tuple[list[ManifestRow], list[CtVolume]]:
+    """The manifest's rows and, in row order, every volume they reference.
 
     Volume paths are resolved relative to ``volumes_root`` (default: the
-    manifest's directory). When a per-slice label CSV is given, it may name
-    only manifest scans, and those it names get their slice matrix attached;
-    scan-level labels always come from the manifest.
+    manifest's directory), and each file's scan_id must equal its row's.
     """
     manifest_path = Path(manifest_path)
     root = Path(volumes_root) if volumes_root is not None else manifest_path.parent
     rows = load_manifest(manifest_path)
-    slice_labels = load_slice_labels(slice_labels_path) if slice_labels_path else {}
-    check_manifest_coverage(slice_labels_path, "slice label CSV", slice_labels, rows,
-                            complete=False)
     volumes = []
     for row in rows:
-        vol = load_volume(root / row.path)
-        if vol.scan_id != row.scan_id:
+        volume = load_volume(root / row.path)
+        if volume.scan_id != row.scan_id:
             raise FormatError(
-                f"{row.path}: file scan_id {vol.scan_id!r} disagrees with manifest {row.scan_id!r}")
-        try:
-            labels = ScanLabels.from_vector(row.labels.vector(),
-                                            slice_labels=slice_labels.get(row.scan_id))
-            volumes.append(CtVolume(vol.scan_id, row.patient_id, vol.slices,
-                                    vol.slice_thickness_mm, labels=labels))
-        except DataError as exc:  # the slice labels disagree with the manifest or the volume
-            raise FormatError(f"{slice_labels_path}: scan {row.scan_id}: {exc}") from exc
-    return volumes
+                f"{row.path}: file scan_id {volume.scan_id!r} disagrees with manifest {row.scan_id!r}")
+        volumes.append(volume)
+    return rows, volumes
+
+
+def slice_truth(rows, num_slices, labels_path=None) -> dict[str, np.ndarray]:
+    """The (slices, 5) bool truth matrix of every manifest row, by scan_id in row order.
+
+    This is the only place per-slice truth is built. ``num_slices`` maps each
+    row's scan_id to its slice count. The per-slice label CSV at
+    ``labels_path`` may name only manifest scans; each matrix it holds must
+    have that many rows and OR to the row's flags. A scan it does not name,
+    or every scan when there is no CSV, gets its flags on every slice, with a
+    warning, since that is a coarser truth.
+    """
+    matrices = load_slice_labels(labels_path) if labels_path else {}
+    check_manifest_coverage(labels_path, "slice label CSV", matrices, rows, complete=False)
+    truth = {}
+    for row in rows:
+        flags, count = row.labels.vector(), num_slices[row.scan_id]
+        matrix = matrices.get(row.scan_id)
+        if matrix is None:
+            warnings.warn(f"{row.scan_id}: no per-slice labels; broadcasting scan labels")
+            matrix = np.tile(flags, (count, 1))
+        elif matrix.shape[0] != count:
+            raise FormatError(f"{labels_path}: scan {row.scan_id}: "
+                              "slice label matrix length must match the slice count")
+        elif not np.array_equal(matrix.any(axis=0), flags):
+            raise FormatError(f"{labels_path}: scan {row.scan_id}: "
+                              "scan-level labels must equal the OR over slice labels")
+        truth[row.scan_id] = matrix
+    return truth

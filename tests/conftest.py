@@ -1,22 +1,18 @@
 import numpy as np
 import pytest
 
-from hemtriage.volume import CtVolume, ScanLabels
+from hemtriage.volume import CtVolume
 
 
 def make_volume(scan_id="s0", patient_id="p0", num_slices=3, height=4, width=4,
-                fill=0, labels=None, seed=None):
+                fill=0, seed=None):
     if seed is None:
         slices = np.full((num_slices, height, width), fill, dtype=np.int16)
     else:
         rng = np.random.default_rng(seed)
         slices = rng.integers(-100, 101, size=(num_slices, height, width)).astype(np.int16)
     return CtVolume(scan_id=scan_id, patient_id=patient_id, slices=slices,
-                    slice_thickness_mm=5.0, labels=labels)
-
-
-def labels_from_matrix(matrix):
-    return ScanLabels.from_slice_matrix(np.asarray(matrix, dtype=bool))
+                    slice_thickness_mm=5.0)
 
 
 class MemorizingClassifier:

@@ -215,11 +215,12 @@ def test_acceptance_5_stacker_benefit():
     dev = [v for v in dataset.volumes if v.patient_id not in eval_patients]
     holdout = [v for v in dataset.volumes if v.patient_id in eval_patients]
 
-    rows = [ManifestRow(v.scan_id, v.patient_id, "x", ScanLabels.from_vector(v.labels.vector()))
+    labels_by_scan = {v.scan_id: dataset.slice_labels[v.scan_id] for v in dev}
+    rows = [ManifestRow(v.scan_id, v.patient_id, "x",
+                        ScanLabels.from_vector(labels_by_scan[v.scan_id].any(axis=0)))
             for v in dev]
     assignment = folds.assign_folds(rows, k=4, seed=0)
     features_by_scan = {v.scan_id: volume_features(v, DEFAULT_WINDOWS) for v in dev}
-    labels_by_scan = {v.scan_id: v.labels.slice_labels for v in dev}
 
     def train_fn(X, Y):
         return gbdt.train_ensemble(X, Y, (slicemodel.DEFAULT_REFERENCE_CONFIG,))
@@ -235,7 +236,7 @@ def test_acceptance_5_stacker_benefit():
     probs_eval = predict_by_scan(full_model.predict,
                                  {v.scan_id: volume_features(v, DEFAULT_WINDOWS) for v in holdout})
     refined_eval = stacker.apply_stacker_all(ensemble, probs_eval, 2)
-    truth = np.array([v.labels.any for v in holdout])
+    truth = np.array([dataset.slice_labels[v.scan_id].any() for v in holdout])
     raw_scores = np.array([aggregate_scan(probs_eval[v.scan_id]).max() for v in holdout])
     stacked_scores = np.array([aggregate_scan(refined_eval[v.scan_id]).max() for v in holdout])
     raw_auc = compute_auc(raw_scores, truth)
@@ -269,7 +270,9 @@ def test_acceptance_7_leakage_sentinel():
                                slices_min=6, slices_max=9, seed=21)
     dataset = synth.generate(config)
     volumes = dataset.volumes
-    rows = [ManifestRow(v.scan_id, v.patient_id, "x", ScanLabels.from_vector(v.labels.vector()))
+    labels_by_scan = dataset.slice_labels
+    rows = [ManifestRow(v.scan_id, v.patient_id, "x",
+                        ScanLabels.from_vector(labels_by_scan[v.scan_id].any(axis=0)))
             for v in volumes]
     assignment = folds.assign_folds(rows, k=4, seed=0)
 
@@ -278,10 +281,9 @@ def test_acceptance_7_leakage_sentinel():
         return np.array([binarize_slice(aggregate_scan(probs_by_scan[v.scan_id]), half)[1]
                          for v in volumes])
 
-    truth = np.array([v.labels.any for v in volumes])
+    truth = np.array([labels_by_scan[v.scan_id].any() for v in volumes])
 
     features_by_scan = {v.scan_id: volume_features(v, DEFAULT_WINDOWS) for v in volumes}
-    labels_by_scan = {v.scan_id: v.labels.slice_labels for v in volumes}
 
     # In-fold: the memorizer saw every scan, so it is perfect by construction.
     in_fold = MemorizingClassifier(np.concatenate(list(features_by_scan.values())),

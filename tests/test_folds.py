@@ -9,7 +9,7 @@ from hemtriage.folds import FoldAssignment, assign_folds, generate_oof, save_fol
 from hemtriage.slicemodel import DEFAULT_REFERENCE_CONFIG, volume_features
 from hemtriage.volume import ManifestRow, ScanLabels
 
-from conftest import MemorizingClassifier, labels_from_matrix, make_volume
+from conftest import MemorizingClassifier, make_volume
 
 
 def row(scan_id, patient_id, vector=(0, 0, 0, 0, 0)):
@@ -109,33 +109,32 @@ class TestFoldCsv:
         assert {r["scan_id"]: int(r["fold"]) for r in records} == assignment.fold_of
 
 
-def two_slice_volume(scan_id, patient_id, positive, seed):
-    matrix = np.zeros((2, 5), dtype=bool)
-    if positive:
-        matrix[:, 0] = True
-    return make_volume(scan_id=scan_id, patient_id=patient_id, num_slices=2,
-                       height=6, width=6, seed=seed, labels=labels_from_matrix(matrix))
-
-
 class TestGenerateOof:
-    def build(self, n=12):
-        volumes = [two_slice_volume(f"s{i}", f"p{i}", positive=i % 3 == 0, seed=100 + i)
-                   for i in range(n)]
-        rows = [row(v.scan_id, v.patient_id,
-                    tuple(int(x) for x in v.labels.vector())) for v in volumes]
-        return volumes, rows
+    @staticmethod
+    def build(n=12, size=6, seed=100, label=lambda i: (0, i % 3 == 0)):
+        """``n`` two-slice scans, one patient each: their volumes, manifest
+        rows and slice label matrices. ``label(i)`` gives the type column
+        scan ``i`` carries on both slices and whether it carries it."""
+        volumes = [make_volume(scan_id=f"s{i}", patient_id=f"p{i}", num_slices=2,
+                               height=size, width=size, seed=seed + i) for i in range(n)]
+        labels = {}
+        for i, volume in enumerate(volumes):
+            column, positive = label(i)
+            labels[volume.scan_id] = np.zeros((2, 5), dtype=bool)
+            labels[volume.scan_id][:, column] = positive
+        rows = [row(v.scan_id, v.patient_id, labels[v.scan_id].any(axis=0)) for v in volumes]
+        return volumes, rows, labels
 
     @staticmethod
-    def matrices(volumes):
-        return ({v.scan_id: volume_features(v) for v in volumes},
-                {v.scan_id: v.labels.slice_labels for v in volumes})
+    def features(volumes):
+        return {v.scan_id: volume_features(v) for v in volumes}
 
     def test_memorizer_cannot_score_oof(self):
         # The leakage sentinel: a memorizing classifier is perfect in-fold by
         # construction, so any out-of-fold perfection would prove leakage.
-        volumes, rows = self.build()
+        volumes, rows, labels = self.build()
         assignment = assign_folds(rows, k=3, seed=0)
-        features, labels = self.matrices(volumes)
+        features = self.features(volumes)
 
         oof = generate_oof(features, labels, assignment, MemorizingClassifier)
         for volume in volumes:
@@ -145,45 +144,37 @@ class TestGenerateOof:
                                        np.concatenate(list(labels.values())))
         for volume in volumes:
             rows_pred = in_fold.predict(features[volume.scan_id])
-            assert np.array_equal(rows_pred >= 0.5, volume.labels.slice_labels)
+            assert np.array_equal(rows_pred >= 0.5, labels[volume.scan_id])
 
     def test_covers_every_slice_once(self):
-        volumes, rows = self.build()
+        volumes, rows, labels = self.build()
         assignment = assign_folds(rows, k=4, seed=0)
-        oof = generate_oof(*self.matrices(volumes), assignment, MemorizingClassifier)
+        oof = generate_oof(self.features(volumes), labels, assignment, MemorizingClassifier)
         assert sorted(oof) == sorted(v.scan_id for v in volumes)
         assert all(oof[v.scan_id].shape == (v.num_slices, 5) for v in volumes)
 
     def test_deterministic(self):
-        volumes, rows = self.build()
+        volumes, rows, labels = self.build()
         assignment = assign_folds(rows, k=3, seed=1)
-        features, labels = self.matrices(volumes)
+        features = self.features(volumes)
         a = generate_oof(features, labels, assignment, MemorizingClassifier)
         b = generate_oof(features, labels, assignment, MemorizingClassifier)
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_missing_assignment_rejected(self):
-        volumes, rows = self.build(6)
+        volumes, rows, labels = self.build(6)
         assignment = FoldAssignment(k=2, fold_of={v.scan_id: 0 for v in volumes[:-1]})
         with pytest.raises(ConfigError):
-            generate_oof(*self.matrices(volumes), assignment, MemorizingClassifier)
+            generate_oof(self.features(volumes), labels, assignment, MemorizingClassifier)
 
     def test_fold_without_positives_warns_and_falls_back(self):
         # All positives for one type live in a single fold: training folds
         # that exclude them see a one-class target and warn (base-rate output).
-        volumes = []
-        for i in range(6):
-            matrix = np.zeros((2, 5), dtype=bool)
-            if i == 0:
-                matrix[:, 4] = True  # only scan 0 carries IPH
-            volumes.append(make_volume(scan_id=f"s{i}", patient_id=f"p{i}", num_slices=2,
-                                       height=8, width=8, seed=300 + i,
-                                       labels=labels_from_matrix(matrix)))
-        rows_ = [row(v.scan_id, v.patient_id, tuple(int(x) for x in v.labels.vector()))
-                 for v in volumes]
-        assignment = assign_folds(rows_, k=3, seed=0)
+        # Only scan 0 carries IPH.
+        volumes, rows, labels = self.build(6, size=8, seed=300, label=lambda i: (4, i == 0))
+        assignment = assign_folds(rows, k=3, seed=0)
         with pytest.warns(UserWarning, match="one class"):
-            oof = generate_oof(*self.matrices(volumes), assignment,
+            oof = generate_oof(self.features(volumes), labels, assignment,
                                lambda X, Y: gbdt.train_ensemble(X, Y, (DEFAULT_REFERENCE_CONFIG,)))
         # s0's model trains without s0's fold, so it never sees an IPH
         # positive and predicts the clipped base rate for that type.

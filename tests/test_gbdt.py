@@ -66,6 +66,31 @@ def brute_force_leaf_gain(X, g, h, rows, lam, min_samples_leaf=1):
     return best
 
 
+def brute_force_level_gains(X, g, h, leaf_of, lam, min_samples_leaf=1):
+    """Oracle: (gain summed over the leaves, feature, threshold) of every split
+    one oblivious level can share across the leaves ``leaf_of``, restricted to
+    splits whose level totals keep min_samples_leaf rows on each side."""
+    def score(grad, hess):
+        return grad * grad / (hess + lam) if hess + lam > 0 else 0.0
+
+    gains = []
+    for feature in range(X.shape[1]):
+        values = np.unique(X[:, feature])
+        for lo, hi in zip(values[:-1], values[1:]):
+            threshold = (lo + hi) / 2
+            left = X[:, feature] <= threshold
+            if min(left.sum(), (~left).sum()) < min_samples_leaf:
+                continue
+            gain = 0.0
+            for leaf in np.unique(leaf_of):
+                rows = leaf_of == leaf
+                gl, hl = g[rows & left].sum(), h[rows & left].sum()
+                gr, hr = g[rows & ~left].sum(), h[rows & ~left].sum()
+                gain += 0.5 * (score(gl, hl) + score(gr, hr) - score(gl + gr, hl + hr))
+            gains.append((gain, feature, threshold))
+    return gains
+
+
 def trees_equal(a, b):
     return (np.array_equal(a.feature, b.feature) and np.array_equal(a.threshold, b.threshold)
             and np.array_equal(a.left, b.left) and np.array_equal(a.right, b.right)
@@ -247,6 +272,41 @@ class TestEngineAgainstOracles:
             assert tree.threshold[node] == low + (high - low) / 2.0
             for child, part in ((tree.left[node], left), (tree.right[node], right)):
                 rows_of[child], depth_of[child] = part, depth_of[node] + 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_rows=st.integers(4, 40),
+           num_features=st.integers(1, 5), min_samples_leaf=st.sampled_from([1, 3]),
+           lam=st.sampled_from([0.0, 1.0]), depth=st.sampled_from([1, 2, 3]))
+    def test_every_oblivious_level_is_a_brute_force_best(self, seed, num_rows, num_features,
+                                                         min_samples_leaf, lam, depth):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 5, (num_rows, num_features)) / 4.0
+        y = rng.integers(0, 2, num_rows).astype(float)
+        y[:2] = (0.0, 1.0)
+        config = gbdt.GbdtConfig(rounds=1, learning_rate=1.0, l2_reg=lam, growth="oblivious",
+                                 max_depth=depth, min_samples_leaf=min_samples_leaf)
+        model = gbdt.train(X, y, config)
+        tree = model.trees[0]
+        p = gbdt._sigmoid(np.full(num_rows, model.base_score))
+        g, h = p - y, p * (1.0 - p)
+        levels = (tree.num_nodes + 1).bit_length() - 2  # a full tree has 2^(levels+1) - 1 nodes
+        leaf_of = np.zeros(num_rows, dtype=np.int64)
+        for level in range(levels + 1):
+            gains = brute_force_level_gains(X, g, h, leaf_of, lam, min_samples_leaf)
+            best = max((gain for gain, _, _ in gains), default=-math.inf)
+            parents = sum(g[leaf_of == leaf].sum() ** 2 / (h[leaf_of == leaf].sum() + lam)
+                          for leaf in np.unique(leaf_of))
+            scale = 1.0 + parents
+            if level == levels:
+                if level < depth:
+                    assert best < -1e-12 * scale  # the next level had nothing to take
+                break
+            node = (1 << level) - 1
+            feature, threshold = tree.feature[node], tree.threshold[node]
+            chosen = [gain for gain, f, t in gains if (f, t) == (feature, threshold)]
+            assert len(chosen) == 1  # a border of the feature that keeps min_samples_leaf
+            assert chosen[0] == pytest.approx(best, rel=1e-12, abs=1e-12 * scale)
+            leaf_of = leaf_of * 2 + (X[:, feature] > threshold)
 
     def test_single_leaf_value_formula(self):
         # One round forced to a single leaf (min_samples_leaf too large to

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hemtriage.errors import ConfigError, InfeasibleError
-from hemtriage.synth import SynthConfig, generate, write_dataset
+from hemtriage.synth import (BLOOD_HU, LESION_SPAN_MIN, MIN_LESION_PIXELS, SynthConfig, generate,
+                             write_dataset)
 from hemtriage.volume import (WindowSpec, apply_window, load_manifest, load_manifest_volumes,
                               load_slice_labels)
 
@@ -13,8 +14,8 @@ def head_interior(hu_slice):
     return (hu_slice > -200) & (hu_slice < 600)
 
 
-def blood_band(hu_slice, config):
-    low, high = config.blood_hu
+def blood_band(hu_slice):
+    low, high = BLOOD_HU
     return (hu_slice >= low) & (hu_slice <= high)
 
 
@@ -26,16 +27,14 @@ class TestConfigValidation:
             SynthConfig(positive_fraction=(0.1, -0.1, 0.1, 0.1, 0.1))
 
     def test_span_must_fit_smallest_scan(self):
+        SynthConfig(slices_min=LESION_SPAN_MIN)
         with pytest.raises(ConfigError):
-            SynthConfig(slices_min=2, lesion_span_min=3)
-
-    def test_blood_must_sit_above_brain(self):
-        with pytest.raises(ConfigError):
-            SynthConfig(brain_hu=(20, 60), blood_hu=(55, 90))
+            SynthConfig(slices_min=LESION_SPAN_MIN - 1)
 
     def test_infeasible_geometry(self):
-        with pytest.raises(InfeasibleError):
-            generate(SynthConfig(num_scans=2, height=24, width=24, min_lesion_pixels=500))
+        generate(SynthConfig(num_scans=2, height=24, width=24))
+        with pytest.raises(InfeasibleError, match="24x24"):
+            generate(SynthConfig(num_scans=2, height=23, width=48))
 
 
 class TestGeneration:
@@ -44,7 +43,7 @@ class TestGeneration:
         b = generate(SMALL)
         for va, vb in zip(a.volumes, b.volumes):
             assert np.array_equal(va.slices, vb.slices)
-            assert np.array_equal(va.labels.slice_labels, vb.labels.slice_labels)
+            assert np.array_equal(a.slice_labels[va.scan_id], b.slice_labels[vb.scan_id])
             assert va.patient_id == vb.patient_id
 
     def test_byte_identical_dataset_files(self, tmp_path):
@@ -56,45 +55,42 @@ class TestGeneration:
     def test_all_negative_config_has_no_blood_band(self):
         dataset = generate(SynthConfig(num_scans=8, positive_fraction=(0,) * 5,
                                        slices_min=6, slices_max=8, seed=2))
-        config = SynthConfig()
+        assert not any(matrix.any() for matrix in dataset.slice_labels.values())
         for volume in dataset.volumes:
-            assert not volume.labels.any
             for hu_slice in volume.slices:
-                assert not (blood_band(hu_slice, config) & head_interior(hu_slice)).any()
+                assert not (blood_band(hu_slice) & head_interior(hu_slice)).any()
 
     def test_exact_positive_counts(self):
         config = SynthConfig(num_scans=100, positive_fraction=(0.06,) * 5, seed=0,
                              slices_min=6, slices_max=9)
         dataset = generate(config)
-        per_type = np.array([volume.labels.vector() for volume in dataset.volumes]).sum(axis=0)
-        assert per_type.tolist() == [6, 6, 6, 6, 6]
-        assert sum(volume.labels.any for volume in dataset.volumes) == 30
+        flags = np.array([matrix.any(axis=0) for matrix in dataset.slice_labels.values()])
+        assert flags.sum(axis=0).tolist() == [6, 6, 6, 6, 6]
+        assert flags.any(axis=1).sum() == 30
 
     def test_positive_slices_carry_blood_footprint(self):
         config = SynthConfig(num_scans=25, positive_fraction=(0.2, 0.2, 0.2, 0.2, 0.2),
                              slices_min=6, slices_max=9, seed=7)
         dataset = generate(config)
         for volume in dataset.volumes:
-            matrix = volume.labels.slice_labels
-            if volume.labels.any:
-                assert matrix.any()
+            matrix = dataset.slice_labels[volume.scan_id]
+            assert matrix.shape == (volume.num_slices, 5)
             for z in range(volume.num_slices):
                 if matrix[z].any():
-                    count = (blood_band(volume.slices[z], config)
+                    count = (blood_band(volume.slices[z])
                              & head_interior(volume.slices[z])).sum()
-                    assert count >= config.min_lesion_pixels
+                    assert count >= MIN_LESION_PIXELS
 
     def test_lesions_span_configured_consecutive_slices(self):
         config = SynthConfig(num_scans=25, positive_fraction=(0.2, 0.2, 0.2, 0.2, 0.2),
-                             lesion_span_min=3, slices_min=8, slices_max=10, seed=3)
+                             slices_min=8, slices_max=10, seed=3)
         dataset = generate(config)
-        for volume in dataset.volumes:
-            matrix = volume.labels.slice_labels
+        for matrix in dataset.slice_labels.values():
             for t in range(5):
                 column = matrix[:, t]
                 if column.any():
                     indices = np.flatnonzero(column)
-                    assert len(indices) >= 3
+                    assert len(indices) >= LESION_SPAN_MIN
                     assert np.all(np.diff(indices) == 1)  # contiguous span
 
     def test_windowing_separability(self):
@@ -103,12 +99,12 @@ class TestGeneration:
         dataset = generate(config)
         brain_window = WindowSpec(40, 80)
         for volume in dataset.volumes:
-            matrix = volume.labels.slice_labels
+            matrix = dataset.slice_labels[volume.scan_id]
             for z in range(volume.num_slices):
                 if not matrix[z].any():
                     continue
                 image = apply_window(volume.slices[z], brain_window)
-                lesion = blood_band(volume.slices[z], config) & head_interior(volume.slices[z])
+                lesion = blood_band(volume.slices[z]) & head_interior(volume.slices[z])
                 other = head_interior(volume.slices[z]) & ~lesion
                 assert image[lesion].mean() - image[other].mean() >= 0.1
 
@@ -116,10 +112,11 @@ class TestGeneration:
         config = SynthConfig(num_scans=12, positive_fraction=(0,) * 5,
                              distractor_fraction=1.0, slices_min=6, slices_max=8, seed=4)
         dataset = generate(config)
+        # Distractors are unlabeled mimics.
+        assert not any(matrix.any() for matrix in dataset.slice_labels.values())
         for volume in dataset.volumes:
-            assert not volume.labels.any  # distractors are unlabeled mimics
             with_blood = [z for z in range(volume.num_slices)
-                          if (blood_band(volume.slices[z], config)
+                          if (blood_band(volume.slices[z])
                               & head_interior(volume.slices[z])).any()]
             assert len(with_blood) == 1
 
@@ -141,15 +138,18 @@ class TestWrittenDataset:
         paths = write_dataset(dataset, tmp_path)
         rows = load_manifest(paths["manifest"])
         assert [r.scan_id for r in rows] == [v.scan_id for v in dataset.volumes]
-        volumes = load_manifest_volumes(paths["manifest"], paths["slice_labels"])
+        for row in rows:
+            assert np.array_equal(row.labels.vector(),
+                                  dataset.slice_labels[row.scan_id].any(axis=0))
+        _, volumes = load_manifest_volumes(paths["manifest"])
         for original, loaded in zip(dataset.volumes, volumes):
             assert np.array_equal(original.slices, loaded.slices)
             assert loaded.patient_id == original.patient_id
-            assert np.array_equal(loaded.labels.slice_labels, original.labels.slice_labels)
 
     def test_slice_label_csv_matches(self, tmp_path):
         dataset = generate(SMALL)
         paths = write_dataset(dataset, tmp_path)
         matrices = load_slice_labels(paths["slice_labels"])
-        for volume in dataset.volumes:
-            assert np.array_equal(matrices[volume.scan_id], volume.labels.slice_labels)
+        assert list(matrices) == list(dataset.slice_labels)
+        for scan_id, matrix in dataset.slice_labels.items():
+            assert np.array_equal(matrices[scan_id], matrix)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,9 +8,9 @@ from hemtriage.errors import ArityError, ConfigError, DataError, FormatError
 from hemtriage.volume import (DEFAULT_WINDOWS, CtVolume, ManifestRow, ScanLabels, WindowSpec,
                               apply_window, load_manifest, load_manifest_volumes,
                               load_slice_labels, load_volume, save_manifest, save_slice_labels,
-                              stack_channels, store_volume)
+                              slice_truth, stack_channels, store_volume)
 
-from conftest import make_volume, labels_from_matrix
+from conftest import make_volume
 
 BRAIN = WindowSpec(40, 80)
 
@@ -91,19 +93,6 @@ class TestCtVolume:
         bad = np.full((1, 2, 2), 5000)
         with pytest.raises(DataError):
             CtVolume("s", "p", bad, 5.0)
-
-    def test_slice_label_length_checked(self):
-        labels = labels_from_matrix(np.zeros((2, 5)))
-        with pytest.raises(DataError):
-            make_volume(num_slices=3, labels=labels)
-
-    def test_scan_label_must_match_slice_or(self):
-        matrix = np.zeros((3, 5), dtype=bool)
-        matrix[1, 2] = True
-        with pytest.raises(DataError):
-            ScanLabels(False, False, False, False, False, slice_labels=matrix)
-        ok = ScanLabels.from_slice_matrix(matrix)
-        assert ok.sah and ok.any and not ok.edh
 
     def test_any_derivation(self):
         assert not ScanLabels.from_vector([0, 0, 0, 0, 0]).any
@@ -229,16 +218,61 @@ class TestSliceLabelCsv:
             load_slice_labels(path)
 
 
+def manifest_row(scan_id, flags=(0,) * 5):
+    return ManifestRow(scan_id, f"p{scan_id}", f"{scan_id}.ctv", ScanLabels.from_vector(flags))
+
+
 class TestManifestVolumes:
+    """load_manifest_volumes reads pixels only; slice_truth is the one place the
+    manifest's scan flags and the per-slice label CSV are joined and checked
+    against each other and the slice counts."""
+
+    def test_rows_and_volumes_in_row_order(self, tmp_path):
+        rows = [manifest_row("s1", (0, 1, 0, 0, 0)), manifest_row("s0")]
+        for row, n in zip(rows, (2, 4)):
+            store_volume(make_volume(row.scan_id, num_slices=n, seed=n), tmp_path / row.path)
+        save_manifest(rows, tmp_path / "manifest.csv")
+        loaded_rows, volumes = load_manifest_volumes(tmp_path / "manifest.csv")
+        assert loaded_rows == rows
+        assert [(v.scan_id, v.num_slices) for v in volumes] == [("s1", 2), ("s0", 4)]
+
     @pytest.mark.parametrize("matrix, match", [
         ([[0, 0, 1, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]], "OR over slice labels"),
         ([[0, 0, 0, 0, 0], [0, 0, 0, 0, 0]], "slice count"),
     ])
     def test_slice_labels_must_agree_with_manifest_and_volume(self, tmp_path, matrix, match):
-        store_volume(make_volume("s0", num_slices=3), tmp_path / "s0.ctv")
-        save_manifest([ManifestRow("s0", "p0", "s0.ctv", ScanLabels.from_vector([0] * 5))],
-                      tmp_path / "manifest.csv")
         labels = tmp_path / "labels.csv"
         save_slice_labels({"s0": np.array(matrix, dtype=bool)}, labels)
         with pytest.raises(FormatError, match=rf"labels\.csv: scan s0: .*{match}"):
-            load_manifest_volumes(tmp_path / "manifest.csv", labels)
+            slice_truth([manifest_row("s0")], {"s0": 3}, labels)
+
+    def test_scan_outside_manifest_rejected(self, tmp_path):
+        labels = tmp_path / "labels.csv"
+        save_slice_labels({"s0": np.zeros((3, 5), dtype=bool),
+                           "ghost": np.zeros((2, 5), dtype=bool)}, labels)
+        with pytest.raises(ConfigError, match=rf"labels\.csv: slice label CSV has 1 scans "
+                                              rf"not in the manifest: \['ghost'\]"):
+            slice_truth([manifest_row("s0")], {"s0": 3}, labels)
+
+    def test_unlabelled_scan_broadcasts_its_flags(self, tmp_path):
+        labels = tmp_path / "labels.csv"
+        save_slice_labels({"s0": np.zeros((3, 5), dtype=bool)}, labels)
+        flags = np.array([0, 1, 0, 0, 1], dtype=bool)
+        with pytest.warns(UserWarning, match="s1: no per-slice labels; broadcasting"):
+            truth = slice_truth([manifest_row("s0"), manifest_row("s1", flags)],
+                                {"s0": 3, "s1": 4}, labels)
+        assert truth["s1"].dtype == bool
+        assert np.array_equal(truth["s1"], np.tile(flags, (4, 1)))
+        assert np.array_equal(truth["s0"], np.zeros((3, 5), dtype=bool))
+
+    def test_follows_manifest_row_order(self, tmp_path):
+        labels = tmp_path / "labels.csv"
+        matrices = {"s0": np.eye(2, 5, dtype=bool), "s2": np.zeros((1, 5), dtype=bool)}
+        save_slice_labels(matrices, labels)
+        rows = [manifest_row("s2"), manifest_row("s1"), manifest_row("s0", (1, 1, 0, 0, 0))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            truth = slice_truth(rows, {"s0": 2, "s1": 5, "s2": 1}, labels)
+        assert list(truth) == ["s2", "s1", "s0"]
+        assert np.array_equal(truth["s0"], matrices["s0"])
+        assert truth["s1"].shape == (5, 5) and not truth["s1"].any()
