@@ -37,18 +37,27 @@ A split with zero gain is accepted on mixed-label nodes. Degenerate targets
 like 4-point XOR are perfectly symmetric at the base score, so every root
 candidate has exactly zero gain; refusing those splits would freeze training
 at log loss ln 2 forever. Label-pure nodes are never split.
+
+Model files have one layout, known only here: ``save_ensemble`` writes an
+ensemble as one ``hemtriage/<kind>`` JSON record (format tag, version, the
+caller's own fields, then the groups of models) and ``load_ensemble`` is the
+only code that reads one back. The slice model and the stacker are both such
+records, and each of their modules checks only its own fields.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityError, ConfigError, DataError, FormatError, TrainingError
+from .errors import (ArityError, ConfigError, DataError, FormatError, PipelineError,
+                     TrainingError)
+from .fileio import atomic_write_text, read_json
 
 GROWTH_MODES = ("leafwise", "depthwise", "oblivious")
 
@@ -58,12 +67,18 @@ _PROB_CLIP = 1e-6
 # a relative noise floor instead of an exact >= 0 comparison.
 _GAIN_NOISE_RELATIVE = 1e-12
 _OBLIVIOUS_MAX_BORDERS = 63
-_MODEL_FORMAT = "hemtriage/gbdt-model"
-_ENSEMBLE_FORMAT = "hemtriage/gbdt-ensemble"
 
 
 @dataclass(frozen=True)
 class GbdtConfig:
+    """Training setup of one booster.
+
+    Every growth mode reads ``rounds``, ``learning_rate``, ``min_samples_leaf``
+    and ``l2_reg``. Leafwise growth also reads ``max_leaves`` and, when set,
+    ``max_depth``; depthwise growth reads both; oblivious growth reads only
+    ``max_depth``, since each of its levels splits every leaf in two.
+    """
+
     rounds: int = 200
     learning_rate: float = 0.05
     max_leaves: int = 31
@@ -96,7 +111,7 @@ def default_presets(rounds: int = 200) -> tuple[GbdtConfig, ...]:
     return (
         GbdtConfig(rounds=rounds, learning_rate=0.05, max_leaves=31,
                    growth="leafwise", l2_reg=1.0),
-        GbdtConfig(rounds=rounds, learning_rate=0.05, max_leaves=64, max_depth=6,
+        GbdtConfig(rounds=rounds, learning_rate=0.05, max_depth=6,
                    growth="oblivious", l2_reg=1.0),
         GbdtConfig(rounds=rounds, learning_rate=0.05, max_leaves=64, max_depth=6,
                    growth="depthwise", l2_reg=1.0),
@@ -116,6 +131,11 @@ class Tree:
     @property
     def num_nodes(self) -> int:
         return len(self.feature)
+
+
+#: Tree arrays in node-record order, with the dtype each is held in.
+_TREE_DTYPES = {"feature": np.int32, "threshold": np.float64, "left": np.int32,
+                "right": np.int32, "value": np.float64}
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,14 +280,8 @@ class _TreeBuilder:
         self.nodes[node] = [feature, threshold, left, right, 0.0]
 
     def build(self) -> Tree:
-        feature, threshold, left, right, value = zip(*self.nodes)
-        return Tree(
-            feature=np.asarray(feature, dtype=np.int32),
-            threshold=np.asarray(threshold, dtype=np.float64),
-            left=np.asarray(left, dtype=np.int32),
-            right=np.asarray(right, dtype=np.int32),
-            value=np.asarray(value, dtype=np.float64),
-        )
+        return Tree(**{name: np.asarray(column, dtype=dtype)
+                       for (name, dtype), column in zip(_TREE_DTYPES.items(), zip(*self.nodes))})
 
 
 class _Bins:
@@ -528,59 +542,51 @@ def train_ensemble(features, labels, configs) -> GbdtEnsemble:
     return GbdtEnsemble(groups=tuple(groups))
 
 
-def _tree_to_json(tree: Tree) -> dict:
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "value": tree.value.tolist(),
-    }
+def save_ensemble(ensemble: GbdtEnsemble, kind: str, version: int, fields: dict, path) -> None:
+    """Write ``ensemble`` as one ``hemtriage/<kind>`` record: the format tag,
+    ``version``, the caller's ``fields``, then ``groups``, each a list of
+    ``{base_score, num_features, trees}`` models in type order."""
+    groups = [[{"base_score": model.base_score, "num_features": model.num_features,
+                "trees": [{name: getattr(tree, name).tolist() for name in _TREE_DTYPES}
+                          for tree in model.trees]} for model in group]
+              for group in ensemble.groups]
+    record = {"format": f"hemtriage/{kind}", "version": version, **fields, "groups": groups}
+    atomic_write_text(path, json.dumps(record) + "\n")
 
 
-def _tree_from_json(payload: dict) -> Tree:
+def load_ensemble(path, kind: str, version: int, num_types: int) -> tuple[GbdtEnsemble, dict]:
+    """The ensemble in a ``save_ensemble`` record at ``path``, and the record,
+    whose other fields the caller checks. The only reader of model files: a
+    wrong tag or version, a malformed group or model, a tree ``predict``
+    cannot walk or a type count other than ``num_types`` raises a
+    ``FormatError`` naming the file."""
+    record = read_json(path, kind)
+    tag = f"hemtriage/{kind}"
+    if not isinstance(record, dict) or record.get("format") != tag:
+        raise FormatError(f"{path}: not a {tag} record")
+    if record.get("version") != version:
+        raise FormatError(f"{path}: unsupported version {record.get('version')!r}")
     try:
-        tree = Tree(
-            feature=np.asarray(payload["feature"], dtype=np.int32),
-            threshold=np.asarray(payload["threshold"], dtype=np.float64),
-            left=np.asarray(payload["left"], dtype=np.int32),
-            right=np.asarray(payload["right"], dtype=np.int32),
-            value=np.asarray(payload["value"], dtype=np.float64),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"malformed tree record: {exc}") from exc
-    lengths = {tree.feature.size, tree.threshold.size, tree.left.size,
-               tree.right.size, tree.value.size}
-    if len(lengths) != 1 or tree.feature.size == 0:
-        raise FormatError("tree arrays must be non-empty and equal length")
-    return tree
+        ensemble = GbdtEnsemble(groups=tuple(tuple(_model_from_json(model) for model in group)
+                                             for group in record["groups"]))
+    except (KeyError, TypeError, ValueError, OverflowError, PipelineError) as exc:
+        raise FormatError(f"{path}: malformed {kind} record: {exc}") from exc
+    if ensemble.num_types != num_types:
+        raise FormatError(f"{path}: a {kind} must cover {num_types} types, "
+                          f"got {ensemble.num_types}")
+    return ensemble, record
 
 
-def model_to_json(model: GbdtModel) -> dict:
-    return {
-        "format": _MODEL_FORMAT,
-        "version": 1,
-        "base_score": model.base_score,
-        "num_features": model.num_features,
-        "trees": [_tree_to_json(tree) for tree in model.trees],
-    }
-
-
-def model_from_json(payload: dict) -> GbdtModel:
-    if not isinstance(payload, dict) or payload.get("format") != _MODEL_FORMAT:
-        raise FormatError(f"not a {_MODEL_FORMAT} record")
-    if payload.get("version") != 1:
-        raise FormatError(f"unsupported model version {payload.get('version')!r}")
-    try:
-        model = GbdtModel(
-            base_score=float(payload["base_score"]),
-            trees=tuple(_tree_from_json(t) for t in payload["trees"]),
-            num_features=int(payload["num_features"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"malformed model record: {exc}") from exc
-    if not math.isfinite(model.base_score):
-        raise FormatError("model base_score must be finite")
+def _model_from_json(record: dict) -> GbdtModel:
+    base_score, num_features = record["base_score"], record["num_features"]
+    if type(num_features) is not int:
+        raise FormatError(f"model num_features must be an integer, got {num_features!r}")
+    if type(base_score) not in (int, float) or not math.isfinite(base_score):
+        raise FormatError(f"model base_score must be a finite number, got {base_score!r}")
+    trees = tuple(Tree(**{name: np.asarray(tree[name], dtype=dtype)
+                          for name, dtype in _TREE_DTYPES.items()})
+                  for tree in record["trees"])
+    model = GbdtModel(float(base_score), trees, num_features)
     _check_trees(model)
     return model
 
@@ -591,12 +597,16 @@ def _check_trees(model: GbdtModel) -> None:
     both children after themselves (the growers always number them so)."""
     if not model.trees:
         return
-    sizes = np.array([tree.num_nodes for tree in model.trees])
+    sizes = [tree.num_nodes for tree in model.trees]
+    if 0 in sizes or any([len(getattr(tree, name)) for tree in model.trees] != sizes
+                         for name in _TREE_DTYPES):
+        raise FormatError("tree arrays must be non-empty and of equal length")
+    feature, threshold, left, right, value = columns = [
+        np.concatenate([getattr(tree, name) for tree in model.trees]) for name in _TREE_DTYPES]
+    if any(column.ndim != 1 for column in columns):
+        raise FormatError("tree arrays must be flat lists")
     size = np.repeat(sizes, sizes)
     node = np.arange(size.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    feature, threshold, left, right, value = (
-        np.concatenate([getattr(tree, name) for tree in model.trees])
-        for name in ("feature", "threshold", "left", "right", "value"))
     if not ((feature >= -1) & (feature < model.num_features)).all():
         raise FormatError(f"tree feature index outside [0, {model.num_features})")
     leaf = feature == -1
@@ -605,23 +615,3 @@ def _check_trees(model: GbdtModel) -> None:
         raise FormatError("tree child index out of order or out of range")
     if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
         raise FormatError("tree thresholds and values must be finite")
-
-
-def ensemble_to_json(ensemble: GbdtEnsemble) -> dict:
-    return {
-        "format": _ENSEMBLE_FORMAT,
-        "version": 1,
-        "groups": [[model_to_json(model) for model in group] for group in ensemble.groups],
-    }
-
-
-def ensemble_from_json(payload: dict) -> GbdtEnsemble:
-    if not isinstance(payload, dict) or payload.get("format") != _ENSEMBLE_FORMAT:
-        raise FormatError(f"not a {_ENSEMBLE_FORMAT} record")
-    if payload.get("version") != 1:
-        raise FormatError(f"unsupported ensemble version {payload.get('version')!r}")
-    try:
-        groups = tuple(tuple(model_from_json(m) for m in group) for group in payload["groups"])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed ensemble record: {exc}") from exc
-    return GbdtEnsemble(groups=groups)

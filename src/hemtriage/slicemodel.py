@@ -5,9 +5,11 @@ per-type probabilities. External models (for instance trained deep networks)
 plug in through the slice-probability CSV (``save_slice_probs`` /
 ``load_slice_probs``); weighing, stacking and thresholding read only that.
 The reference model ships in-repo: a one-group ``gbdt.GbdtEnsemble``, one
-booster per type over handcrafted windowed-intensity features. Its file
-records the slice shape it was trained on, because the histogram features
-are raw pixel counts that only compare across one slice size.
+booster per type over handcrafted windowed-intensity features. Its file is a
+``gbdt.save_ensemble`` record of kind ``slice-model``, version 3, whose own
+fields are the model ``identity``, its three ``windows`` and the
+``slice_shape`` it was trained on, because the histogram features are raw
+pixel counts that only compare across one slice size.
 
 Volumes go to probabilities on one path: ``volume_features`` featurizes every
 slice of a volume once, and ``predict_by_scan`` runs one predict call over
@@ -17,14 +19,13 @@ fraction n/N (1-based slice index over slice count).
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 import numpy as np
 
 from . import gbdt
 from .errors import DataError, FormatError, PipelineError
-from .fileio import atomic_write_text, read_json, read_slice_table, write_csv
+from .fileio import read_slice_table, write_csv
 from .volume import (DEFAULT_WINDOWS, HEMORRHAGE_TYPES, NUM_TYPES, CtVolume, WindowSpec,
                      stack_channels)
 
@@ -34,7 +35,8 @@ CHANNEL_FEATURES = HISTOGRAM_BINS + 6  # hist, mean, std, p5, p50, p95, band fra
 FEATURE_LENGTH = 3 * CHANNEL_FEATURES + 1  # plus slice position fraction
 
 _PROB_COLUMNS = ("scan_id", "slice_index") + tuple(f"p_{t}" for t in HEMORRHAGE_TYPES)
-_SLICE_MODEL_FORMAT = "hemtriage/slice-model"
+_SLICE_MODEL_KIND = "slice-model"
+_SLICE_MODEL_VERSION = 3
 
 #: Reference model training setup; small trees keep per-fold training cheap.
 DEFAULT_REFERENCE_CONFIG = gbdt.GbdtConfig(
@@ -121,36 +123,29 @@ class SliceInput(NamedTuple):
 
 def save_slice_model(ensemble: gbdt.GbdtEnsemble, identity: str, expected: SliceInput,
                      path) -> None:
-    payload = {
-        "format": _SLICE_MODEL_FORMAT,
-        "version": 2,
-        "identity": identity,
-        "windows": [[spec.center, spec.width] for spec in expected.windows],
-        "slice_shape": list(expected.shape),
-        "models": [gbdt.model_to_json(m) for m in ensemble.models],
-    }
-    atomic_write_text(path, json.dumps(payload) + "\n")
+    gbdt.save_ensemble(ensemble, _SLICE_MODEL_KIND, _SLICE_MODEL_VERSION,
+                       {"identity": identity,
+                        "windows": [[spec.center, spec.width] for spec in expected.windows],
+                        "slice_shape": list(expected.shape)}, path)
 
 
 def load_slice_model(path) -> tuple[gbdt.GbdtEnsemble, SliceInput]:
-    payload = read_json(path, "slice model")
-    if not isinstance(payload, dict) or payload.get("format") != _SLICE_MODEL_FORMAT:
-        raise FormatError(f"{path}: not a {_SLICE_MODEL_FORMAT} record")
-    if payload.get("version") != 2:
-        raise FormatError(f"{path}: unsupported version {payload.get('version')!r}")
+    ensemble, record = gbdt.load_ensemble(path, _SLICE_MODEL_KIND, _SLICE_MODEL_VERSION,
+                                          NUM_TYPES)
+    if (len(ensemble.groups), ensemble.num_features) != (1, FEATURE_LENGTH):
+        raise FormatError(f"{path}: a slice model needs one group of {FEATURE_LENGTH}-feature "
+                          f"models, got {len(ensemble.groups)} groups of "
+                          f"{ensemble.num_features}-feature models")
+    if not isinstance(record.get("identity"), str):
+        raise FormatError(f"{path}: slice model identity must be a string")
     try:
-        windows = tuple(WindowSpec(float(c), float(w)) for c, w in payload["windows"])
-        models = tuple(gbdt.model_from_json(m) for m in payload["models"])
-        ensemble = gbdt.GbdtEnsemble(groups=(models,))
-    except (KeyError, TypeError, ValueError, PipelineError) as exc:
-        raise FormatError(f"{path}: malformed slice model: {exc}") from exc
+        windows = tuple(WindowSpec(float(c), float(w)) for c, w in record["windows"])
+    except (KeyError, TypeError, ValueError, OverflowError, PipelineError) as exc:
+        raise FormatError(f"{path}: malformed slice model windows: {exc}") from exc
     if len(windows) != 3:
         raise FormatError(f"{path}: slice model must carry 3 windows")
-    shape = payload.get("slice_shape")
+    shape = record.get("slice_shape")
     if not (isinstance(shape, list) and len(shape) == 2
             and all(type(side) is int and side >= 1 for side in shape)):
         raise FormatError(f"{path}: slice_shape must be two positive integers, got {shape!r}")
-    if (ensemble.num_types, ensemble.num_features) != (NUM_TYPES, FEATURE_LENGTH):
-        raise FormatError(f"{path}: a slice model needs {NUM_TYPES} models of {FEATURE_LENGTH} "
-                          f"features, got {ensemble.num_types} of {ensemble.num_features}")
     return ensemble, SliceInput(windows, tuple(shape))

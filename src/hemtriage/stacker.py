@@ -3,22 +3,22 @@
 Each slice's meta-feature row is the flattened window of probability vectors
 from ``delta_s`` slices on each side (edge replication at scan boundaries, so
 boundary slices are not biased toward "no hemorrhage"). The stacker refines
-every slice's 5-vector with one boosted model per type per preset.
+every slice's 5-vector with one boosted model per type per preset. Its file
+is a ``gbdt.save_ensemble`` record of kind ``stacker-model``, version 2,
+whose one own field is ``delta_s``.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from . import gbdt
-from .errors import ArityError, ConfigError, DataError, FormatError, PipelineError
-from .fileio import atomic_write_text, read_json
+from .errors import ArityError, ConfigError, DataError, FormatError
 from .slicemodel import predict_by_scan
 from .volume import NUM_TYPES
 
-_STACKER_FORMAT = "hemtriage/stacker-model"
+_STACKER_KIND = "stacker-model"
+_STACKER_VERSION = 2
 
 
 def window_length(delta_s: int) -> int:
@@ -91,29 +91,13 @@ def apply_stacker_all(ensemble: gbdt.GbdtEnsemble, probs_by_scan, delta_s: int
 
 
 def save_stacker_model(ensemble: gbdt.GbdtEnsemble, delta_s: int, path) -> None:
-    payload = {
-        "format": _STACKER_FORMAT,
-        "version": 1,
-        "delta_s": delta_s,
-        "ensemble": gbdt.ensemble_to_json(ensemble),
-    }
-    atomic_write_text(path, json.dumps(payload) + "\n")
+    gbdt.save_ensemble(ensemble, _STACKER_KIND, _STACKER_VERSION, {"delta_s": delta_s}, path)
 
 
 def load_stacker_model(path) -> tuple[gbdt.GbdtEnsemble, int]:
-    payload = read_json(path, "stacker model")
-    if not isinstance(payload, dict) or payload.get("format") != _STACKER_FORMAT:
-        raise FormatError(f"{path}: not a {_STACKER_FORMAT} record")
-    if payload.get("version") != 1:
-        raise FormatError(f"{path}: unsupported version {payload.get('version')!r}")
-    try:
-        delta_s = int(payload["delta_s"])
-        ensemble = gbdt.ensemble_from_json(payload["ensemble"])
-    except (KeyError, TypeError, ValueError, OverflowError, PipelineError) as exc:
-        raise FormatError(f"{path}: malformed stacker model: {exc}") from exc
-    if ensemble.num_types != NUM_TYPES:
-        raise FormatError(f"{path}: stacker model must cover {NUM_TYPES} types, "
-                          f"got {ensemble.num_types}")
-    if ensemble.num_features != window_length(delta_s):
-        raise FormatError(f"{path}: stored delta_s disagrees with ensemble feature count")
+    ensemble, record = gbdt.load_ensemble(path, _STACKER_KIND, _STACKER_VERSION, NUM_TYPES)
+    delta_s = record.get("delta_s")
+    if type(delta_s) is not int or delta_s < 0 or window_length(delta_s) != ensemble.num_features:
+        raise FormatError(f"{path}: delta_s must be a non-negative integer giving the "
+                          f"ensemble's {ensemble.num_features} features, got {delta_s!r}")
     return ensemble, delta_s

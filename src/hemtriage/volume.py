@@ -240,7 +240,8 @@ def load_manifest_volumes(manifest_path,
     """The manifest's rows and, in row order, every volume they reference.
 
     Volume paths are resolved relative to ``volumes_root`` (default: the
-    manifest's directory), and each file's scan_id must equal its row's.
+    manifest's directory), and each file's scan_id and patient_id must equal
+    its row's.
     """
     manifest_path = Path(manifest_path)
     root = Path(volumes_root) if volumes_root is not None else manifest_path.parent
@@ -251,6 +252,9 @@ def load_manifest_volumes(manifest_path,
         if volume.scan_id != row.scan_id:
             raise FormatError(
                 f"{row.path}: file scan_id {volume.scan_id!r} disagrees with manifest {row.scan_id!r}")
+        if volume.patient_id != row.patient_id:
+            raise FormatError(f"{row.path}: file patient_id {volume.patient_id!r} disagrees "
+                              f"with manifest {row.patient_id!r}")
         volumes.append(volume)
     return rows, volumes
 

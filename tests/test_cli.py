@@ -280,6 +280,21 @@ class TestVolumeContracts:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["slice-train", "oof", "slice-predict"])
+    def test_volume_of_another_patient_rejected(self, pipeline_dir, tmp_path, capsys, command):
+        # oof groups folds by the manifest's patient ids, so a row that names
+        # another patient than its file would split one patient across folds.
+        text = (pipeline_dir / "data" / "manifest.csv").read_text()
+        row = next(csv.DictReader(text.splitlines()))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(text.replace(f"{row['scan_id']},{row['patient_id']},",
+                                         f"{row['scan_id']},pOTHER,", 1))
+        out = tmp_path / "out"
+        assert run(self.argv(command, pipeline_dir, manifest, out)) == 1
+        assert (f"{row['path']}: file patient_id {row['patient_id']!r} disagrees with manifest "
+                "'pOTHER'" in capsys.readouterr().err)
+        assert not out.exists()
+
     @staticmethod
     def drop_last_slice(labels):
         labels["s0005"] = labels["s0005"][:-1]

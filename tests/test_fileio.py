@@ -156,6 +156,18 @@ JSON_LOADERS = {
     "stacker model": (write_stacker_model, load_stacker_model),
 }
 
+
+@pytest.mark.parametrize("write, load, kind", [
+    (write_slice_model, load_stacker_model, "stacker-model"),
+    (write_stacker_model, load_slice_model, "slice-model"),
+])
+def test_model_file_of_the_other_kind_rejected(tmp_path, write, load, kind):
+    path = tmp_path / "model.json"
+    write(path)
+    with pytest.raises(PipelineError, match=f"model.json: not a hemtriage/{kind} record"):
+        load(path)
+
+
 OVERFLOW = "overflowing number"  # written as 1e999, which reads as infinity
 odd_values = st.sampled_from([None, True, "x", [], {}, [1, 2], [[0]], {"a": 1}, 0, -1, 0.5,
                               2 ** 31, -2 ** 63, 10 ** 30, float("nan"), float("inf"),

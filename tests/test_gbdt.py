@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hemtriage import gbdt
-from hemtriage.errors import ArityError, ConfigError, DataError, TrainingError
+from hemtriage.errors import ArityError, ConfigError, DataError, FormatError, TrainingError
 from hemtriage.metrics import log_loss
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -520,48 +521,122 @@ class TestEnsemble:
 
 
 class TestPersistence:
-    def test_model_round_trip_bit_exact(self, rng):
+    """File round trips through save_ensemble / load_ensemble, the one
+    model-file writer and reader."""
+
+    KIND, VERSION = "test-model", 7
+
+    def save(self, ensemble, path, fields=None):
+        gbdt.save_ensemble(ensemble, self.KIND, self.VERSION, fields or {}, path)
+        return json.loads(path.read_text())
+
+    def load(self, path, num_types=1):
+        return gbdt.load_ensemble(path, self.KIND, self.VERSION, num_types)
+
+    @staticmethod
+    def write(record, path):
+        # Python's infinity token is not JSON; 1e999 is, and reads as infinity.
+        path.write_text(json.dumps(record).replace("Infinity", "1e999"))
+
+    def test_model_round_trip_bit_exact(self, tmp_path, rng):
         X = rng.random((50, 4))
         y = (X[:, 0] > 0.5).astype(float)
         model = gbdt.train(X, y, gbdt.GbdtConfig(rounds=12, growth="leafwise"))
-        payload = gbdt.model_to_json(model)
-        import json
-        restored = gbdt.model_from_json(json.loads(json.dumps(payload)))
+        path = tmp_path / "model.json"
+        self.save(gbdt.GbdtEnsemble(groups=((model,),)), path)
+        (restored,) = self.load(path)[0].models
         assert restored.base_score == model.base_score
         assert restored.num_features == model.num_features
+        assert len(restored.trees) == len(model.trees)
         assert all(trees_equal(a, b) for a, b in zip(model.trees, restored.trees))
         probe = rng.random((20, 4))
         assert np.array_equal(gbdt.predict(model, probe), gbdt.predict(restored, probe))
 
-    def test_ensemble_round_trip(self, rng):
+    def test_ensemble_round_trip_bit_exact(self, tmp_path, rng):
         X = rng.random((40, 3))
         Y = rng.integers(0, 2, (40, 5)).astype(float)
-        configs = gbdt.default_presets(rounds=4)
-        ensemble = gbdt.train_ensemble(X, Y, configs)
-        import json
-        payload = json.loads(json.dumps(gbdt.ensemble_to_json(ensemble)))
-        restored = gbdt.ensemble_from_json(payload)
+        ensemble = gbdt.train_ensemble(X, Y, gbdt.default_presets(rounds=4))
+        path = tmp_path / "model.json"
+        self.save(ensemble, path)
+        restored, _ = self.load(path, num_types=5)
+        assert [len(group) for group in restored.groups] == [5, 5, 5]
+        for model, back in zip(ensemble.models, restored.models):
+            assert back.base_score == model.base_score
+            assert all(trees_equal(a, b) for a, b in zip(model.trees, back.trees))
         probe = rng.random((10, 3))
         assert np.array_equal(ensemble.predict(probe), restored.predict(probe))
 
-    def test_rejects_foreign_payload(self):
-        from hemtriage.errors import FormatError
-        with pytest.raises(FormatError):
-            gbdt.model_from_json({"format": "something-else", "version": 1})
+    def test_record_layout_and_caller_fields(self, tmp_path):
+        model = gbdt.GbdtModel(base_score=0.25, trees=(), num_features=2)
+        path = tmp_path / "model.json"
+        record = self.save(gbdt.GbdtEnsemble(groups=((model,),)), path, {"note": "kept"})
+        assert list(record) == ["format", "version", "note", "groups"]
+        assert record["format"] == "hemtriage/test-model"
+        assert record["groups"] == [[{"base_score": 0.25, "num_features": 2, "trees": []}]]
+        assert self.load(path)[1] == record
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"format": "something-else"}, "not a hemtriage/test-model record"),
+        ({"version": 6}, "unsupported version 6"),
+        ({"groups": {"a": []}}, "malformed test-model record"),
+        ({"groups": [{}]}, "malformed test-model record"),
+        ({"groups": [[[]]]}, "malformed test-model record"),
+        ({"groups": []}, "malformed test-model record: .*at least one model group"),
+        ({"groups": [[]]}, "malformed test-model record"),
+        ({"groups": [[{"num_features": 2, "trees": []}]]}, "malformed test-model record"),
+        ({"groups": [[{"base_score": 0.0, "num_features": 2, "trees": []}],
+                     [{"base_score": 0.0, "num_features": 3, "trees": []}]]},
+         "malformed test-model record: .*share one feature"),
+        ({"groups": [[{"base_score": 0.0, "num_features": 2, "trees": []}] * 2]},
+         "a test-model must cover 1 types, got 2"),
+        ({"groups": [[{"base_score": float("inf"), "num_features": 2, "trees": []}]]},
+         "malformed test-model record: model base_score must be a finite number"),
+        ({"groups": [[{"base_score": "0.1", "num_features": 2, "trees": []}]]},
+         "malformed test-model record: model base_score must be a finite number"),
+        ({"groups": [[{"base_score": 0.0, "num_features": "2", "trees": []}]]},
+         "malformed test-model record: model num_features must be an integer"),
+        ({"groups": [[{"base_score": 0.0, "num_features": 2.0, "trees": []}]]},
+         "malformed test-model record: model num_features must be an integer"),
+    ])
+    def test_rejects_malformed_records(self, tmp_path, edit, message):
+        model = gbdt.GbdtModel(base_score=0.0, trees=(), num_features=2)
+        path = tmp_path / "model.json"
+        record = self.save(gbdt.GbdtEnsemble(groups=((model,),)), path)
+        self.write({**record, **edit}, path)
+        with pytest.raises(FormatError, match=f"model.json: {message}"):
+            self.load(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda tree: tree.update(value=[[v] for v in tree["value"]]),  # right length, 2-d
+        lambda tree: tree.update(value=tree["value"][:-1]),
+        lambda tree: tree.update({name: [] for name in tree}),
+        lambda tree: tree.pop("left"),
+    ], ids=["2-d", "short", "empty", "missing"])
+    def test_rejects_malformed_tree_arrays(self, tmp_path, rng, edit):
+        X = rng.random((40, 3))
+        model = gbdt.train(X, (X[:, 0] > 0.5).astype(float), gbdt.GbdtConfig(rounds=2))
+        path = tmp_path / "model.json"
+        record = self.save(gbdt.GbdtEnsemble(groups=((model,),)), path)
+        for tree in record["groups"][0][0]["trees"]:
+            edit(tree)
+        self.write(record, path)
+        with pytest.raises(FormatError, match="model.json: malformed test-model record"):
+            self.load(path)
 
     @pytest.mark.parametrize("field, node, bad, match", [
         ("feature", 0, 3, "feature index"),           # only 3 features: columns 0..2
         ("right", 0, 9, "child index"),               # past the last node
         ("left", 0, 0, "child index"),                # a node that is its own left child
-        ("threshold", 0, float("nan"), "finite"),
+        ("threshold", 0, float("inf"), "finite"),
     ])
-    def test_rejects_trees_predict_cannot_walk(self, rng, field, node, bad, match):
-        from hemtriage.errors import FormatError
+    def test_rejects_trees_predict_cannot_walk(self, tmp_path, rng, field, node, bad, match):
         X = rng.random((40, 3))
         model = gbdt.train(X, (X[:, 0] > 0.5).astype(float),
                            gbdt.GbdtConfig(rounds=3, max_leaves=4))
-        payload = gbdt.model_to_json(model)
-        assert gbdt.model_from_json(payload).num_features == 3
-        payload["trees"][1][field][node] = bad
-        with pytest.raises(FormatError, match=match):
-            gbdt.model_from_json(payload)
+        path = tmp_path / "model.json"
+        record = self.save(gbdt.GbdtEnsemble(groups=((model,),)), path)
+        assert self.load(path)[0].num_features == 3
+        record["groups"][0][0]["trees"][1][field][node] = bad
+        self.write(record, path)
+        with pytest.raises(FormatError, match=f"model.json: malformed test-model record: .*{match}"):
+            self.load(path)

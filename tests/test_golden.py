@@ -119,9 +119,9 @@ GOLDEN = {
     "report/cumulative_sdh.svg": "5c7df71606cbebb927080aea3569885cc98e311e328a41fed1f64150d883294b",
     "report/roc_curves.csv": "0be708e2647f2ad0c6d4e086f595ac08a20dea3b9c4fc09275f043d593f3b66d",
     "report/roc_curves.svg": "2dbec7cf513985794ca11b8f1fa7ec1bf31e5aed69dd592321130c5fccf61e6e",
-    "slice_model.json": "fdbd754c3695a4346dd0a19c4a168ec6323125a0fdd444336d4f865993c9a3a9",
-    "stacker.json": "31e5b24171ee5a7ebc3e203d6e20e9e2c01bc6edbe8ff28d0f0d6c0a4eb8990b",
-    "stacker_broadcast.json": "70051ad44345a068ed6d882abd84f4b8c4c7c408533e0c7a5a6660c17e4115dd",
+    "slice_model.json": "aaf5540a6122423308cd01ee6bba6242d803aef892e3c05263fcddb4824e1fa0",
+    "stacker.json": "238c02f994ea4bff93cdefb0e29c7c72279cd6b464889f4742d2d896ad9874ec",
+    "stacker_broadcast.json": "d49b29d935b2d2f1f304e6e0d3d3ce8e6e3aeac126a22cfc3f371b97b8abbc41",
     "thresholds.json": "aade61b134ea5d7ef5e4bdccf8be2dc72c862d5d794e643ac150e5c444365bf4",
     "thresholds_mean_type.json": "e1f323ded079ebcb78f7acc6d4cdb04f9292f17b87d9b24ea4e988c1512be4fa",
 }
@@ -157,8 +157,8 @@ GOLDEN_GROWTH = {
     "oof/folds.csv": "dc57d9eee59e7fe5b89f8ffe50ae7f5241953bf3c93660ed3196f6d7245f7d24",
     "oof/oof_probs.csv": "d26e3a11aa543e6550d5275b78ce1ee1c4fd3245e3c8e4bb37871edb1c689eec",
     "refined.csv": "10dc4ed8539f0d978ef9533a694deb0937d6d6a231404102bb6973302f6c12b4",
-    "stacker.json": "575ed4fd805d8c4b2e3951c2fdf37bc6359862a3fe1734f234a7bffbced6e1ec",
-    "stacker_broadcast.json": "3aca310e17186526c0fa350406cd9b6956e5f19b56d31c0aac1d38a9e5c26eb4",
+    "stacker.json": "c80066abe7563dbb1f953a520255f2dd57cc9df55440d4452980a36d6cb38588",
+    "stacker_broadcast.json": "81b4b120f17f8495018928f54525fd0b60deb30cb04adb6cffc18a691fb5d762",
 }
 
 

@@ -191,23 +191,39 @@ class TestSliceModelFile:
         ({"slice_shape": [24, 0]}, "slice_shape must be two positive integers"),
         ({"slice_shape": [24, 32.0]}, "slice_shape must be two positive integers"),
         ({"slice_shape": [24, True]}, "slice_shape must be two positive integers"),
+        ({"windows": [[10 ** 400, 80]] * 3}, "malformed slice model windows"),  # float() overflows
+        ({"identity": 3}, "slice model identity must be a string"),
     ])
-    def test_rejects_version_1_and_bad_slice_shape(self, tmp_path, rng, edit, message):
+    def test_rejects_version_1_and_bad_own_fields(self, tmp_path, rng, edit, message):
         path = tmp_path / "slice_model.json"
         payload = self.write(path, train_reference(*make_separable(rng, n=60)))
         path.write_text(json.dumps({**payload, **edit}))
         with pytest.raises(FormatError, match=f"{re.escape(str(path))}: {message}"):
             load_slice_model(path)
 
-    @pytest.mark.parametrize("num_types, num_features", [(4, FEATURE_LENGTH),
-                                                         (5, FEATURE_LENGTH - 1)])
-    def test_rejects_models_of_another_shape(self, tmp_path, rng, num_types, num_features):
+    def test_version_2_layout_rejected(self, tmp_path, rng):
+        # Version 2 kept one flat list of tagged model records.
+        path = tmp_path / "slice_model_v2.json"
+        record = self.write(path, train_reference(*make_separable(rng, n=60)))
+        models = [{"format": "hemtriage/gbdt-model", "version": 1, **model}
+                  for model in record.pop("groups")[0]]
+        path.write_text(json.dumps({**record, "version": 2, "models": models}))
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: unsupported version 2"):
+            load_slice_model(path)
+
+    @pytest.mark.parametrize("num_groups, num_types, num_features, message", [
+        (1, 4, FEATURE_LENGTH, "a slice-model must cover 5 types, got 4"),
+        (1, 5, FEATURE_LENGTH - 1, f"a slice model needs one group of {FEATURE_LENGTH}-feature "
+                                   f"models, got 1 groups of {FEATURE_LENGTH - 1}-feature models"),
+        (2, 5, FEATURE_LENGTH, f"a slice model needs one group of {FEATURE_LENGTH}-feature "
+                               f"models, got 2 groups of {FEATURE_LENGTH}-feature models"),
+    ])
+    def test_rejects_models_of_another_shape(self, tmp_path, rng, num_groups, num_types,
+                                             num_features, message):
         X = rng.random((30, num_features))
         models = tuple(gbdt.train(X, X[:, t] > 0.5, gbdt.GbdtConfig(rounds=2, max_leaves=3))
                        for t in range(num_types))
         path = tmp_path / "slice_model.json"
-        self.write(path, gbdt.GbdtEnsemble(groups=(models,)))
-        message = (f"a slice model needs 5 models of {FEATURE_LENGTH} features, "
-                   f"got {num_types} of {num_features}")
+        self.write(path, gbdt.GbdtEnsemble(groups=(models,) * num_groups))
         with pytest.raises(FormatError, match=f"{re.escape(str(path))}: {message}"):
             load_slice_model(path)

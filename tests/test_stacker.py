@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,16 +230,30 @@ class TestStackerFile:
         probe = build_windows(probs["s001"], 2)
         assert np.array_equal(restored.predict(probe), ensemble.predict(probe))
 
-    def test_inconsistent_stored_delta_rejected(self, tmp_path, rng):
+    @pytest.mark.parametrize("stored", [1, -1, 2.0, True, "2", None])
+    def test_inconsistent_stored_delta_rejected(self, tmp_path, rng, stored):
         probs, labels = synthetic_scans(rng, 10)
         configs = [gbdt.GbdtConfig(rounds=4, growth="leafwise")]
         ensemble = train_stacker(probs, labels, 2, configs)
-        import json
-        payload = {"format": "hemtriage/stacker-model", "version": 1, "delta_s": 1,
-                   "ensemble": gbdt.ensemble_to_json(ensemble)}
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(FormatError, match="delta_s"):
+        save_stacker_model(ensemble, stored, path)
+        with pytest.raises(FormatError, match=r"bad\.json: delta_s must be a non-negative integer "
+                                              r"giving the ensemble's 25 features"):
+            load_stacker_model(path)
+
+    def test_version_1_layout_rejected(self, tmp_path, rng):
+        # Version 1 nested a tagged ensemble record of tagged model records.
+        probs, labels = synthetic_scans(rng, 10)
+        ensemble = train_stacker(probs, labels, 1, [gbdt.GbdtConfig(rounds=2)])
+        path = tmp_path / "stacker_v1.json"
+        save_stacker_model(ensemble, 1, path)
+        groups = json.loads(path.read_text())["groups"]
+        path.write_text(json.dumps({
+            "format": "hemtriage/stacker-model", "version": 1, "delta_s": 1,
+            "ensemble": {"format": "hemtriage/gbdt-ensemble", "version": 1,
+                         "groups": [[{"format": "hemtriage/gbdt-model", "version": 1, **model}
+                                     for model in group] for group in groups]}}))
+        with pytest.raises(FormatError, match=r"stacker_v1\.json: unsupported version 1"):
             load_stacker_model(path)
 
     def test_ensemble_missing_a_type_rejected(self, tmp_path, rng):

@@ -230,7 +230,8 @@ class TestManifestVolumes:
     def test_rows_and_volumes_in_row_order(self, tmp_path):
         rows = [manifest_row("s1", (0, 1, 0, 0, 0)), manifest_row("s0")]
         for row, n in zip(rows, (2, 4)):
-            store_volume(make_volume(row.scan_id, num_slices=n, seed=n), tmp_path / row.path)
+            store_volume(make_volume(row.scan_id, row.patient_id, num_slices=n, seed=n),
+                         tmp_path / row.path)
         save_manifest(rows, tmp_path / "manifest.csv")
         loaded_rows, volumes = load_manifest_volumes(tmp_path / "manifest.csv")
         assert loaded_rows == rows
