@@ -6,7 +6,7 @@ plug in through the slice-probability CSV (``save_slice_probs`` /
 ``load_slice_probs``); weighing, stacking and thresholding read only that.
 The reference model ships in-repo: a one-group ``gbdt.GbdtEnsemble``, one
 booster per type over handcrafted windowed-intensity features. Its file is a
-``gbdt.save_ensemble`` record of kind ``slice-model``, version 3, whose own
+``gbdt.save_ensemble`` record of kind ``slice-model``, version 4, whose own
 fields are the model ``identity``, its three ``windows`` and the
 ``slice_shape`` it was trained on, because the histogram features are raw
 pixel counts that only compare across one slice size.
@@ -36,7 +36,7 @@ FEATURE_LENGTH = 3 * CHANNEL_FEATURES + 1  # plus slice position fraction
 
 _PROB_COLUMNS = ("scan_id", "slice_index") + tuple(f"p_{t}" for t in HEMORRHAGE_TYPES)
 _SLICE_MODEL_KIND = "slice-model"
-_SLICE_MODEL_VERSION = 3
+_SLICE_MODEL_VERSION = 4
 
 #: Reference model training setup; small trees keep per-fold training cheap.
 DEFAULT_REFERENCE_CONFIG = gbdt.GbdtConfig(

@@ -15,6 +15,16 @@ def make_volume(scan_id="s0", patient_id="p0", num_slices=3, height=4, width=4,
                     slice_thickness_mm=5.0)
 
 
+def list_layout_groups(ensemble):
+    """The groups of ``ensemble`` in the model-file layout that stored each
+    tree's node arrays as JSON number lists (slice model v3, stacker v2)."""
+    return [[{"base_score": model.base_score, "num_features": model.num_features,
+              "trees": [{name: getattr(tree, name).tolist()
+                         for name in ("feature", "threshold", "left", "right", "value")}
+                        for tree in model.trees]} for model in group]
+            for group in ensemble.groups]
+
+
 class MemorizingClassifier:
     """Leakage sentinel: perfect on byte-identical training feature rows,
     clueless (constant 0.5) elsewhere. It is built the way ``generate_oof``

@@ -25,6 +25,7 @@ from hemtriage.thresholds import aggregate_scan, binarize_slice, optimize_thresh
 from hemtriage.volume import DEFAULT_WINDOWS, ManifestRow, ScanLabels
 
 from conftest import MemorizingClassifier
+from test_gbdt import tree_values
 from test_metrics import brute_force_auc
 from test_thresholds import grid_oracle, validation_scans
 
@@ -183,7 +184,7 @@ def test_acceptance_4_gbdt_properties():
         margins = np.full(len(yr), trained.base_score)
         previous = log_loss(gbdt._sigmoid(margins), yr)
         for tree in trained.trees:
-            margins += gbdt._tree_values(tree, Xr)
+            margins += tree_values(tree, Xr)
             current = log_loss(gbdt._sigmoid(margins), yr)
             assert current <= previous + 1e-12, growth
             previous = current

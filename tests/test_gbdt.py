@@ -1,6 +1,8 @@
+import base64
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,12 +16,36 @@ XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0.0, 1.0, 1.0, 0.0])
 
 
+def tree_values(tree, X):
+    """Reference oracle for ``gbdt.raw_score``: the leaf value one tree gives
+    each row of X, walked level by level for this tree alone."""
+    nodes = np.zeros(X.shape[0], dtype=np.int32)
+    row_index = np.arange(X.shape[0])
+    while True:
+        feat = tree.feature[nodes]
+        interior = feat >= 0
+        if not interior.any():
+            return tree.value[nodes]
+        x = X[row_index, np.where(interior, feat, 0)]
+        go_left = x <= tree.threshold[nodes]
+        step = np.where(go_left, tree.left[nodes], tree.right[nodes])
+        nodes = np.where(interior, step, nodes)
+
+
+def reference_raw_score(model, X):
+    """Reference oracle: base score plus ``tree_values`` of each tree, in order."""
+    margins = np.full(X.shape[0], model.base_score)
+    for tree in model.trees:
+        margins += tree_values(tree, X)
+    return margins
+
+
 def model_losses_per_round(model, X, y):
     """Training log loss after the base score and after each tree."""
     margins = np.full(len(y), model.base_score)
     losses = [log_loss(gbdt._sigmoid(margins), y)]
     for tree in model.trees:
-        margins += gbdt._tree_values(tree, X)
+        margins += tree_values(tree, X)
         losses.append(log_loss(gbdt._sigmoid(margins), y))
     return losses
 
@@ -196,11 +222,11 @@ class TestTrainBasics:
 
 class TestPredict:
     def test_zero_trees_base_zero(self):
-        model = gbdt.GbdtModel(base_score=0.0, trees=(), num_features=2)
+        model = gbdt.GbdtModel.from_trees(0.0, (), 2)
         assert gbdt.predict(model, np.zeros((1, 2)))[0] == 0.5
 
     def test_zero_trees_base_log3(self):
-        model = gbdt.GbdtModel(base_score=math.log(3.0), trees=(), num_features=2)
+        model = gbdt.GbdtModel.from_trees(math.log(3.0), (), 2)
         assert gbdt.predict(model, np.zeros((1, 2)))[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_outputs_strictly_inside_unit_interval(self, rng):
@@ -211,9 +237,60 @@ class TestPredict:
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
     def test_dimension_mismatch(self):
-        model = gbdt.GbdtModel(base_score=0.0, trees=(), num_features=3)
+        model = gbdt.GbdtModel.from_trees(0.0, (), 3)
         with pytest.raises(ArityError):
             gbdt.predict(model, np.zeros((2, 4)))
+
+    def test_row_on_a_threshold_goes_left_and_nan_goes_right(self):
+        # A root split on feature 1 at 0.5 whose right child splits on
+        # feature 0 at 0.25, packed after a one-leaf tree: trees of
+        # different depths walk together.
+        deep = gbdt.Tree(feature=np.array([1, -1, 0, -1, -1], dtype=np.int32),
+                         threshold=np.array([0.5, 0.0, 0.25, 0.0, 0.0]),
+                         left=np.array([1, -1, 3, -1, -1], dtype=np.int32),
+                         right=np.array([2, -1, 4, -1, -1], dtype=np.int32),
+                         value=np.array([0.0, 1.0, 0.0, 2.0, 4.0]))
+        stump = gbdt.Tree(feature=np.array([-1], dtype=np.int32), threshold=np.zeros(1),
+                          left=np.array([-1], dtype=np.int32),
+                          right=np.array([-1], dtype=np.int32), value=np.array([8.0]))
+        model = gbdt.GbdtModel.from_trees(16.0, (stump, deep), 2)
+        X = np.array([[0.0, 0.5], [0.25, 0.75], [0.3, 0.75], [0.0, np.nan], [np.nan, 1.0]])
+        assert gbdt.raw_score(model, X).tolist() == [25.0, 26.0, 28.0, 26.0, 28.0]
+        assert gbdt.raw_score(model, X).tobytes() == reference_raw_score(model, X).tobytes()
+
+    GROWTHS = [
+        ("leafwise", {"max_depth": None}),  # no depth cap: trees of uneven depth
+        ("leafwise", {}),
+        ("depthwise", {}),
+        ("oblivious", {}),
+    ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), growth=st.sampled_from(GROWTHS),
+           rounds=st.integers(1, 12), depth=st.integers(1, 6), max_leaves=st.integers(2, 24),
+           min_samples_leaf=st.sampled_from([1, 4, 30]), num_features=st.integers(1, 5),
+           walk_pairs=st.sampled_from([1, 50, gbdt._WALK_PAIRS]))
+    def test_packed_walk_equals_per_tree_walk(self, seed, growth, rounds, depth, max_leaves,
+                                              min_samples_leaf, num_features, walk_pairs):
+        growth, extra = growth
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 9, (60, num_features)) / 8.0
+        y = rng.integers(0, 2, 60).astype(float)
+        y[:2] = (0.0, 1.0)
+        config = gbdt.GbdtConfig(rounds=rounds, learning_rate=0.5, growth=growth,
+                                 max_leaves=max_leaves, min_samples_leaf=min_samples_leaf,
+                                 **({"max_depth": depth} | extra))
+        model = gbdt.train(X, y, config)
+        assert len(model.trees) == rounds
+        probe = rng.random((40, num_features))
+        probe[rng.random(probe.shape) < 0.05] = np.nan
+        interior = np.flatnonzero(model.feature >= 0)
+        if interior.size:  # rows placed exactly on a split's threshold
+            picked = rng.choice(interior, size=20)
+            probe[np.arange(20), model.feature[picked]] = model.threshold[picked]
+        with mock.patch.object(gbdt, "_WALK_PAIRS", walk_pairs):  # one or more row blocks
+            packed = gbdt.raw_score(model, probe)
+        assert packed.tobytes() == reference_raw_score(model, probe).tobytes()
 
 
 class TestEngineAgainstOracles:
@@ -368,7 +445,7 @@ def _grow_rounds(X, y, config):
         p = gbdt._sigmoid(margins)
         tree, leaf_of = grower.grow(p - y, p * (1.0 - p), y)
         yield tree, leaf_of
-        margins += gbdt._tree_values(tree, X)
+        margins += tree_values(tree, X)
 
 
 class TestLeavesFromGrowth:
@@ -401,7 +478,7 @@ class TestLeavesFromGrowth:
         split_on_collapsed_midpoint = False
         for tree, leaf_of in _grow_rounds(X, y, config):
             assert np.array_equal(leaf_of, _walk_to_leaves(tree, X))
-            assert tree.value[leaf_of].tobytes() == gbdt._tree_values(tree, X).tobytes()
+            assert tree.value[leaf_of].tobytes() == tree_values(tree, X).tobytes()
             split_on_collapsed_midpoint |= bool(np.any(
                 (tree.feature == 0) & (tree.threshold == 1.0)))
         assert split_on_collapsed_midpoint
@@ -409,12 +486,12 @@ class TestLeavesFromGrowth:
     def test_train_never_walks_a_tree(self, monkeypatch, rng):
         walks = []
 
-        def spy(tree, X):
-            walks.append(tree)
-            return walk(tree, X)
+        def spy(model, X):
+            walks.append(model)
+            return walk(model, X)
 
-        walk = gbdt._tree_values
-        monkeypatch.setattr(gbdt, "_tree_values", spy)
+        walk = gbdt.raw_score
+        monkeypatch.setattr(gbdt, "raw_score", spy)
         X = rng.integers(0, 5, (60, 4)) / 4.0
         y = (X[:, 0] + rng.random(60) > 0.9).astype(float)
         for growth, extra in self.GROWTHS:
@@ -500,6 +577,25 @@ class TestEnsemble:
                                   for t in range(5)])
         assert np.allclose(ensemble.predict(probe), member)
 
+    def test_predict_calls_module_predict_once_per_model(self, monkeypatch, rng):
+        # The benchmark's tracer wraps gbdt.predict by name and reads
+        # len(model.trees); both must keep meaning one call per model and
+        # one tree per round.
+        X = rng.random((60, 4))
+        Y = (X[:, :1] + rng.random((60, 5)) > 0.9).astype(float)
+        ensemble = gbdt.train_ensemble(X, Y, gbdt.default_presets(rounds=3))
+        assert [len(model.trees) for model in ensemble.models] == [3] * 15
+        calls = []
+        predict = gbdt.predict
+
+        def spy(model, features):
+            calls.append(model)
+            return predict(model, features)
+
+        monkeypatch.setattr(gbdt, "predict", spy)
+        ensemble.predict(rng.random((10, 4)))
+        assert calls == list(ensemble.models)
+
     def test_empty_config_list(self):
         with pytest.raises(ArityError):
             gbdt.train_ensemble(np.ones((2, 2)), np.ones((2, 5)), [])
@@ -520,6 +616,27 @@ class TestEnsemble:
         assert ensemble_loss <= min(member_losses) + 0.02
 
 
+#: The model-file dtype of each typed column: little-endian int32 and float64.
+COLUMN_DTYPES = {"tree_sizes": "<i4", "feature": "<i4", "threshold": "<f8", "left": "<i4",
+                 "right": "<i4", "value": "<f8"}
+
+
+def decode(model_record, name, dtype=None):
+    """A model record's typed column, as a writable array."""
+    raw = base64.b64decode(model_record[name])
+    return np.frombuffer(raw, dtype or COLUMN_DTYPES[name]).copy()
+
+
+def encode(values, dtype):
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def empty_model_record(**fields):
+    """A zero-tree model as a file stores it, with ``fields`` overriding."""
+    return {"base_score": 0.0, "num_features": 2, "num_trees": 0, "num_nodes": 0,
+            **{name: "" for name in COLUMN_DTYPES}, **fields}
+
+
 class TestPersistence:
     """File round trips through save_ensemble / load_ensemble, the one
     model-file writer and reader."""
@@ -537,6 +654,13 @@ class TestPersistence:
     def write(record, path):
         # Python's infinity token is not JSON; 1e999 is, and reads as infinity.
         path.write_text(json.dumps(record).replace("Infinity", "1e999"))
+
+    def saved_model(self, rng, path, **config):
+        """A record holding one trained 3-feature model, and its model record."""
+        X = rng.random((40, 3))
+        model = gbdt.train(X, (X[:, 0] > 0.5).astype(float), gbdt.GbdtConfig(**config))
+        record = self.save(gbdt.GbdtEnsemble(groups=((model,),)), path)
+        return record, record["groups"][0][0]
 
     def test_model_round_trip_bit_exact(self, tmp_path, rng):
         X = rng.random((50, 4))
@@ -566,14 +690,26 @@ class TestPersistence:
         probe = rng.random((10, 3))
         assert np.array_equal(ensemble.predict(probe), restored.predict(probe))
 
-    def test_record_layout_and_caller_fields(self, tmp_path):
-        model = gbdt.GbdtModel(base_score=0.25, trees=(), num_features=2)
+    def test_record_layout_and_caller_fields(self, tmp_path, rng):
+        model = gbdt.GbdtModel.from_trees(0.25, (), 2)
         path = tmp_path / "model.json"
         record = self.save(gbdt.GbdtEnsemble(groups=((model,),)), path, {"note": "kept"})
         assert list(record) == ["format", "version", "note", "groups"]
         assert record["format"] == "hemtriage/test-model"
-        assert record["groups"] == [[{"base_score": 0.25, "num_features": 2, "trees": []}]]
+        assert record["groups"] == [[empty_model_record(base_score=0.25)]]
         assert self.load(path)[1] == record
+
+        # Counts stay readable JSON; each column is its trees' nodes, in order.
+        record, stored = self.saved_model(rng, path, rounds=3, max_leaves=4)
+        (model,) = self.load(path)[0].models
+        assert list(stored) == ["base_score", "num_features", "num_trees", "num_nodes",
+                                *COLUMN_DTYPES]
+        assert stored["num_trees"] == 3 == len(model.trees)
+        assert decode(stored, "tree_sizes").tolist() == [tree.num_nodes for tree in model.trees]
+        assert stored["num_nodes"] == sum(tree.num_nodes for tree in model.trees)
+        for name in ("feature", "threshold", "left", "right", "value"):
+            expected = np.concatenate([getattr(tree, name) for tree in model.trees])
+            assert decode(stored, name).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("edit, message", [
         ({"format": "something-else"}, "not a hemtriage/test-model record"),
@@ -583,44 +719,63 @@ class TestPersistence:
         ({"groups": [[[]]]}, "malformed test-model record"),
         ({"groups": []}, "malformed test-model record: .*at least one model group"),
         ({"groups": [[]]}, "malformed test-model record"),
-        ({"groups": [[{"num_features": 2, "trees": []}]]}, "malformed test-model record"),
-        ({"groups": [[{"base_score": 0.0, "num_features": 2, "trees": []}],
-                     [{"base_score": 0.0, "num_features": 3, "trees": []}]]},
+        ({"groups": [[{key: value for key, value in empty_model_record().items()
+                       if key != "base_score"}]]}, "malformed test-model record"),
+        ({"groups": [[empty_model_record()], [empty_model_record(num_features=3)]]},
          "malformed test-model record: .*share one feature"),
-        ({"groups": [[{"base_score": 0.0, "num_features": 2, "trees": []}] * 2]},
-         "a test-model must cover 1 types, got 2"),
-        ({"groups": [[{"base_score": float("inf"), "num_features": 2, "trees": []}]]},
+        ({"groups": [[empty_model_record()] * 2]}, "a test-model must cover 1 types, got 2"),
+        ({"groups": [[empty_model_record(base_score=float("inf"))]]},
          "malformed test-model record: model base_score must be a finite number"),
-        ({"groups": [[{"base_score": "0.1", "num_features": 2, "trees": []}]]},
+        ({"groups": [[empty_model_record(base_score="0.1")]]},
          "malformed test-model record: model base_score must be a finite number"),
-        ({"groups": [[{"base_score": 0.0, "num_features": "2", "trees": []}]]},
+        ({"groups": [[empty_model_record(num_features="2")]]},
          "malformed test-model record: model num_features must be an integer"),
-        ({"groups": [[{"base_score": 0.0, "num_features": 2.0, "trees": []}]]},
+        ({"groups": [[empty_model_record(num_features=2.0)]]},
          "malformed test-model record: model num_features must be an integer"),
+        ({"groups": [[empty_model_record(num_trees=0.0)]]},
+         "malformed test-model record: model num_trees must be a non-negative integer"),
+        ({"groups": [[empty_model_record(num_nodes="0")]]},
+         "malformed test-model record: model num_nodes must be a non-negative integer"),
+        ({"groups": [[empty_model_record(num_trees=True)]]},
+         "malformed test-model record: model num_trees must be a non-negative integer"),
+        ({"groups": [[empty_model_record(num_trees=-1)]]},
+         "malformed test-model record: model num_trees must be a non-negative integer"),
     ])
     def test_rejects_malformed_records(self, tmp_path, edit, message):
-        model = gbdt.GbdtModel(base_score=0.0, trees=(), num_features=2)
+        model = gbdt.GbdtModel.from_trees(0.0, (), 2)
         path = tmp_path / "model.json"
         record = self.save(gbdt.GbdtEnsemble(groups=((model,),)), path)
         self.write({**record, **edit}, path)
         with pytest.raises(FormatError, match=f"model.json: {message}"):
             self.load(path)
 
-    @pytest.mark.parametrize("edit", [
-        lambda tree: tree.update(value=[[v] for v in tree["value"]]),  # right length, 2-d
-        lambda tree: tree.update(value=tree["value"][:-1]),
-        lambda tree: tree.update({name: [] for name in tree}),
-        lambda tree: tree.pop("left"),
-    ], ids=["2-d", "short", "empty", "missing"])
-    def test_rejects_malformed_tree_arrays(self, tmp_path, rng, edit):
-        X = rng.random((40, 3))
-        model = gbdt.train(X, (X[:, 0] > 0.5).astype(float), gbdt.GbdtConfig(rounds=2))
+    @pytest.mark.parametrize("edit, match", [
+        # A feature index stored as float64 (0.9 once loaded as feature 0).
+        (lambda model: model.update(feature=encode(decode(model, "feature") + 0.9, "<f8")),
+         "feature holds .* bytes"),
+        # Numbers as JSON, here thresholds as text ("0.5" once loaded as 0.5).
+        (lambda model: model.update(threshold=[str(v) for v in decode(model, "threshold")]),
+         ""),
+        (lambda model: model.update(value=encode(decode(model, "value")[:-1], "<f8")),
+         "value holds .* bytes"),
+        (lambda model: model.update({name: "" for name in COLUMN_DTYPES}), "holds 0 bytes"),
+        (lambda model: model.pop("left"), "'left'"),
+        (lambda model: model.update(value="not base64!"), ""),
+        (lambda model: model.update(num_trees=model["num_trees"] + 1), "tree_sizes holds"),
+        (lambda model: model.update(tree_sizes=encode(decode(model, "tree_sizes") + [0, 1],
+                                                      "<i4")),
+         "tree sizes sum to"),
+        (lambda model: model.update(tree_sizes=encode([0, model["num_nodes"]], "<i4")),
+         "at least one node"),
+    ], ids=["float-feature", "text-threshold", "short", "empty", "missing", "bad-base64",
+            "tree-count", "sizes-sum", "empty-tree"])
+    def test_rejects_malformed_tree_arrays(self, tmp_path, rng, edit, match):
         path = tmp_path / "model.json"
-        record = self.save(gbdt.GbdtEnsemble(groups=((model,),)), path)
-        for tree in record["groups"][0][0]["trees"]:
-            edit(tree)
+        record, model = self.saved_model(rng, path, rounds=2)
+        assert model["num_trees"] == 2
+        edit(model)
         self.write(record, path)
-        with pytest.raises(FormatError, match="model.json: malformed test-model record"):
+        with pytest.raises(FormatError, match=f"model.json: malformed test-model record: .*{match}"):
             self.load(path)
 
     @pytest.mark.parametrize("field, node, bad, match", [
@@ -630,13 +785,12 @@ class TestPersistence:
         ("threshold", 0, float("inf"), "finite"),
     ])
     def test_rejects_trees_predict_cannot_walk(self, tmp_path, rng, field, node, bad, match):
-        X = rng.random((40, 3))
-        model = gbdt.train(X, (X[:, 0] > 0.5).astype(float),
-                           gbdt.GbdtConfig(rounds=3, max_leaves=4))
         path = tmp_path / "model.json"
-        record = self.save(gbdt.GbdtEnsemble(groups=((model,),)), path)
+        record, model = self.saved_model(rng, path, rounds=3, max_leaves=4)
         assert self.load(path)[0].num_features == 3
-        record["groups"][0][0]["trees"][1][field][node] = bad
+        values = decode(model, field)
+        values[decode(model, "tree_sizes")[0] + node] = bad  # a node of the second tree
+        model[field] = encode(values, COLUMN_DTYPES[field])
         self.write(record, path)
         with pytest.raises(FormatError, match=f"model.json: malformed test-model record: .*{match}"):
             self.load(path)

@@ -119,9 +119,9 @@ GOLDEN = {
     "report/cumulative_sdh.svg": "5c7df71606cbebb927080aea3569885cc98e311e328a41fed1f64150d883294b",
     "report/roc_curves.csv": "0be708e2647f2ad0c6d4e086f595ac08a20dea3b9c4fc09275f043d593f3b66d",
     "report/roc_curves.svg": "2dbec7cf513985794ca11b8f1fa7ec1bf31e5aed69dd592321130c5fccf61e6e",
-    "slice_model.json": "aaf5540a6122423308cd01ee6bba6242d803aef892e3c05263fcddb4824e1fa0",
-    "stacker.json": "238c02f994ea4bff93cdefb0e29c7c72279cd6b464889f4742d2d896ad9874ec",
-    "stacker_broadcast.json": "d49b29d935b2d2f1f304e6e0d3d3ce8e6e3aeac126a22cfc3f371b97b8abbc41",
+    "slice_model.json": "4c9bb3bc61bd34378688d265f115e7ee2d9113a67f51e253e84d90d3ebd32b27",
+    "stacker.json": "dbae03b50b6bcf95d4580e4160fe302f301ca070fdf2e790b05d963c5498ba6f",
+    "stacker_broadcast.json": "636b34d4a638db7f4b4f27686d452a1c28c9e7e503b0bec2338ffe61fb489030",
     "thresholds.json": "aade61b134ea5d7ef5e4bdccf8be2dc72c862d5d794e643ac150e5c444365bf4",
     "thresholds_mean_type.json": "e1f323ded079ebcb78f7acc6d4cdb04f9292f17b87d9b24ea4e988c1512be4fa",
 }
@@ -157,8 +157,8 @@ GOLDEN_GROWTH = {
     "oof/folds.csv": "dc57d9eee59e7fe5b89f8ffe50ae7f5241953bf3c93660ed3196f6d7245f7d24",
     "oof/oof_probs.csv": "d26e3a11aa543e6550d5275b78ce1ee1c4fd3245e3c8e4bb37871edb1c689eec",
     "refined.csv": "10dc4ed8539f0d978ef9533a694deb0937d6d6a231404102bb6973302f6c12b4",
-    "stacker.json": "c80066abe7563dbb1f953a520255f2dd57cc9df55440d4452980a36d6cb38588",
-    "stacker_broadcast.json": "81b4b120f17f8495018928f54525fd0b60deb30cb04adb6cffc18a691fb5d762",
+    "stacker.json": "83ceaadab5c218bc60a377e16705b0e79bdc94d5e1083f0a2f49476c265ff447",
+    "stacker_broadcast.json": "c44315bfed576de0b6c0403f073bc1fed74222c3aabab43ff602b49c7fc1b223",
 }
 
 

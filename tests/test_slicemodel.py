@@ -13,7 +13,7 @@ from hemtriage.slicemodel import (BLOOD_BAND, DEFAULT_REFERENCE_CONFIG, FEATURE_
                                   volume_features)
 from hemtriage.volume import DEFAULT_WINDOWS
 
-from conftest import make_volume
+from conftest import list_layout_groups, make_volume
 
 
 def image_of(value, shape=(3, 8, 8)):
@@ -209,6 +209,15 @@ class TestSliceModelFile:
                   for model in record.pop("groups")[0]]
         path.write_text(json.dumps({**record, "version": 2, "models": models}))
         with pytest.raises(FormatError, match=f"{re.escape(str(path))}: unsupported version 2"):
+            load_slice_model(path)
+
+    def test_version_3_layout_rejected(self, tmp_path, rng):
+        path = tmp_path / "slice_model_v3.json"
+        ensemble = train_reference(*make_separable(rng, n=60))
+        record = self.write(path, ensemble)
+        path.write_text(json.dumps({**record, "version": 3,
+                                    "groups": list_layout_groups(ensemble)}))
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: unsupported version 3"):
             load_slice_model(path)
 
     @pytest.mark.parametrize("num_groups, num_types, num_features, message", [

@@ -11,6 +11,8 @@ from hemtriage.stacker import (apply_stacker_all, build_windows, load_stacker_mo
                                save_stacker_model, stack_training_data, train_stacker,
                                window_length)
 
+from conftest import list_layout_groups
+
 # Small synthetic scans routinely leave some type without positives; the
 # base-rate fallback warning is expected there.
 pytestmark = pytest.mark.filterwarnings("ignore:all labels belong to one class")
@@ -137,8 +139,7 @@ class TestTrainApply:
         assert np.all((refined > 0) & (refined < 1))
 
     def test_zero_tree_models_give_half(self):
-        models = tuple(gbdt.GbdtModel(base_score=0.0, trees=(), num_features=15)
-                       for _ in range(5))
+        models = tuple(gbdt.GbdtModel.from_trees(0.0, (), 15) for _ in range(5))
         ensemble = gbdt.GbdtEnsemble(groups=(models,))
         refined = apply_one(ensemble, np.full((4, 5), 0.3), 1)
         assert np.all(refined == 0.5)
@@ -198,8 +199,7 @@ def center_reader_ensemble(delta_s, scale=4.0):
             right=np.array([2, -1, -1], dtype=np.int32),
             value=np.array([0.0, -scale, scale]),
         )
-        models.append(gbdt.GbdtModel(base_score=0.0, trees=(tree,),
-                                     num_features=window_length(delta_s)))
+        models.append(gbdt.GbdtModel.from_trees(0.0, (tree,), window_length(delta_s)))
     return gbdt.GbdtEnsemble(groups=(tuple(models),))
 
 
@@ -254,6 +254,15 @@ class TestStackerFile:
                          "groups": [[{"format": "hemtriage/gbdt-model", "version": 1, **model}
                                      for model in group] for group in groups]}}))
         with pytest.raises(FormatError, match=r"stacker_v1\.json: unsupported version 1"):
+            load_stacker_model(path)
+
+    def test_version_2_layout_rejected(self, tmp_path, rng):
+        probs, labels = synthetic_scans(rng, 10)
+        ensemble = train_stacker(probs, labels, 1, [gbdt.GbdtConfig(rounds=2)])
+        path = tmp_path / "stacker_v2.json"
+        path.write_text(json.dumps({"format": "hemtriage/stacker-model", "version": 2,
+                                    "delta_s": 1, "groups": list_layout_groups(ensemble)}))
+        with pytest.raises(FormatError, match=r"stacker_v2\.json: unsupported version 2"):
             load_stacker_model(path)
 
     def test_ensemble_missing_a_type_rejected(self, tmp_path, rng):
