@@ -11,10 +11,14 @@ fields are the model ``identity``, its three ``windows`` and the
 ``slice_shape`` it was trained on, because the histogram features are raw
 pixel counts that only compare across one slice size.
 
-Volumes go to probabilities on one path: ``volume_features`` featurizes every
-slice of a volume once, and ``predict_by_scan`` runs one predict call over
-the feature rows of many scans. Slice position enters the features as the
-fraction n/N (1-based slice index over slice count).
+Volumes go to probabilities on one path: ``volume_features`` featurizes a
+whole volume in one ``extract_features`` call, and ``predict_by_scan`` runs
+one predict call over the feature rows of many scans. ``extract_features``
+works in the HU domain: histogram bins, blood band and percentiles are read
+from per-window tables over the HU range and from order statistics of the
+int16 HU values, one sort per slice shared by all three windows. Slice
+position enters the features as the fraction n/N (1-based slice index over
+slice count).
 """
 
 from __future__ import annotations
@@ -26,13 +30,14 @@ import numpy as np
 from . import gbdt
 from .errors import DataError, FormatError, PipelineError
 from .fileio import read_slice_table, write_csv
-from .volume import (DEFAULT_WINDOWS, HEMORRHAGE_TYPES, NUM_TYPES, CtVolume, WindowSpec,
-                     stack_channels)
+from .volume import (DEFAULT_WINDOWS, HEMORRHAGE_TYPES, HU_MAX, HU_MIN, NUM_TYPES, CtVolume,
+                     WindowSpec, apply_window, stack_channels)
 
 HISTOGRAM_BINS = 16
 BLOOD_BAND = (0.55, 0.95)
 CHANNEL_FEATURES = HISTOGRAM_BINS + 6  # hist, mean, std, p5, p50, p95, band fraction
 FEATURE_LENGTH = 3 * CHANNEL_FEATURES + 1  # plus slice position fraction
+_PERCENTILES = (5, 50, 95)
 
 _PROB_COLUMNS = ("scan_id", "slice_index") + tuple(f"p_{t}" for t in HEMORRHAGE_TYPES)
 _SLICE_MODEL_KIND = "slice-model"
@@ -44,33 +49,77 @@ DEFAULT_REFERENCE_CONFIG = gbdt.GbdtConfig(
     min_samples_leaf=5, growth="depthwise", l2_reg=1.0)
 
 
-def extract_features(image, position: float = 0.0) -> np.ndarray:
-    """Handcrafted features of one 3-channel normalized slice.
+def extract_features(image, position, specs=DEFAULT_WINDOWS) -> np.ndarray:
+    """Handcrafted feature rows of a whole volume, one per slice.
 
-    Per channel: a 16-bin intensity histogram over [0, 1] (raw counts, so the
-    bins sum to the pixel count), mean, standard deviation, the 5th/50th/95th
-    percentiles, and the fraction of pixels in the blood-like band
-    [0.55, 0.95]; the slice position fraction is appended last.
+    ``image`` is the (slices, height, width) integer HU stack and ``position``
+    the (slices,) position fractions from ``slice_positions``. Per window
+    channel, a row holds a 16-bin intensity histogram over [0, 1] (raw counts,
+    so the bins sum to the pixel count), mean, standard deviation, the
+    5th/50th/95th percentiles, and the fraction of pixels in the blood-like
+    band [0.55, 0.95]; the slice position fraction is appended last.
+
+    Each row is bit-identical to ``np.histogram``, ``np.percentile`` (linear
+    rule), ``mean``, ``std`` and the band mean over that slice's windowed
+    channels. Every windowed pixel is the window of one of the HU values in
+    [HU_MIN, HU_MAX], and a window is monotone non-decreasing in HU. So each
+    histogram bin and the blood band are one interval of HU values, and the
+    k-th smallest windowed value is the window of the k-th smallest HU: the
+    counts and percentiles of all three windows come from one sort of each
+    slice's int16 HU values and per-window tables over the 5,120 HU values.
+    Only the mean and std read the windowed floats.
     """
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 3 or img.shape[0] != 3:
-        raise DataError(f"expected a (3, height, width) image, got shape {img.shape}")
-    if not np.isfinite(img).all():
-        raise DataError("image pixels must be finite")
-    out = np.empty(FEATURE_LENGTH)
-    cursor = 0
-    for channel in range(3):
-        pixels = img[channel].ravel()
-        hist, _ = np.histogram(pixels, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
-        out[cursor:cursor + HISTOGRAM_BINS] = hist
-        cursor += HISTOGRAM_BINS
-        out[cursor] = pixels.mean()
-        out[cursor + 1] = pixels.std()
-        out[cursor + 2:cursor + 5] = np.percentile(pixels, (5, 50, 95))
-        out[cursor + 5] = float(np.mean((pixels >= BLOOD_BAND[0]) & (pixels <= BLOOD_BAND[1])))
-        cursor += 6
-    out[cursor] = position
-    return out
+    hu = np.asarray(image)
+    if hu.dtype.kind not in "iu":
+        raise DataError(f"expected integer HU values, got dtype {hu.dtype}")
+    if hu.ndim != 3 or 0 in hu.shape:
+        raise DataError(f"expected a non-empty (slices, height, width) HU stack, "
+                        f"got shape {hu.shape}")
+    position = np.asarray(position, dtype=np.float64)
+    if position.shape != hu.shape[:1]:
+        raise DataError(f"expected {hu.shape[0]} slice positions, got shape {position.shape}")
+    if hu.min() < HU_MIN or hu.max() > HU_MAX:
+        raise DataError(f"HU values must lie in [{HU_MIN}, {HU_MAX}]")
+    hu = hu.astype(np.int16, copy=False)
+    slices = hu.shape[0]
+    channels = stack_channels(hu, specs).reshape(3, slices, -1)
+    count = channels.shape[2]
+    sorted_hu = np.sort(hu.reshape(slices, count), axis=1)
+
+    # The sorted HU levels (HU - HU_MIN) of every slice laid end to end, slice
+    # s's raised by base[s], so the whole stays sorted and
+    # searchsorted(ordered, base[s] + k) is s*n plus the number of pixels of
+    # slice s below level k.
+    levels = np.arange(HU_MIN, HU_MAX + 1)
+    base = len(levels) * np.arange(slices)[:, None]
+    ordered = (sorted_hu + (base - HU_MIN)).ravel()
+
+    # numpy's linear percentile: virtual index (n - 1) * q, then a + d*t, or
+    # b - d*(1 - t) where t >= 0.5.
+    virtual = (count - 1) * np.true_divide(_PERCENTILES, 100)
+    low = np.floor(virtual)
+    gamma = virtual - low
+    low = low.astype(np.intp)
+    low_level = sorted_hu[:, low] - HU_MIN
+    high_level = sorted_hu[:, np.minimum(low + 1, count - 1)] - HU_MIN
+
+    edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
+    stats = np.empty((slices, 3, CHANNEL_FEATURES))
+    for channel, (spec, pixels) in enumerate(zip(specs, channels)):
+        window = apply_window(levels, spec)
+        # Bin k holds windowed values in [edge k, edge k+1), the last bin 1.0
+        # too: its HU levels start at the first level at or above edge k.
+        starts = np.append(np.searchsorted(window, edges[:-1]), len(levels))
+        band = (np.searchsorted(window, BLOOD_BAND[0]),
+                np.searchsorted(window, BLOOD_BAND[1], side="right"))
+        in_band = np.diff(np.searchsorted(ordered, base + band), axis=1)
+        a, b = window[low_level], window[high_level]
+        d = b - a
+        stats[:, channel] = np.column_stack([
+            np.diff(np.searchsorted(ordered, base + starts), axis=1),
+            pixels.mean(axis=1), pixels.std(axis=1),
+            np.where(gamma >= 0.5, b - d * (1 - gamma), a + d * gamma), in_band / count])
+    return np.column_stack([stats.reshape(slices, -1), position])
 
 
 def slice_positions(num_slices: int) -> np.ndarray:
@@ -80,9 +129,7 @@ def slice_positions(num_slices: int) -> np.ndarray:
 
 def volume_features(volume: CtVolume, specs=DEFAULT_WINDOWS) -> np.ndarray:
     """Feature rows of every slice of a volume, in craniocaudal slice order."""
-    positions = slice_positions(volume.num_slices)
-    return np.array([extract_features(stack_channels(hu, specs), position)
-                     for hu, position in zip(volume.slices, positions)])
+    return extract_features(volume.slices, slice_positions(volume.num_slices), specs)
 
 
 def predict_by_scan(predict, matrices_by_scan) -> dict[str, np.ndarray]:

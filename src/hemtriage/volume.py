@@ -53,21 +53,30 @@ class WindowSpec:
 DEFAULT_WINDOWS = (WindowSpec(40.0, 80.0), WindowSpec(80.0, 200.0), WindowSpec(40.0, 380.0))
 
 
-def apply_window(slice_hu, spec: WindowSpec) -> np.ndarray:
+def apply_window(slice_hu, spec: WindowSpec, out=None) -> np.ndarray:
     """Map HU linearly onto [0, 1] over [center - width/2, center + width/2].
 
     Values outside the window clamp to 0 or 1. Monotone non-decreasing in HU.
+    The result is written into the float64 array ``out`` when one is given.
     """
-    hu = np.asarray(slice_hu, dtype=np.float64)
+    if out is None:
+        out = np.empty(np.shape(slice_hu))
     lower = spec.center - spec.width / 2.0
-    return np.clip((hu - lower) / spec.width, 0.0, 1.0)
+    np.subtract(slice_hu, lower, out=out, dtype=np.float64)
+    np.divide(out, spec.width, out=out)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
-def stack_channels(slice_hu, specs=DEFAULT_WINDOWS) -> np.ndarray:
-    """Apply three windows to one slice; returns a (3, height, width) image."""
+def stack_channels(hu, specs=DEFAULT_WINDOWS) -> np.ndarray:
+    """Apply three windows to an HU array of any shape, such as one slice or a
+    whole (slices, height, width) volume; returns a (3, *hu.shape) image."""
     if len(specs) != 3:
         raise ArityError(f"stack_channels needs exactly 3 window specs, got {len(specs)}")
-    return np.stack([apply_window(slice_hu, spec) for spec in specs])
+    hu = np.asarray(hu)
+    image = np.empty((3,) + hu.shape)
+    for channel, spec in zip(image, specs):
+        apply_window(hu, spec, out=channel)
+    return image
 
 
 @dataclass(frozen=True)
@@ -172,9 +181,7 @@ def load_volume(path) -> CtVolume:
     if len(payload) > expected:
         raise FormatError(f"{path}: {len(payload) - expected} trailing bytes after payload")
     hu = np.frombuffer(payload, dtype="<i2").reshape(num_slices, height, width)
-    if hu.min() < HU_MIN or hu.max() > HU_MAX:
-        raise FormatError(f"{path}: HU values outside [{HU_MIN}, {HU_MAX}]")
-    try:
+    try:  # CtVolume checks the HU range
         return CtVolume(
             scan_id=str(header["scan_id"]),
             patient_id=str(header["patient_id"]),

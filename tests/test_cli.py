@@ -342,9 +342,9 @@ class TestOofFeaturizesOnce:
     def test_each_slice_featurized_once(self, pipeline_dir, tmp_path, monkeypatch):
         calls = []
 
-        def counting(image, position=0.0):
-            calls.append(position)
-            return extract_features(image, position)
+        def counting(image, position, specs=slicemodel.DEFAULT_WINDOWS):
+            calls.append(len(position))
+            return extract_features(image, position, specs)
 
         monkeypatch.setattr(slicemodel, "extract_features", counting)
         assert run(["oof", "--manifest", str(pipeline_dir / "data" / "manifest.csv"),
@@ -352,7 +352,7 @@ class TestOofFeaturizesOnce:
                     "--folds", "3", "--rounds", "2", "--out", str(tmp_path / "oof")]) == 0
         slices = sum(rows.shape[0] for rows in
                      load_slice_probs(tmp_path / "oof" / "oof_probs.csv").values())
-        assert len(calls) == slices
+        assert sum(calls) == slices
 
 
 class TestEvaluateWithDecisions:

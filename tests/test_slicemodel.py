@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hemtriage import gbdt
 from hemtriage.errors import DataError, FormatError
@@ -11,18 +13,96 @@ from hemtriage.slicemodel import (BLOOD_BAND, DEFAULT_REFERENCE_CONFIG, FEATURE_
                                   load_slice_model, load_slice_probs, predict_by_scan,
                                   save_slice_model, save_slice_probs, slice_positions,
                                   volume_features)
-from hemtriage.volume import DEFAULT_WINDOWS
+from hemtriage.volume import DEFAULT_WINDOWS, HU_MAX, HU_MIN, WindowSpec
 
 from conftest import list_layout_groups, make_volume
 
 
-def image_of(value, shape=(3, 8, 8)):
-    return np.full(shape, value, dtype=np.float64)
+BRAIN = WindowSpec(40.0, 80.0)
+
+
+def window_reference(hu, spec):
+    """The window formula, clamp((hu - (center - width/2)) / width, 0, 1)."""
+    lower = spec.center - spec.width / 2.0
+    return np.clip((np.asarray(hu, dtype=np.float64) - lower) / spec.width, 0.0, 1.0)
+
+
+def slice_features_reference(image, position):
+    """Test oracle: the per-slice featurizer that ``extract_features``
+    replaced, over one (3, height, width) windowed slice."""
+    out = np.empty(FEATURE_LENGTH)
+    cursor = 0
+    for channel in range(3):
+        pixels = image[channel].ravel()
+        hist, _ = np.histogram(pixels, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
+        out[cursor:cursor + HISTOGRAM_BINS] = hist
+        cursor += HISTOGRAM_BINS
+        out[cursor] = pixels.mean()
+        out[cursor + 1] = pixels.std()
+        out[cursor + 2:cursor + 5] = np.percentile(pixels, (5, 50, 95))
+        out[cursor + 5] = float(np.mean((pixels >= BLOOD_BAND[0]) & (pixels <= BLOOD_BAND[1])))
+        cursor += 6
+    out[cursor] = position
+    return out
+
+
+def volume_features_reference(hu, specs):
+    """The oracle's rows for every slice of an HU stack, one slice at a time."""
+    return np.array([slice_features_reference(np.stack([window_reference(one, spec)
+                                                        for spec in specs]), position)
+                     for one, position in zip(hu, slice_positions(len(hu)))])
+
+
+def features_of(hu, specs=DEFAULT_WINDOWS, position=None):
+    """The feature rows of a single-slice HU stack filled from ``hu``."""
+    hu = np.asarray(hu, dtype=np.int16)[None]
+    return extract_features(hu, [0.0] if position is None else [position], specs)[0]
+
+
+@st.composite
+def stacks_and_windows(draw):
+    """An HU stack of 1-5 slices of 1-8 x 1-8 pixels (over the whole HU
+    range, in a narrow band, or constant at a landmark value) and three
+    windows: the defaults, random ones as narrow as 0.01 HU, or windows
+    placed on the stack's own pixels."""
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    kind = draw(st.sampled_from(["full", "band", "constant"]))
+    if kind == "constant":
+        hu = np.full(shape, draw(st.sampled_from([HU_MIN, 0, 40, HU_MAX])), dtype=np.int16)
+    else:
+        low = HU_MIN if kind == "full" else draw(st.integers(HU_MIN, HU_MAX - 8))
+        high = HU_MAX if kind == "full" else low + 8
+        hu = draw(arrays(np.int16, shape, elements=st.one_of(
+            st.integers(low, high), st.sampled_from([low, high]))))
+    placement = draw(st.sampled_from(["default", "random", "on_pixels"]))
+    if placement == "default":
+        return hu, DEFAULT_WINDOWS
+    if placement == "random":
+        window = st.builds(WindowSpec, center=st.floats(-1100.0, 4200.0),
+                           width=st.floats(0.01, 3000.0))
+    else:
+        # A window whose lower end lies a whole number of HU below a pixel
+        # puts windowed values exactly on histogram edges (k/16) and on the
+        # blood band's ends (11/20 == 0.55 and 19/20 == 0.95 in floating point).
+        pixels = hu.ravel().tolist()
+        window = st.sampled_from([0.5, 1.0, 16.0, 20.0, 80.0]).flatmap(
+            lambda width: st.builds(lambda pixel, step: WindowSpec(pixel - step + width / 2, width),
+                                    st.sampled_from(pixels), st.integers(0, int(width))))
+    return hu, (draw(window), draw(window), draw(window))
 
 
 class TestExtractFeatures:
+    @settings(max_examples=300, deadline=None)
+    @given(case=stacks_and_windows())
+    def test_equals_per_slice_oracle_byte_for_byte(self, case):
+        hu, specs = case
+        rows = extract_features(hu, slice_positions(len(hu)), specs)
+        expected = volume_features_reference(hu, specs)
+        assert rows.shape == expected.shape == (len(hu), FEATURE_LENGTH)
+        assert rows.tobytes() == expected.tobytes()
+
     def test_all_zero_image(self):
-        feats = extract_features(image_of(0.0))
+        feats = features_of(np.full((8, 8), HU_MIN))  # air is 0 in every default window
         assert feats.shape == (FEATURE_LENGTH,)
         for channel in range(3):
             hist = feats[channel * 22:channel * 22 + HISTOGRAM_BINS]
@@ -31,7 +111,7 @@ class TestExtractFeatures:
             assert mean == 0.0 and std == 0.0
 
     def test_all_half_image(self):
-        feats = extract_features(image_of(0.5))
+        feats = features_of(np.full((8, 8), 40), (BRAIN, BRAIN, BRAIN))  # the window centre
         bin_of_half = int(0.5 * HISTOGRAM_BINS)  # left-inclusive binning
         for channel in range(3):
             hist = feats[channel * 22:channel * 22 + HISTOGRAM_BINS]
@@ -39,9 +119,9 @@ class TestExtractFeatures:
             assert feats[channel * 22 + 16] == 0.5
 
     def test_half_zero_half_one(self):
-        image = np.zeros((3, 4, 4))
-        image[:, :2, :] = 1.0
-        feats = extract_features(image)
+        hu = np.full((4, 4), HU_MIN)
+        hu[:2, :] = HU_MAX
+        feats = features_of(hu)
         for channel in range(3):
             hist = feats[channel * 22:channel * 22 + HISTOGRAM_BINS]
             assert hist[0] == 8 and hist[-1] == 8
@@ -49,33 +129,49 @@ class TestExtractFeatures:
             assert feats[channel * 22 + 17] == 0.5  # population std
 
     def test_histogram_sums_to_pixel_count(self, rng):
-        image = rng.random((3, 7, 5))
-        feats = extract_features(image)
+        feats = features_of(rng.integers(HU_MIN, HU_MAX + 1, (7, 5)))
         for channel in range(3):
             hist = feats[channel * 22:channel * 22 + HISTOGRAM_BINS]
             assert hist.sum() == 35
 
     def test_blood_band_fraction(self):
-        image = np.zeros((3, 2, 2))
-        image[:, 0, 0] = 0.7  # inside [0.55, 0.95]
-        feats = extract_features(image)
+        hu = np.full((2, 2), HU_MIN)
+        hu[0, 0] = 56  # 0.7 in the brain window, inside [0.55, 0.95]
+        feats = features_of(hu, (BRAIN, BRAIN, BRAIN))
         assert BLOOD_BAND == (0.55, 0.95)
         for channel in range(3):
             assert feats[channel * 22 + 21] == pytest.approx(0.25)
 
+    def test_blood_band_is_closed(self):
+        # 44/80 == 0.55 and 76/80 == 0.95 lie on the band's ends; 43 and 77 lie outside.
+        feats = features_of([[44, 76], [43, 77]], (BRAIN, BRAIN, BRAIN))
+        for channel in range(3):
+            assert feats[channel * 22 + 21] == 0.5
+
     def test_position_is_last_feature(self):
-        feats = extract_features(image_of(0.0), position=0.375)
+        feats = features_of(np.full((8, 8), HU_MIN), position=0.375)
         assert feats[-1] == 0.375
 
-    def test_non_finite_rejected(self):
-        image = image_of(0.0)
-        image[1, 2, 3] = np.nan
-        with pytest.raises(DataError):
-            extract_features(image)
+    def test_non_integer_rejected(self):
+        with pytest.raises(DataError, match="integer HU"):
+            extract_features(np.zeros((1, 4, 4)), [1.0])
 
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(DataError):
-            extract_features(np.zeros((2, 4, 4)))
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 1, 4, 4), (0, 4, 4), (1, 0, 4)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(DataError, match="HU stack"):
+            extract_features(np.zeros(shape, dtype=np.int16), np.ones(shape[0]))
+
+    @pytest.mark.parametrize("position", [[0.5], [0.5, 1.0, 1.0], 0.5])
+    def test_position_per_slice(self, position):
+        with pytest.raises(DataError, match="expected 2 slice positions"):
+            extract_features(np.zeros((2, 4, 4), dtype=np.int16), position)
+
+    @pytest.mark.parametrize("value", [HU_MIN - 1, HU_MAX + 1])
+    def test_out_of_range_hu_rejected(self, value):
+        hu = np.zeros((1, 2, 2), dtype=np.int32)
+        hu[0, 1, 1] = value
+        with pytest.raises(DataError, match=rf"\[{HU_MIN}, {HU_MAX}\]"):
+            extract_features(hu, [1.0])
 
 
 def make_separable(rng, n=120):

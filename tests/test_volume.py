@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hemtriage.errors import ArityError, ConfigError, DataError, FormatError
-from hemtriage.volume import (DEFAULT_WINDOWS, CtVolume, ManifestRow, ScanLabels, WindowSpec,
-                              apply_window, load_manifest, load_manifest_volumes,
+from hemtriage.volume import (DEFAULT_WINDOWS, HU_MAX, HU_MIN, CtVolume, ManifestRow, ScanLabels,
+                              WindowSpec, apply_window, load_manifest, load_manifest_volumes,
                               load_slice_labels, load_volume, save_manifest, save_slice_labels,
                               slice_truth, stack_channels, store_volume)
 
@@ -74,8 +75,9 @@ class TestStackChannels:
         assert np.all(image == 0.0)
 
     def test_channel_k_equals_apply_window(self):
-        hu = np.random.default_rng(3).integers(-1024, 4096, (6, 5))
+        hu = np.random.default_rng(3).integers(-1024, 4096, (4, 6, 5))  # a whole volume
         image = stack_channels(hu, DEFAULT_WINDOWS)
+        assert image.shape == (3, 4, 6, 5)
         for k, spec in enumerate(DEFAULT_WINDOWS):
             assert np.array_equal(image[k], apply_window(hu, spec))
 
@@ -150,13 +152,15 @@ class TestVolumeFile:
         with pytest.raises(FormatError, match="header"):
             load_volume(path)
 
-    def test_out_of_range_payload(self, tmp_path):
+    @pytest.mark.parametrize("hu", [-2000, HU_MIN - 1, HU_MAX + 1])
+    def test_out_of_range_payload(self, tmp_path, hu):
         path = tmp_path / "v.ctv"
         header = (b'{"scan_id": "s", "patient_id": "p", "height": 1, "width": 2, '
                   b'"num_slices": 1, "slice_thickness_mm": 5.0}\n')
-        payload = np.array([[-2000, 0]], dtype="<i2").tobytes()
+        payload = np.array([[hu, 0]], dtype="<i2").tobytes()
         path.write_bytes(header + payload)
-        with pytest.raises(FormatError, match="HU"):
+        with pytest.raises(FormatError, match=rf"{re.escape(str(path))}: HU values must lie in "
+                                              rf"\[{HU_MIN}, {HU_MAX}\]"):
             load_volume(path)
 
 
