@@ -22,9 +22,13 @@ node, and equal computed gains go to the lowest feature, then the lowest
 threshold (gains equal in exact arithmetic may differ in the last bit). The
 smaller child of a split is histogrammed from its rows and the larger one is
 its parent minus that sibling (Ke et al. 2017). An oblivious level histograms
-all its leaves at once, and exact bins would make that histogram 6x larger on
-the stacker's windows, so oblivious growth searches at most 63 borders per
-feature (all the midpoints when a feature has at most 64 distinct values).
+all of its leaves that hold rows at once and skips the empty ones: an empty
+leaf adds exactly 0.0 to every cut's gain (both sides and the parent score
+0.0), and adding 0.0 changes no bits. So the gain must stay a sum over the
+occupied leaves one after another in ascending leaf order, never regrouped.
+Exact bins would make that histogram 6x larger on the stacker's windows, so
+oblivious growth searches at most 63 borders per feature (all the midpoints
+when a feature has at most 64 distinct values).
 Node-wise growth keeps every midpoint: a 63-border cap there failed
 test_default_presets_ensemble_close_to_best_member.
 
@@ -485,6 +489,12 @@ class _ObliviousGrower:
     Borders are value midpoints when a feature has few distinct values and
     evenly spaced midpoint quantiles otherwise; min_samples_leaf applies to
     the level totals on each side of the shared split.
+
+    Each level histograms only the leaves that hold rows, one dense slot per
+    occupied leaf in ascending leaf order; an empty leaf would add exactly
+    0.0 to every gain. The gain sums those slots one after another, and the
+    noise floor sums the parent scores of all 2^level leaves, empty ones as
+    zeros, so both read the same bits as a histogram of every leaf would.
     """
 
     def __init__(self, bins: _Bins, config: GbdtConfig):
@@ -525,16 +535,17 @@ class _ObliviousGrower:
         if stride > 1 and y.min() != y.max():
             feature_offsets = np.arange(num_features, dtype=np.int64)
             for _ in range(self.config.max_depth):
-                num_leaves = 1 << len(levels)
-                flat = ((leaf_of[:, None] * num_features + feature_offsets) * stride
+                occupied, slot = np.unique(leaf_of, return_inverse=True)
+                num_slots = len(occupied)
+                flat = ((slot[:, None] * num_features + feature_offsets) * stride
                         + codes).ravel()
-                size = num_leaves * num_features * stride
+                size = num_slots * num_features * stride
                 hist_g = np.bincount(flat, weights=g_rep, minlength=size)
                 hist_h = np.bincount(flat, weights=h_rep, minlength=size)
-                hist_g = hist_g.reshape(num_leaves, num_features, stride)
-                hist_h = hist_h.reshape(num_leaves, num_features, stride)
-                total_g = np.bincount(leaf_of, weights=g, minlength=num_leaves)
-                total_h = np.bincount(leaf_of, weights=h, minlength=num_leaves)
+                hist_g = hist_g.reshape(num_slots, num_features, stride)
+                hist_h = hist_h.reshape(num_slots, num_features, stride)
+                total_g = np.bincount(slot, weights=g, minlength=num_slots)
+                total_h = np.bincount(slot, weights=h, minlength=num_slots)
                 left_g = np.cumsum(hist_g, axis=2)[:, :, :-1]
                 left_h = np.cumsum(hist_h, axis=2)[:, :, :-1]
                 right_g = total_g[:, None, None] - left_g
@@ -543,9 +554,15 @@ class _ObliviousGrower:
                 gain = (_safe_ratio(left_g, left_h + lam)
                         + _safe_ratio(right_g, right_h + lam)
                         - parents[:, None, None])
+                # A sum over axis 0 adds leaf after leaf in ascending leaf
+                # order; any regrouping could change the gains' last bits.
                 gain = np.where(self.cut_valid, 0.5 * gain.sum(axis=0), -np.inf)
                 at = int(np.argmax(gain))  # first maximum: lowest feature, then lowest cut
-                parent = float(parents.sum())
+                # A 1-D sum groups its terms by position, so the noise floor
+                # sums the parents of all 2^level leaves, zeros included.
+                all_parents = np.zeros(1 << len(levels))
+                all_parents[occupied] = parents
+                parent = float(all_parents.sum())
                 if gain.flat[at] < -_GAIN_NOISE_RELATIVE * (1.0 + abs(parent)):
                     break
                 feature, cut = divmod(at, stride - 1)
@@ -564,8 +581,8 @@ class _ObliviousGrower:
 
 
 def _safe_ratio(num, den):
-    den = np.asarray(den, dtype=np.float64)
-    return np.where(den > 0, num * num / np.where(den > 0, den, 1.0), 0.0)
+    """num^2 / den where den > 0, else 0.0: never a division by zero."""
+    return np.divide(np.square(num), den, out=np.zeros(np.shape(den)), where=den > 0)
 
 
 def _assemble_full_tree(levels: list[tuple[int, float]], leaf_values: np.ndarray) -> Tree:

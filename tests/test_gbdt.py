@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hemtriage import gbdt
 from hemtriage.errors import ArityError, ConfigError, DataError, FormatError, TrainingError
@@ -446,6 +446,135 @@ def _grow_rounds(X, y, config):
         tree, leaf_of = grower.grow(p - y, p * (1.0 - p), y)
         yield tree, leaf_of
         margins += tree_values(tree, X)
+
+
+def dense_oblivious_grow(grower, g, h, y):
+    """Oracle: ``grower.grow`` with every level histogramming all 2^level
+    leaves, empty ones included, as one dense (leaves, features, stride)
+    array, and with the nested-``np.where`` safe ratio."""
+    def safe_ratio(num, den):
+        return np.where(den > 0, num * num / np.where(den > 0, den, 1.0), 0.0)
+
+    lam = grower.config.l2_reg
+    codes, stride = grower.codes, grower.stride
+    m, num_features = codes.shape
+    g_rep = np.repeat(g, num_features)
+    h_rep = np.repeat(h, num_features)
+    levels = []
+    leaf_of = np.zeros(m, dtype=np.int64)
+    if stride > 1 and y.min() != y.max():
+        feature_offsets = np.arange(num_features, dtype=np.int64)
+        for _ in range(grower.config.max_depth):
+            num_leaves = 1 << len(levels)
+            flat = ((leaf_of[:, None] * num_features + feature_offsets) * stride + codes).ravel()
+            size = num_leaves * num_features * stride
+            hist_g = np.bincount(flat, weights=g_rep, minlength=size)
+            hist_h = np.bincount(flat, weights=h_rep, minlength=size)
+            hist_g = hist_g.reshape(num_leaves, num_features, stride)
+            hist_h = hist_h.reshape(num_leaves, num_features, stride)
+            total_g = np.bincount(leaf_of, weights=g, minlength=num_leaves)
+            total_h = np.bincount(leaf_of, weights=h, minlength=num_leaves)
+            left_g = np.cumsum(hist_g, axis=2)[:, :, :-1]
+            left_h = np.cumsum(hist_h, axis=2)[:, :, :-1]
+            right_g = total_g[:, None, None] - left_g
+            right_h = total_h[:, None, None] - left_h
+            parents = safe_ratio(total_g, total_h + lam)
+            gain = (safe_ratio(left_g, left_h + lam) + safe_ratio(right_g, right_h + lam)
+                    - parents[:, None, None])
+            gain = np.where(grower.cut_valid, 0.5 * gain.sum(axis=0), -np.inf)
+            at = int(np.argmax(gain))
+            parent = float(parents.sum())
+            if gain.flat[at] < -gbdt._GAIN_NOISE_RELATIVE * (1.0 + abs(parent)):
+                break
+            feature, cut = divmod(at, stride - 1)
+            levels.append((feature, float(grower.borders[feature][cut])))
+            leaf_of = leaf_of * 2 + (codes[:, feature] > cut)
+
+    num_leaves = 1 << len(levels)
+    leaf_g = np.bincount(leaf_of, weights=g, minlength=num_leaves)
+    leaf_h = np.bincount(leaf_of, weights=h, minlength=num_leaves)
+    leaf_n = np.bincount(leaf_of, minlength=num_leaves)
+    denom = leaf_h + lam
+    values = np.where((leaf_n > 0) & (denom > 0), -leaf_g / np.where(denom > 0, denom, 1.0), 0.0)
+    tree = gbdt._assemble_full_tree(levels, values * grower.config.learning_rate)
+    return tree, leaf_of + (num_leaves - 1)
+
+
+def tree_bytes(tree):
+    return [(name, getattr(tree, name).dtype.str, getattr(tree, name).tobytes())
+            for name in ("feature", "threshold", "left", "right", "value")]
+
+
+class TestOccupiedLeafLevels:
+    """Oblivious levels histogram only the leaves that hold rows. An empty
+    leaf adds exactly 0.0 to every gain, so the trees and leaves must be
+    byte-equal to the dense histogram of every leaf."""
+
+    # Summing the leaves in another order shows only where two cuts nearly
+    # tie, which random draws rarely hold; these two draws do.
+    @example(seed=63, num_rows=40, num_varied=3, capped=False, depth=5, lam=0.0,
+             min_samples_leaf=1)
+    @example(seed=138, num_rows=24, num_varied=3, capped=False, depth=6, lam=0.0,
+             min_samples_leaf=1)
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_rows=st.integers(2, 40),
+           num_varied=st.integers(0, 3), capped=st.booleans(),
+           depth=st.integers(1, 6), lam=st.sampled_from([0.0, 1.0]),
+           min_samples_leaf=st.sampled_from([1, 3]))
+    def test_grow_is_byte_equal_to_dense_levels(self, seed, num_rows, num_varied, capped,
+                                                depth, lam, min_samples_leaf):
+        # Column 0 is constant (stride 1 when it stands alone); the varied
+        # columns sit on a quarter grid. A capped draw adds 64 rows and a
+        # column of distinct values, so that column's borders are capped.
+        rng = np.random.default_rng(seed)
+        num_rows += 64 * capped
+        columns = [np.full(num_rows, 0.5), *(rng.integers(0, 5, (num_varied, num_rows)) / 4.0)]
+        if capped:
+            columns.append(rng.random(num_rows))
+        X = np.column_stack(columns)
+        y = rng.integers(0, 2, num_rows).astype(float)
+        config = gbdt.GbdtConfig(rounds=4, learning_rate=0.5, l2_reg=lam, growth="oblivious",
+                                 max_depth=depth, min_samples_leaf=min_samples_leaf)
+        grower = gbdt._ObliviousGrower(gbdt._Bins(X), config)
+        if num_varied == 0 and not capped:
+            assert grower.stride == 1
+        if capped:
+            assert len(grower.borders[-1]) == gbdt._OBLIVIOUS_MAX_BORDERS
+        margins = np.zeros(num_rows)
+        for _ in range(config.rounds):
+            p = gbdt._sigmoid(margins)
+            g, h = p - y, p * (1.0 - p)
+            tree, leaf_of = grower.grow(g, h, y)
+            dense_tree, dense_leaf_of = dense_oblivious_grow(grower, g, h, y)
+            assert tree_bytes(tree) == tree_bytes(dense_tree)
+            assert leaf_of.tobytes() == dense_leaf_of.tobytes()
+            margins += tree.value[leaf_of]
+
+    def test_safe_ratio_matches_nested_where(self):
+        num = np.array([0.0, -0.0, 1.5, -2.0, 3.0, -0.25, 1e-3, 7.0, -4.0, 0.0])
+        den = np.array([0.0, -0.0, -0.0, -1.0, -1e-300, 2.0, 1e-300, 0.5, 3.0, 1.0])
+        old = np.where(den > 0, num * num / np.where(den > 0, den, 1.0), 0.0)
+        with np.errstate(all="raise"):
+            new = gbdt._safe_ratio(num, den)
+        assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+        assert np.isfinite(new).all()
+
+    def test_zero_l2_with_empty_sides_trains_finite(self):
+        # Six rows under a depth-4 level: at every level some cut leaves a
+        # leaf's side empty, where l2_reg = 0 makes the denominator 0.
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 1.0], [4.0, 0.0], [5.0, 1.0]])
+        y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+        config = gbdt.GbdtConfig(rounds=5, learning_rate=0.3, l2_reg=0.0, growth="oblivious",
+                                 max_depth=4)
+        grower = gbdt._ObliviousGrower(gbdt._Bins(X), config)
+        p = np.full(len(y), 0.5)
+        with np.errstate(divide="raise", invalid="raise"):
+            tree, leaf_of = grower.grow(p - y, p * (1.0 - p), y)
+            model = gbdt.train(X, y, config)
+        assert tree.num_nodes == 31 and len(np.unique(leaf_of)) < 16  # some leaves are empty
+        for fitted in model.trees:
+            assert np.isfinite(fitted.value).all() and np.isfinite(fitted.threshold).all()
+        assert np.isfinite(gbdt.predict(model, X)).all()
 
 
 class TestLeavesFromGrowth:
