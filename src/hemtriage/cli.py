@@ -143,6 +143,8 @@ def _check_oof_slice_labels(oof_path, probs, labels_path, labels) -> None:
 
 
 def cmd_stack_train(args) -> None:
+    if args.slice_labels is not None and args.manifest is not None:
+        raise ConfigError("stack-train takes --slice-labels or --manifest, not both")
     probs = slicemodel.load_slice_probs(args.oof)
     if args.slice_labels is not None:
         labels = load_slice_labels(args.slice_labels)
@@ -193,6 +195,8 @@ def cmd_evaluate(args) -> None:
     truths = _manifest_truths(rows)
     if (args.decisions is None) == (args.probs is None):
         raise ConfigError("evaluate needs exactly one of --probs or --decisions")
+    if args.decisions is not None and args.thresholds is not None:
+        raise ConfigError("evaluate --decisions reads no --thresholds: give one or the other")
     if args.decisions is not None:
         decisions = _load_decisions(args.decisions, rows)
         scores = None

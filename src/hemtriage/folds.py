@@ -97,17 +97,16 @@ def assign_folds(rows, k: int, seed: int = 0) -> FoldAssignment:
 
 def _repair_balance(ordered, groups, counts, group_fold, fold_counts, fold_sizes, totals, k,
                     max_moves: int = 200) -> None:
-    """Move whole patient groups between folds while that strictly shrinks
-    per-label deviations beyond the largest single group's contribution.
+    """Move one whole patient group, or swap two, between folds while that
+    strictly shrinks per-label deviations beyond the largest single group's
+    contribution; each step takes the first best candidate, moves before swaps.
 
     The greedy alone can trade one label's balance for another's on
     multi-label groups; this deterministic best-improvement pass cleans up
     the (rare, small) overshoots.
     """
     ideal = totals / k
-    group_max = np.zeros(_LABEL_COLUMNS)
-    for pid in ordered:
-        group_max = np.maximum(group_max, counts[pid])
+    group_max = np.max([counts[pid] for pid in ordered], axis=0)
     size_max = max(len(groups[pid]) for pid in ordered)
     ideal_size = fold_sizes.sum() / k
 
@@ -115,58 +114,42 @@ def _repair_balance(ordered, groups, counts, group_fold, fold_counts, fold_sizes
         over = np.maximum(0.0, np.abs(fc - ideal) - group_max).sum()
         return over + np.maximum(0.0, np.abs(fs - ideal_size) - size_max).sum()
 
-    def apply(pid, target):
-        source = group_fold[pid]
-        fold_counts[source] -= counts[pid]
-        fold_counts[target] += counts[pid]
-        fold_sizes[source] -= len(groups[pid])
-        fold_sizes[target] += len(groups[pid])
-        group_fold[pid] = target
-
-    for _ in range(max_moves):
-        current = violation(fold_counts, fold_sizes)
-        if current <= 1e-9:
-            return
-        best_move = None
-        best_value = current
-        for pid in ordered:
+    def moved(move):
+        """Fold counts and sizes after ``move``, a tuple of (pid, target) pairs."""
+        trial_counts, trial_sizes = fold_counts.copy(), fold_sizes.copy()
+        for pid, target in move:
             source = group_fold[pid]
+            trial_counts[source] -= counts[pid]
+            trial_counts[target] += counts[pid]
+            trial_sizes[source] -= len(groups[pid])
+            trial_sizes[target] += len(groups[pid])
+        return trial_counts, trial_sizes
+
+    def candidates():
+        for pid in ordered:
             for target in range(k):
-                if target == source:
-                    continue
-                trial_counts = fold_counts.copy()
-                trial_counts[source] -= counts[pid]
-                trial_counts[target] += counts[pid]
-                trial_sizes = fold_sizes.copy()
-                trial_sizes[source] -= len(groups[pid])
-                trial_sizes[target] += len(groups[pid])
-                value = violation(trial_counts, trial_sizes)
-                if value < best_value - 1e-12:
-                    best_value = value
-                    best_move = ((pid, target),)
+                if target != group_fold[pid]:
+                    yield ((pid, target),)
         # Swapping two groups sidesteps the size bound that blocks plain moves.
         for i, pid_a in enumerate(ordered):
-            fold_a = group_fold[pid_a]
             for pid_b in ordered[i + 1:]:
-                fold_b = group_fold[pid_b]
-                if fold_a == fold_b:
-                    continue
-                delta = counts[pid_b] - counts[pid_a]
-                trial_counts = fold_counts.copy()
-                trial_counts[fold_a] += delta
-                trial_counts[fold_b] -= delta
-                size_delta = len(groups[pid_b]) - len(groups[pid_a])
-                trial_sizes = fold_sizes.copy()
-                trial_sizes[fold_a] += size_delta
-                trial_sizes[fold_b] -= size_delta
-                value = violation(trial_counts, trial_sizes)
-                if value < best_value - 1e-12:
-                    best_value = value
-                    best_move = ((pid_a, fold_b), (pid_b, fold_a))
+                if group_fold[pid_a] != group_fold[pid_b]:
+                    yield ((pid_a, group_fold[pid_b]), (pid_b, group_fold[pid_a]))
+
+    for _ in range(max_moves):
+        best_value = violation(fold_counts, fold_sizes)
+        if best_value <= 1e-9:
+            return
+        best_move = None
+        for move in candidates():
+            value = violation(*moved(move))
+            if value < best_value - 1e-12:
+                best_value, best_move = value, move
         if best_move is None:
             return
+        fold_counts[:], fold_sizes[:] = moved(best_move)
         for pid, target in best_move:
-            apply(pid, target)
+            group_fold[pid] = target
 
 
 def generate_oof(features_by_scan, labels_by_scan, assignment: FoldAssignment,

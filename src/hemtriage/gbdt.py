@@ -11,6 +11,8 @@ g = p - y with hessians h = p(1 - p); a leaf is worth
 -sum(g) / (sum(h) + l2_reg) scaled by the learning rate, and a split's gain
 is the second-order formula
 0.5 * [GL^2/(HL+l) + GR^2/(HR+l) - (GL+GR)^2/(HL+HR+l)].
+A leaf or gain term whose denominator is not positive counts as 0.0: with
+l2_reg = 0, hessians that underflow to 0 would otherwise divide by zero.
 
 Each training matrix is binned once, one bin per distinct value of each
 feature, and both split searches read those bins. Leafwise and depthwise
@@ -421,8 +423,8 @@ class _NodeGrower:
     def _make_leaf(self, builder, depth, rows, present, hist) -> _Leaf:
         grad_sum = float(self.g[rows].sum())
         hess_sum = float(self.h[rows].sum())
-        node = builder.add_leaf(-grad_sum / (hess_sum + self.config.l2_reg)
-                                * self.config.learning_rate)
+        denom = hess_sum + self.config.l2_reg
+        node = builder.add_leaf(-grad_sum / denom * self.config.learning_rate if denom > 0 else 0.0)
         self.leaf_of[rows] = node
         leaf = _Leaf(node, depth, rows, None, None)
         if hist is not None:
@@ -433,7 +435,6 @@ class _NodeGrower:
 
     def _best_split(self, leaf: _Leaf, grad_sum: float, hess_sum: float):
         msl = self.config.min_samples_leaf
-        lam = self.config.l2_reg
         m = len(leaf.rows)
         if m < 2 * msl or np.ptp(self.y[leaf.rows]) == 0:
             return None  # too few rows, or label-pure: nothing a split can improve
@@ -450,11 +451,9 @@ class _NodeGrower:
             cuts, left_g, left_h = cuts[enough], left_g[enough], left_h[enough]
         if not len(cuts):
             return None
-        right_g = grad_sum - left_g
-        right_h = hess_sum - left_h
-        score = left_g ** 2 / (left_h + lam) + right_g ** 2 / (right_h + lam)
+        score = self._score(left_g, left_h) + self._score(grad_sum - left_g, hess_sum - left_h)
         at = int(np.argmax(score))  # first hit: lowest feature, then lowest threshold
-        parent = grad_sum ** 2 / (hess_sum + lam)
+        parent = float(self._score(grad_sum, hess_sum))
         gain = 0.5 * (score[at] - parent)
         if gain < -_GAIN_NOISE_RELATIVE * (1.0 + abs(parent)):
             return None
@@ -464,6 +463,13 @@ class _NodeGrower:
         if threshold >= high:  # rounding collapsed the midpoint onto the upper value
             threshold = low
         return float(gain), int(low_bin), float(threshold)
+
+    def _score(self, grad, hess):
+        """grad^2 / (hess + l2_reg), and 0.0 where that denominator is not
+        positive, as in oblivious growth. Hessian sums are non-negative up to
+        rounding, so only l2_reg = 0 needs the guard; a positive one skips it."""
+        lam = self.config.l2_reg
+        return grad ** 2 / (hess + lam) if lam > 0 else _safe_ratio(grad, hess)
 
     def _split(self, builder, leaf: _Leaf) -> tuple[_Leaf, _Leaf]:
         _, low_bin, threshold = leaf.best
@@ -587,22 +593,16 @@ def _safe_ratio(num, den):
 
 def _assemble_full_tree(levels: list[tuple[int, float]], leaf_values: np.ndarray) -> Tree:
     """Heap-layout full binary tree; leaves sit left-to-right in path order."""
-    depth = len(levels)
-    num_nodes = (1 << (depth + 1)) - 1
-    feature = np.full(num_nodes, -1, dtype=np.int32)
-    threshold = np.zeros(num_nodes, dtype=np.float64)
-    left = np.full(num_nodes, -1, dtype=np.int32)
-    right = np.full(num_nodes, -1, dtype=np.int32)
-    value = np.zeros(num_nodes, dtype=np.float64)
-    for level, (feat, thr) in enumerate(levels):
-        start = (1 << level) - 1
-        for node in range(start, (1 << (level + 1)) - 1):
-            feature[node] = feat
-            threshold[node] = thr
-            left[node] = 2 * node + 1
-            right[node] = 2 * node + 2
-    value[(1 << depth) - 1:] = leaf_values
-    return Tree(feature=feature, threshold=threshold, left=left, right=right, value=value)
+    features = np.array([feature for feature, _ in levels], dtype=np.int32)
+    thresholds = np.array([threshold for _, threshold in levels], dtype=np.float64)
+    width = 1 << np.arange(len(levels))  # interior nodes per level
+    interior = np.arange(width.sum(), dtype=np.int32)
+    no_leaf = np.full(len(leaf_values), -1, dtype=np.int32)
+    return Tree(feature=np.concatenate([np.repeat(features, width), no_leaf]),
+                threshold=np.concatenate([np.repeat(thresholds, width), np.zeros(len(no_leaf))]),
+                left=np.concatenate([2 * interior + 1, no_leaf]),
+                right=np.concatenate([2 * interior + 2, no_leaf]),
+                value=np.concatenate([np.zeros(len(interior)), leaf_values]))
 
 
 def train_ensemble(features, labels, configs) -> GbdtEnsemble:

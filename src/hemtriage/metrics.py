@@ -96,6 +96,8 @@ def _split_scores(scores, labels):
     labels = np.asarray(labels, dtype=bool).ravel()
     if len(scores) != len(labels):
         raise ArityError(f"{len(scores)} scores vs {len(labels)} labels")
+    if not np.isfinite(scores).all():
+        raise DataError("scores must be finite")
     if labels.all() or not labels.any():
         raise UndefinedMetricError("AUC needs at least one positive and one negative")
     return scores, labels
@@ -107,17 +109,11 @@ def compute_auc(scores, labels) -> float:
     Computed from midranks, which equals brute-force pair counting exactly.
     """
     scores, labels = _split_scores(scores, labels)
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    boundaries = np.flatnonzero(np.diff(sorted_scores)) + 1
-    start = 0
-    for stop in list(boundaries) + [len(scores)]:
-        ranks[order[start:stop]] = (start + stop + 1) / 2.0  # midrank, 1-based
-        start = stop
+    _, tie_group, tie_counts = np.unique(scores, return_inverse=True, return_counts=True)
+    midranks = np.cumsum(tie_counts) - (tie_counts - 1) / 2.0  # 1-based, per tie group
     num_pos = int(labels.sum())
     num_neg = len(labels) - num_pos
-    pairs_won = ranks[labels].sum() - num_pos * (num_pos + 1) / 2.0
+    pairs_won = midranks[tie_group][labels].sum() - num_pos * (num_pos + 1) / 2.0
     return pairs_won / (num_pos * num_neg)
 
 
@@ -129,13 +125,11 @@ def roc_points(scores, labels) -> np.ndarray:
     num_neg = len(labels) - num_pos
     order = np.argsort(-scores, kind="mergesort")
     sorted_labels = labels[order]
-    tp = np.cumsum(sorted_labels)
-    fp = np.cumsum(~sorted_labels)
-    last_of_threshold = np.flatnonzero(np.diff(scores[order])).tolist() + [len(scores) - 1]
-    points = [(0.0, 0.0)]
-    for index in last_of_threshold:
-        points.append((fp[index] / num_neg, tp[index] / num_pos))
-    return np.array(points)
+    last_of_threshold = np.append(np.flatnonzero(np.diff(scores[order])), len(scores) - 1)
+    points = np.zeros((len(last_of_threshold) + 1, 2))
+    points[1:, 0] = np.cumsum(~sorted_labels)[last_of_threshold] / num_neg
+    points[1:, 1] = np.cumsum(sorted_labels)[last_of_threshold] / num_pos
+    return points
 
 
 def log_loss(probabilities, labels) -> float:

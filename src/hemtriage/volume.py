@@ -92,10 +92,6 @@ class ScanLabels:
     def vector(self) -> np.ndarray:
         return np.array([self.edh, self.sdh, self.sah, self.ivh, self.iph], dtype=bool)
 
-    @property
-    def any(self) -> bool:
-        return bool(self.edh or self.sdh or self.sah or self.ivh or self.iph)
-
     @classmethod
     def from_vector(cls, vec) -> "ScanLabels":
         vec = [bool(v) for v in vec]

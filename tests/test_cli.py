@@ -108,6 +108,21 @@ class TestStackTrainFallback:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_slice_labels_with_manifest_rejected(self, pipeline_dir, tmp_path, capsys):
+        # --slice-labels wins, so the manifest would go unread: here one that
+        # names a ghost scan and none of the OOF scans, rejected when alone.
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("scan_id,patient_id,path,edh,sdh,sah,ivh,iph\n"
+                            "ghost,pg,x,0,0,0,0,0\n")
+        out = tmp_path / "stacker.json"
+        assert run(["stack-train", "--oof", str(pipeline_dir / "oof" / "oof_probs.csv"),
+                    "--slice-labels", str(pipeline_dir / "data" / "slice_labels.csv"),
+                    "--manifest", str(manifest), "--delta-s", "1", "--rounds", "2",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--slice-labels" in err and "--manifest" in err
+        assert not out.exists()
+
     def test_needs_some_label_source(self, pipeline_dir, tmp_path, capsys):
         code = run(["stack-train", "--oof", str(pipeline_dir / "oof" / "oof_probs.csv"),
                     "--delta-s", "1", "--out", str(tmp_path / "x.json")])
@@ -420,6 +435,22 @@ class TestEvaluateWithDecisions:
                     "--out", str(out)]) == 1
         assert (f"{decisions}: decisions CSV has 1 scans not in the manifest: ['ghost']"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_thresholds_with_decisions_rejected(self, tmp_path, capsys):
+        # Decisions are already binary, so a threshold file would go unread.
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("scan_id,patient_id,path,edh,sdh,sah,ivh,iph\n"
+                            "s0,p0,x,1,0,0,0,0\ns1,p1,y,0,0,0,0,0\n")
+        decisions = tmp_path / "decisions.csv"
+        decisions.write_text("scan_id,edh,sdh,sah,ivh,iph\ns0,1,0,0,0,0\ns1,0,0,0,0,0\n")
+        not_json = tmp_path / "thresholds.json"
+        not_json.write_text("not json\n")
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--manifest", str(manifest), "--decisions", str(decisions),
+                    "--thresholds", str(not_json), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--decisions" in err and "--thresholds" in err
         assert not out.exists()
 
     def test_requires_exactly_one_input_mode(self, tmp_path, capsys):

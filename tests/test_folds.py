@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from hemtriage import gbdt
+from hemtriage import folds, gbdt
 from hemtriage.errors import ConfigError, InfeasibleError
 from hemtriage.folds import FoldAssignment, assign_folds, generate_oof, save_fold_csv
 from hemtriage.slicemodel import DEFAULT_REFERENCE_CONFIG, volume_features
@@ -58,6 +58,25 @@ class TestAssignFolds:
         rows = [row(f"s{i}", f"p{i}", tuple(rng.integers(0, 2, 5))) for i in range(24)]
         assert assign_folds(rows, 4, seed=2).fold_of == assign_folds(rows, 4, seed=2).fold_of
 
+    def test_repair_swaps_two_groups(self, monkeypatch):
+        # The greedy puts p0 and p1 in fold 0. No single-group move shrinks
+        # the imbalance within the size bound, so repair swaps p0 and p2.
+        vectors = [(0, 1, 1, 1, 0), (0,) * 5, (0,) * 5, (1, 0, 0, 1, 1), (0,) * 5,
+                   (0,) * 5, (1, 0, 0, 0, 0), (0,) * 5, (0, 0, 1, 0, 1), (0,) * 5]
+        rows = [row(f"s{i}", f"p{i // 2}", vector) for i, vector in enumerate(vectors)]
+        greedy = {}
+        repair = folds._repair_balance
+
+        def spy(ordered, groups, counts, group_fold, *rest):
+            greedy.update(group_fold)
+            repair(ordered, groups, counts, group_fold, *rest)
+
+        monkeypatch.setattr(folds, "_repair_balance", spy)
+        assignment = assign_folds(rows, k=3)
+        assert greedy == {"p0": 0, "p1": 0, "p2": 1, "p3": 1, "p4": 2}
+        assert assignment.fold_of == {"s0": 1, "s1": 1, "s2": 0, "s3": 0, "s4": 0, "s5": 0,
+                                      "s6": 1, "s7": 1, "s8": 2, "s9": 2}
+
     def test_k_exceeding_patient_groups(self):
         rows = [row("s0", "pA"), row("s1", "pA"), row("s2", "pB")]
         with pytest.raises(InfeasibleError):
@@ -81,15 +100,15 @@ class TestAssignFolds:
             rows.append(row(f"s{i}", f"p{i // 2}", vector))
         k = 4
         assignment = assign_folds(rows, k=k, seed=1)
-        labels = np.array([list(r.labels.vector()) + [r.labels.any] for r in rows], dtype=float)
+        labels = np.array([[*r.labels.vector(), r.labels.vector().any()] for r in rows],
+                          dtype=float)
         group_of = {}
-        for r in rows:
-            group_of.setdefault(r.patient_id, []).append(r)
+        for i, r in enumerate(rows):
+            group_of.setdefault(r.patient_id, []).append(i)
         for col in range(6):
             totals = labels[:, col].sum()
             ideal = totals / k
-            group_max = max(sum(float(list(g.labels.vector())[col]) if col < 5 else float(g.labels.any)
-                                for g in group) for group in group_of.values())
+            group_max = max(labels[group, col].sum() for group in group_of.values())
             fold_counts = np.zeros(k)
             for i, r in enumerate(rows):
                 fold_counts[assignment.fold_of[r.scan_id]] += labels[i, col]

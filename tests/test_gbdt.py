@@ -201,6 +201,20 @@ class TestTrainBasics:
         probs = gbdt.predict(model, X)
         assert np.array_equal(probs >= 0.5, y.astype(bool))
 
+    def test_zero_l2_trains_to_saturation(self):
+        # Margins grow until sigmoid rounds to exactly 0 or 1, where a leaf's
+        # hessians are 0: with l2_reg = 0 every mode must score such a split
+        # term and leaf as 0.0, not divide by zero.
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        for growth in gbdt.GROWTH_MODES:
+            config = gbdt.GbdtConfig(rounds=80, learning_rate=1.0, l2_reg=0.0, growth=growth,
+                                     max_leaves=4, max_depth=2)
+            with np.errstate(divide="raise", invalid="raise"):
+                model = gbdt.train(X, y, config)
+            assert np.isfinite(model.value).all(), growth
+            assert np.abs(gbdt.predict(model, X) - y).max() < 1e-15, growth
+
     def test_empty_training_set(self):
         with pytest.raises(TrainingError):
             gbdt.train(np.zeros((0, 3)), np.zeros(0), gbdt.GbdtConfig())

@@ -143,6 +143,16 @@ class TestAuc:
         with pytest.raises(UndefinedMetricError):
             compute_auc([0.1, 0.2], [1, 1])
 
+    def test_non_finite_scores_rejected(self):
+        # Ranks of NaN scores mean nothing, whether each is its own tie group
+        # (AUC 0.5 here) or all of them are one (0.417).
+        scores, labels = [0.2, np.nan, 0.7, np.nan, 0.4], [1, 0, 1, 1, 0]
+        for statistic in (compute_auc, roc_points):
+            with pytest.raises(DataError, match="finite"):
+                statistic(scores, labels)
+            with pytest.raises(DataError, match="finite"):
+                statistic([0.2, np.inf], [1, 0])
+
     def test_matches_brute_force_with_heavy_ties(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 60))

@@ -97,8 +97,8 @@ class TestCtVolume:
             CtVolume("s", "p", bad, 5.0)
 
     def test_any_derivation(self):
-        assert not ScanLabels.from_vector([0, 0, 0, 0, 0]).any
-        assert ScanLabels.from_vector([0, 0, 0, 0, 1]).any
+        assert not ScanLabels.from_vector([0, 0, 0, 0, 0]).vector().any()
+        assert ScanLabels.from_vector([0, 0, 0, 0, 1]).vector().any()
 
 
 class TestVolumeFile:
@@ -175,7 +175,7 @@ class TestManifest:
         loaded = load_manifest(path)
         assert [r.scan_id for r in loaded] == ["s0", "s1"]
         assert loaded[0].labels.edh and loaded[0].labels.iph and not loaded[0].labels.sdh
-        assert not loaded[1].labels.any
+        assert not loaded[1].labels.vector().any()
 
     def test_bad_label_cell(self, tmp_path):
         path = tmp_path / "manifest.csv"
