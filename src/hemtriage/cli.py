@@ -209,7 +209,7 @@ def cmd_evaluate(args) -> None:
     report = metrics.build_report(decisions, truths, scores)
     out_dir = Path(args.out)
     metrics.save_report(report, out_dir / "report.csv", out_dir / "report.txt")
-    any_row = report.row("any")
+    any_row = report["any"]
     print(f"any-type: tp={any_row.cm.tp} fn={any_row.cm.fn} tn={any_row.cm.tn} "
           f"fp={any_row.cm.fp} -> {out_dir / 'report.csv'}")
 
@@ -233,10 +233,12 @@ def cmd_report(args) -> None:
 
 
 def _write_roc(out_dir, label_scores, label_truths) -> None:
+    """One curve per label whose truths hold both classes."""
     series = []
     for label in metrics.REPORT_LABELS:
         points = metrics.roc_points(label_scores[label], label_truths[label])
-        series.append((label, points[:, 0], points[:, 1]))
+        if points is not None:
+            series.append((label, points[:, 0], points[:, 1]))
     write_csv(out_dir / "roc_curves.csv", ("label", "fpr", "tpr"),
               ((label, repr(float(fpr)), repr(float(tpr)))
                for label, fprs, tprs in series for fpr, tpr in zip(fprs, tprs)))
@@ -265,12 +267,14 @@ def _write_cumulative(out_dir, label_decisions, label_truths) -> None:
 
 
 def _write_boxplots(out_dir, label_scores, label_truths, label_thresholds) -> None:
+    """One box per label and truth class that holds any scan."""
     rows = []
     groups = []
     for label in metrics.REPORT_LABELS:
         by_class = metrics.boxplot_stats_by_class(label_scores[label], label_truths[label])
-        for truth_class in (0, 1):
-            stats = by_class[truth_class]
+        for truth_class, stats in by_class.items():
+            if stats is None:
+                continue
             rows.append((label, truth_class, repr(stats.median), repr(stats.q1),
                          repr(stats.q3), repr(stats.whisker_low),
                          repr(stats.whisker_high), len(stats.outliers)))
@@ -286,8 +290,8 @@ def _write_boxplots(out_dir, label_scores, label_truths, label_thresholds) -> No
 
 def _write_ci_summary(out_dir, report) -> None:
     write_csv(out_dir / "ci_summary.csv", ("label", "measure", "value_pct", "ci_half_width_pct"),
-              ((row.label, measure, f"{100 * value:.2f}", f"{100 * ci:.2f}")
-               for row in report.rows
+              ((label, measure, f"{100 * value:.2f}", f"{100 * ci:.2f}")
+               for label, row in report.items()
                for measure, value, ci in (("acc", row.stats.acc, row.ci_acc),
                                           ("bacc", row.stats.bacc, row.ci_bacc))
                if value is not None))

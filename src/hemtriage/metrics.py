@@ -2,8 +2,10 @@
 binomial confidence intervals, cumulative positive-case curves, and box-plot
 summaries.
 
-Undefined statistics (zero denominators) are flagged as None, never silently
-0 or 1; rare types with a handful of positives make those cases reachable.
+An undefined statistic is None, never silently 0 or 1 and never an
+exception: a zero-denominator rate, the AUC and ROC curve of one-class labels,
+and the box of an empty group. Rare types with a handful of positives, or
+none, make those cases reachable.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityError, DataError, UndefinedMetricError
+from .errors import ArityError, DataError
 from .fileio import atomic_write_text, write_csv
 from .volume import HEMORRHAGE_TYPES, NUM_TYPES
 
@@ -92,37 +94,39 @@ def compute_metrics(cm: ConfusionMatrix) -> ClassifierStats:
 
 
 def _split_scores(scores, labels):
+    """Checked scores and labels with the positive and negative counts."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels, dtype=bool).ravel()
     if len(scores) != len(labels):
         raise ArityError(f"{len(scores)} scores vs {len(labels)} labels")
     if not np.isfinite(scores).all():
         raise DataError("scores must be finite")
-    if labels.all() or not labels.any():
-        raise UndefinedMetricError("AUC needs at least one positive and one negative")
-    return scores, labels
+    num_pos = int(labels.sum())
+    return scores, labels, num_pos, len(labels) - num_pos
 
 
-def compute_auc(scores, labels) -> float:
-    """Mann-Whitney AUC: ties between a positive and a negative count half.
+def compute_auc(scores, labels) -> float | None:
+    """Mann-Whitney AUC: ties between a positive and a negative count half;
+    None when the labels hold one class.
 
     Computed from midranks, which equals brute-force pair counting exactly.
     """
-    scores, labels = _split_scores(scores, labels)
+    scores, labels, num_pos, num_neg = _split_scores(scores, labels)
+    if not num_pos or not num_neg:
+        return None
     _, tie_group, tie_counts = np.unique(scores, return_inverse=True, return_counts=True)
     midranks = np.cumsum(tie_counts) - (tie_counts - 1) / 2.0  # 1-based, per tie group
-    num_pos = int(labels.sum())
-    num_neg = len(labels) - num_pos
     pairs_won = midranks[tie_group][labels].sum() - num_pos * (num_pos + 1) / 2.0
     return pairs_won / (num_pos * num_neg)
 
 
-def roc_points(scores, labels) -> np.ndarray:
+def roc_points(scores, labels) -> np.ndarray | None:
     """ROC polyline: one (FPR, TPR) vertex per distinct score, ends pinned
-    at (0,0) and (1,1). A score is called positive when >= the threshold."""
-    scores, labels = _split_scores(scores, labels)
-    num_pos = int(labels.sum())
-    num_neg = len(labels) - num_pos
+    at (0,0) and (1,1); None when the labels hold one class. A score is
+    called positive when >= the threshold."""
+    scores, labels, num_pos, num_neg = _split_scores(scores, labels)
+    if not num_pos or not num_neg:
+        return None
     order = np.argsort(-scores, kind="mergesort")
     sorted_labels = labels[order]
     last_of_threshold = np.append(np.flatnonzero(np.diff(scores[order])), len(scores) - 1)
@@ -189,12 +193,13 @@ class BoxplotStats:
     outliers: np.ndarray
 
 
-def boxplot_stats(values) -> BoxplotStats:
+def boxplot_stats(values) -> BoxplotStats | None:
     """Quartiles by linear interpolation of order statistics (position (k-1)q);
-    whiskers reach the most extreme points within 1.5 IQR of the box."""
+    whiskers reach the most extreme points within 1.5 IQR of the box. None
+    for an empty group."""
     values = np.asarray(values, dtype=np.float64).ravel()
     if len(values) < 1:
-        raise ArityError("boxplot group must be non-empty")
+        return None
     q1, median, q3 = np.percentile(values, (25, 50, 75))
     iqr = q3 - q1
     low_fence = q1 - 1.5 * iqr
@@ -210,7 +215,7 @@ def boxplot_stats(values) -> BoxplotStats:
     )
 
 
-def boxplot_stats_by_class(values, truths) -> dict[int, BoxplotStats]:
+def boxplot_stats_by_class(values, truths) -> dict[int, BoxplotStats | None]:
     values = np.asarray(values, dtype=np.float64).ravel()
     truths = np.asarray(truths, dtype=bool).ravel()
     if len(values) != len(truths):
@@ -220,41 +225,11 @@ def boxplot_stats_by_class(values, truths) -> dict[int, BoxplotStats]:
 
 @dataclass(frozen=True, eq=False)
 class LabelReport:
-    label: str
     cm: ConfusionMatrix
     stats: ClassifierStats
     auc: float | None
     ci_acc: float
     ci_bacc: float | None
-
-
-@dataclass(frozen=True, eq=False)
-class MetricsReport:
-    rows: tuple[LabelReport, ...]
-
-    def row(self, label: str) -> LabelReport:
-        for row in self.rows:
-            if row.label == label:
-                return row
-        raise KeyError(label)
-
-
-def label_report(label: str, cm: ConfusionMatrix, scores=None, truths=None) -> LabelReport:
-    stats = compute_metrics(cm)
-    auc = None
-    if scores is not None:
-        try:
-            auc = compute_auc(scores, truths)
-        except UndefinedMetricError:
-            auc = None
-    return LabelReport(
-        label=label,
-        cm=cm,
-        stats=stats,
-        auc=auc,
-        ci_acc=binomial_ci(stats.acc, cm.total),
-        ci_bacc=binomial_ci(stats.bacc, cm.total) if stats.bacc is not None else None,
-    )
 
 
 def report_columns(decisions, truths, scores=None):
@@ -267,8 +242,9 @@ def report_columns(decisions, truths, scores=None):
             None if scores is None else columns(scores, np.max))
 
 
-def build_report(decisions, truths, scores=None) -> MetricsReport:
-    """Six-row report (five types plus any) from per-scan decisions/labels.
+def build_report(decisions, truths, scores=None) -> dict[str, LabelReport]:
+    """One row per label of ``REPORT_LABELS`` (five types plus any), in that
+    order, from per-scan decisions/labels.
 
     ``decisions`` and ``truths`` are (scans, 5) booleans; optional ``scores``
     are (scans, 5) probabilities for AUC; ``report_columns`` derives "any".
@@ -283,21 +259,28 @@ def build_report(decisions, truths, scores=None) -> MetricsReport:
         if scores.shape != decisions.shape:
             raise ArityError(f"scores shape {scores.shape} must match decisions")
     label_decisions, label_truths, label_scores = report_columns(decisions, truths, scores)
-    return MetricsReport(rows=tuple(
-        label_report(label, compute_confusion(label_decisions[label], label_truths[label]),
-                     label_scores[label] if label_scores is not None else None,
-                     label_truths[label])
-        for label in REPORT_LABELS))
+    report = {}
+    for label in REPORT_LABELS:
+        cm = compute_confusion(label_decisions[label], label_truths[label])
+        stats = compute_metrics(cm)
+        report[label] = LabelReport(
+            cm=cm,
+            stats=stats,
+            auc=None if scores is None else compute_auc(label_scores[label], label_truths[label]),
+            ci_acc=binomial_ci(stats.acc, cm.total),
+            ci_bacc=binomial_ci(stats.bacc, cm.total) if stats.bacc is not None else None,
+        )
+    return report
 
 
 def _cell(value: float | None) -> str:
     return "NA" if value is None else f"{100.0 * value:.1f}"
 
 
-def report_to_text(report: MetricsReport) -> str:
+def report_to_text(report: dict[str, LabelReport]) -> str:
     lines = []
-    for row in report.rows:
-        lines.append(f"[{row.label}]")
+    for label, row in report.items():
+        lines.append(f"[{label}]")
         lines.append(f"tp={row.cm.tp} fn={row.cm.fn} tn={row.cm.tn} fp={row.cm.fp}")
         for field in _STAT_FIELDS:
             lines.append(f"{field}={_cell(getattr(row.stats, field))}")
@@ -309,13 +292,13 @@ def report_to_text(report: MetricsReport) -> str:
     return "\n".join(lines)
 
 
-def save_report(report: MetricsReport, csv_path, text_path) -> None:
+def save_report(report: dict[str, LabelReport], csv_path, text_path) -> None:
     """The CSV is a percent table in the published column order; NA marks undefined."""
     write_csv(csv_path, _REPORT_COLUMNS,
-              ([row.label.upper() if row.label != "any" else "Any",
+              ([label.upper() if label != "any" else "Any",
                 row.cm.tp, row.cm.fn, row.cm.tn, row.cm.fp,
                 _cell(row.stats.sen), _cell(row.stats.spec), _cell(row.stats.ppv),
                 _cell(row.stats.npv), _cell(row.auc), _cell(row.stats.acc),
                 _cell(row.stats.bacc), _cell(row.stats.mcc), _cell(row.stats.f1)]
-               for row in report.rows))
+               for label, row in report.items()))
     atomic_write_text(text_path, report_to_text(report))

@@ -96,41 +96,29 @@ def aggregate_scan(rows) -> np.ndarray:
     return rows.max(axis=0)
 
 
-def _balanced_accuracy(decisions: np.ndarray, truths: np.ndarray) -> float:
+def _balanced_accuracy(decisions: np.ndarray, truths: np.ndarray) -> float | None:
     return compute_metrics(compute_confusion(decisions, truths)).bacc
 
 
-def _objective_any_bacc(thresholds: np.ndarray, vectors: np.ndarray, labels: np.ndarray) -> float:
+def _objective_any_bacc(thresholds: np.ndarray, vectors: np.ndarray,
+                        labels: np.ndarray) -> float | None:
     decisions = (vectors >= thresholds).any(axis=1)
     return _balanced_accuracy(decisions, labels.any(axis=1))
 
 
 def _objective_mean_type_bacc(thresholds: np.ndarray, vectors: np.ndarray,
-                              labels: np.ndarray) -> float:
-    scores = []
-    for t in range(NUM_TYPES):
-        truth = labels[:, t]
-        if truth.all() or not truth.any():
-            continue  # balanced accuracy undefined for this type
-        scores.append(_balanced_accuracy(vectors[:, t] >= thresholds[t], truth))
-    return float(np.mean(scores))
+                              labels: np.ndarray) -> float | None:
+    """Mean balanced accuracy over the types where it is defined."""
+    scores = [_balanced_accuracy(vectors[:, t] >= thresholds[t], labels[:, t])
+              for t in range(NUM_TYPES)]
+    defined = [score for score in scores if score is not None]
+    return float(np.mean(defined)) if defined else None
 
 
 OBJECTIVES = {
     "any_bacc": _objective_any_bacc,
     "mean_type_bacc": _objective_mean_type_bacc,
 }
-
-
-def _check_objective_defined(objective: str, labels: np.ndarray) -> None:
-    if objective == "any_bacc":
-        any_truth = labels.any(axis=1)
-        if any_truth.all() or not any_truth.any():
-            raise UndefinedMetricError("any-type labels are one-class; objective undefined")
-    else:
-        usable = [t for t in range(NUM_TYPES) if labels[:, t].any() and not labels[:, t].all()]
-        if not usable:
-            raise UndefinedMetricError("every type has one-class labels; objective undefined")
 
 
 def _norm_pdf(z):
@@ -214,7 +202,9 @@ def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
     Twenty seeded quasi-random points start the design; each later step fits
     the GP on everything evaluated so far and evaluates the candidate with the
     highest expected improvement. Returns the best evaluated point and its
-    objective value. Deterministic given the seed.
+    objective value. Deterministic given the seed. Whether an objective is
+    defined depends on the labels alone, so an undefined (None) score at the
+    first point raises ``UndefinedMetricError``.
     """
     from scipy.linalg import solve_triangular
     from scipy.stats import qmc
@@ -229,7 +219,6 @@ def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
         raise ConfigError(f"unknown objective {objective!r}; pick from {sorted(OBJECTIVES)}")
     if budget < 1:
         raise ConfigError("budget must be positive")
-    _check_objective_defined(objective, labels)
     score = OBJECTIVES[objective]
 
     lo, hi = SEARCH_BOUNDS
@@ -241,7 +230,11 @@ def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
     X[:n] = lo + sampler.random(n) * (hi - lo)
     for j in range(n):
         _cholesky_append(factor, j, _rbf_kernel(X[:j], X[j:j + 1])[:, 0])
-    y = np.array([score(x, vectors, labels) for x in X[:n]])
+    y = [score(x, vectors, labels) for x in X[:n]]
+    if y[0] is None:
+        raise UndefinedMetricError(f"objective {objective} is undefined: its labels are "
+                                   "one-class")
+    y = np.array(y)
 
     # The objective only changes where a threshold crosses an observed scan
     # probability, so those per-axis values (and the plateau just above each)

@@ -159,13 +159,16 @@ def load_volume(path) -> CtVolume:
         raise FormatError(f"{path}: malformed header: {exc}") from exc
     if not isinstance(header, dict) or set(header) != set(_HEADER_KEYS):
         raise FormatError(f"{path}: header must contain exactly the keys {_HEADER_KEYS}")
-    try:
-        height = int(header["height"])
-        width = int(header["width"])
-        num_slices = int(header["num_slices"])
-        thickness = float(header["slice_thickness_mm"])
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed header field: {exc}") from exc
+    num_slices, height, width = (header[key] for key in ("num_slices", "height", "width"))
+    if not all(type(size) is int for size in (num_slices, height, width)):
+        raise FormatError(f"{path}: num_slices, height and width must be integers, got "
+                          f"{num_slices!r}, {height!r}, {width!r}")
+    if not (isinstance(header["scan_id"], str) and isinstance(header["patient_id"], str)):
+        raise FormatError(f"{path}: scan_id and patient_id must be strings")
+    thickness = header["slice_thickness_mm"]
+    if type(thickness) not in (int, float) or not 0 < thickness < math.inf:
+        raise FormatError(f"{path}: slice_thickness_mm must be a finite positive number, "
+                          f"got {thickness!r}")
     if num_slices < 1:
         raise FormatError(f"{path}: empty volume (num_slices={num_slices})")
     if height < 1 or width < 1:
@@ -179,10 +182,10 @@ def load_volume(path) -> CtVolume:
     hu = np.frombuffer(payload, dtype="<i2").reshape(num_slices, height, width)
     try:  # CtVolume checks the HU range
         return CtVolume(
-            scan_id=str(header["scan_id"]),
-            patient_id=str(header["patient_id"]),
+            scan_id=header["scan_id"],
+            patient_id=header["patient_id"],
             slices=hu.astype(np.int16),
-            slice_thickness_mm=thickness,
+            slice_thickness_mm=float(thickness),
         )
     except DataError as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -11,6 +11,7 @@ import pytest
 import hemtriage
 from hemtriage import slicemodel
 from hemtriage.cli import main
+from hemtriage.metrics import REPORT_LABELS
 from hemtriage.slicemodel import extract_features, load_slice_probs, save_slice_probs
 from hemtriage.volume import HEMORRHAGE_TYPES, load_slice_labels, save_slice_labels, store_volume
 
@@ -82,6 +83,72 @@ class TestPipelineArtifacts:
     def test_svg_is_wellformed_enough(self, pipeline_dir):
         text = (pipeline_dir / "report" / "roc_curves.svg").read_text()
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+
+
+class TestOneClassLabel:
+    """A cohort with no EDH-positive scan: EDH has no AUC, ROC curve or
+    positive-class box, and every other statistic is still reported."""
+
+    @pytest.fixture(scope="class")
+    def no_edh(self, pipeline_dir, tmp_path_factory):
+        root = tmp_path_factory.mktemp("no_edh")
+        rows = list(csv.DictReader((pipeline_dir / "data" / "manifest.csv").read_text()
+                                   .splitlines()))
+        kept = [row for row in rows if row["edh"] == "0"]
+        assert 0 < len(kept) < len(rows)
+        manifest = root / "manifest.csv"
+        with open(manifest, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(kept)
+        probs = load_slice_probs(pipeline_dir / "refined.csv")
+        save_slice_probs({row["scan_id"]: probs[row["scan_id"]] for row in kept},
+                         root / "probs.csv")
+        judged = ["--manifest", str(manifest), "--probs", str(root / "probs.csv"),
+                  "--thresholds", str(pipeline_dir / "thresholds.json")]
+        assert run(["evaluate", *judged, "--out", str(root / "eval")]) == 0
+        assert run(["report", *judged, "--out", str(root / "report")]) == 0
+        return root
+
+    def test_evaluate_writes_na_auc(self, no_edh):
+        rows = {line.split(",")[0]: line.split(",")
+                for line in (no_edh / "eval" / "report.csv").read_text().splitlines()}
+        auc = rows["Hemorrhage"].index("AUC")
+        assert rows["EDH"][auc] == "NA"
+        assert all(rows[label][auc] != "NA" for label in ("SDH", "SAH", "IVH", "IPH", "Any"))
+
+    def test_report_writes_every_artifact_without_edh_curves(self, no_edh):
+        report = no_edh / "report"
+        expected = {"roc_curves.csv", "roc_curves.svg", "cumulative_curves.csv",
+                    "boxplot_stats.csv", "boxplot.svg", "ci_summary.csv",
+                    *(f"cumulative_{label}.svg" for label in REPORT_LABELS)}
+        assert len(expected) == 12
+        assert {path.name for path in report.iterdir()} == expected
+        roc_labels = {row["label"] for row in
+                      csv.DictReader((report / "roc_curves.csv").read_text().splitlines())}
+        assert roc_labels == set(REPORT_LABELS) - {"edh"}
+        boxes = {(row["label"], row["truth_class"]) for row in
+                 csv.DictReader((report / "boxplot_stats.csv").read_text().splitlines())}
+        assert boxes == {(label, truth_class) for label in REPORT_LABELS
+                         for truth_class in "01"} - {("edh", "1")}
+
+
+class TestFlagErrors:
+    @pytest.mark.parametrize("windows", ["40:80,80:x,40:380", "40:80,80:200"])
+    def test_bad_windows_rejected(self, pipeline_dir, tmp_path, capsys, windows):
+        out = tmp_path / "model.json"
+        assert run(["slice-train", "--manifest", str(pipeline_dir / "data" / "manifest.csv"),
+                    "--windows", windows, "--rounds", "2", "--out", str(out)]) == 1
+        assert "--windows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_evaluate_probs_needs_thresholds(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--manifest", str(pipeline_dir / "data" / "manifest.csv"),
+                    "--probs", str(pipeline_dir / "refined.csv"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--probs" in err and "--thresholds" in err
+        assert not out.exists()
 
 
 class TestStackTrainFallback:

@@ -626,6 +626,22 @@ class TestLeavesFromGrowth:
                 (tree.feature == 0) & (tree.threshold == 1.0)))
         assert split_on_collapsed_midpoint
 
+    @pytest.mark.parametrize("growth,extra", GROWTHS[:2])
+    def test_midpoint_rounding_up_splits_at_the_lower_value(self, growth, extra):
+        # Between 1.0 + ulp and the next float up the midpoint rounds up onto
+        # the upper value, where it would send both values left; the node-wise
+        # split falls back to the lower value.
+        low = np.nextafter(1.0, 2.0)
+        high = np.nextafter(low, 2.0)
+        assert low + (high - low) / 2.0 == high
+        y = np.array([0.0, 1.0] * 10)
+        X = np.where(y > 0, high, low)[:, None]
+        config = gbdt.GbdtConfig(rounds=1, growth=growth, **extra)
+        tree, leaf_of = next(_grow_rounds(X, y, config))
+        assert tree.feature[0] == 0 and tree.threshold[0] == low
+        assert np.array_equal(leaf_of, _walk_to_leaves(tree, X))
+        assert np.array_equal(leaf_of == tree.left[0], y == 0)
+
     def test_train_never_walks_a_tree(self, monkeypatch, rng):
         walks = []
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hemtriage.errors import ArityError, DataError, UndefinedMetricError
-from hemtriage.metrics import (ConfusionMatrix, binomial_ci, boxplot_stats,
+from hemtriage.errors import ArityError, DataError
+from hemtriage.metrics import (REPORT_LABELS, ConfusionMatrix, binomial_ci, boxplot_stats,
                                boxplot_stats_by_class, build_report, compute_auc,
                                compute_confusion, compute_metrics, cumulative_curves,
                                log_loss, roc_points, save_report)
@@ -139,9 +139,10 @@ class TestAuc:
         # pairs: (.9,.8)=1, (.9,.6)=1, (.7,.8)=0, (.7,.6)=1 -> 3/4
         assert compute_auc([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0]) == 0.75
 
-    def test_one_class_rejected(self):
-        with pytest.raises(UndefinedMetricError):
-            compute_auc([0.1, 0.2], [1, 1])
+    @pytest.mark.parametrize("labels", [[1, 1], [0, 0]])
+    def test_one_class_is_none(self, labels):
+        assert compute_auc([0.1, 0.2], labels) is None
+        assert roc_points([0.1, 0.2], labels) is None
 
     def test_non_finite_scores_rejected(self):
         # Ranks of NaN scores mean nothing, whether each is its own tie group
@@ -264,6 +265,11 @@ class TestBoxplot:
         assert groups[0].median == pytest.approx(0.15)
         assert groups[1].median == pytest.approx(0.85)
 
+    def test_empty_group_is_none(self):
+        assert boxplot_stats([]) is None
+        groups = boxplot_stats_by_class([0.1, 0.2], [0, 0])
+        assert groups[1] is None and groups[0].median == pytest.approx(0.15)
+
 
 class TestReport:
     def test_build_report_shapes_and_any_row(self, rng):
@@ -271,11 +277,22 @@ class TestReport:
         truths = rng.integers(0, 2, (30, 5)).astype(bool)
         scores = rng.random((30, 5))
         report = build_report(decisions, truths, scores)
-        assert [r.label for r in report.rows] == ["edh", "sdh", "sah", "ivh", "iph", "any"]
-        any_cm = report.row("any").cm
+        assert list(report) == list(REPORT_LABELS) == ["edh", "sdh", "sah", "ivh", "iph", "any"]
+        any_cm = report["any"].cm
         direct = compute_confusion(decisions.any(axis=1), truths.any(axis=1))
         assert (any_cm.tp, any_cm.fn, any_cm.tn, any_cm.fp) == \
             (direct.tp, direct.fn, direct.tn, direct.fp)
+
+    def test_one_class_label_has_no_auc(self, rng, tmp_path):
+        decisions = rng.integers(0, 2, (30, 5)).astype(bool)
+        truths = rng.integers(0, 2, (30, 5)).astype(bool)
+        truths[:, 0] = False
+        report = build_report(decisions, truths, rng.random((30, 5)))
+        assert report["edh"].auc is None and report["edh"].stats.sen is None
+        assert all(0.0 <= report[label].auc <= 1.0 for label in REPORT_LABELS[1:])
+        save_report(report, tmp_path / "r.csv", tmp_path / "r.txt")
+        edh = (tmp_path / "r.csv").read_text().splitlines()[1].split(",")
+        assert edh[0] == "EDH" and edh[9] == "NA"
 
     def test_csv_has_published_column_order(self, rng, tmp_path):
         decisions = rng.integers(0, 2, (10, 5)).astype(bool)

@@ -228,6 +228,14 @@ class TestObjectives:
         with pytest.raises(UndefinedMetricError):
             optimize_thresholds(vectors, np.zeros((10, 5), dtype=bool), budget=25)
 
+    def test_every_type_one_class_rejected(self):
+        vectors = np.random.default_rng(0).random((10, 5))
+        labels = np.zeros((10, 5), dtype=bool)
+        labels[:, 0] = True
+        assert OBJECTIVES["mean_type_bacc"](np.full(5, 0.5), vectors, labels) is None
+        with pytest.raises(UndefinedMetricError, match="mean_type_bacc"):
+            optimize_thresholds(vectors, labels, objective="mean_type_bacc", budget=25)
+
     def test_mean_type_bacc_skips_one_class_types(self, rng):
         vectors = rng.random((20, 5))
         labels = rng.integers(0, 2, (20, 5)).astype(bool)

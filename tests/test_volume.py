@@ -16,6 +16,14 @@ from conftest import make_volume
 BRAIN = WindowSpec(40, 80)
 
 
+def header_with(**literals):
+    """A volume header line for a 1x1x2 volume, with some fields replaced by
+    the given JSON literals."""
+    fields = {"scan_id": '"s"', "patient_id": '"p"', "height": "1", "width": "2",
+              "num_slices": "1", "slice_thickness_mm": "5.0", **literals}
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}"
+
+
 class TestApplyWindow:
     def test_center_maps_to_midpoint(self):
         assert apply_window(np.array([40]), BRAIN)[0] == 0.5
@@ -146,10 +154,21 @@ class TestVolumeFile:
         with pytest.raises(FormatError, match="empty volume"):
             load_volume(path)
 
-    def test_malformed_header(self, tmp_path):
+    @pytest.mark.parametrize("header, message", [
+        ("not json", "malformed header"),
+        (header_with(height="4.7"), "height"),
+        (header_with(height='"4"'), "height"),
+        (header_with(width="true"), "width"),
+        (header_with(num_slices="2.9"), "num_slices"),
+        (header_with(scan_id="7"), "scan_id"),
+        (header_with(patient_id="null"), "patient_id"),
+        (header_with(slice_thickness_mm="Infinity"), "slice_thickness_mm"),
+        (header_with(slice_thickness_mm="NaN"), "slice_thickness_mm"),
+    ])
+    def test_malformed_header(self, tmp_path, header, message):
         path = tmp_path / "v.ctv"
-        path.write_bytes(b"not json\n" + b"\x00" * 8)
-        with pytest.raises(FormatError, match="header"):
+        path.write_bytes(header.encode() + b"\n" + b"\x00" * 4)
+        with pytest.raises(FormatError, match=rf"{re.escape(str(path))}: .*{message}"):
             load_volume(path)
 
     @pytest.mark.parametrize("hu", [-2000, HU_MIN - 1, HU_MAX + 1])
