@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -84,6 +85,13 @@ def read_json(path, what: str):
             return json.load(fh, parse_constant=_reject_constant)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise FormatError(f"{path}: {what} is not UTF-8 JSON: {exc}") from exc
+
+
+def is_finite_number(value) -> bool:
+    """Whether a value read from JSON is a number a float holds finitely: an
+    int or a float, not a bool or a string, and not NaN, infinite or an
+    integer past float range."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def parse_flags(cells) -> list[bool]:

@@ -14,12 +14,17 @@ is the second-order formula
 A leaf or gain term whose denominator is not positive counts as 0.0: with
 l2_reg = 0, hessians that underflow to 0 would otherwise divide by zero.
 
-Each training matrix is binned once, one bin per distinct value of each
-feature, and both split searches read those bins. Leafwise and depthwise
-growth share one best-first loop that splits the open leaf with the smallest
-priority: -gain for leafwise, (depth, -gain) for depthwise, which finishes
-each level before the next; ties go to the earliest leaf. Their search is
-exact: candidates are the midpoints between neighbouring values present in a
+Each training matrix is binned once, by one rule that both split searches
+read. A feature has one bin per distinct value up to a cap, 255 for leafwise
+and depthwise growth (LightGBM's max_bin) and 64 for oblivious growth, whose
+level histogram is dense; past it, the sorted distinct values are grouped into
+runs between cap - 1 evenly spaced gaps, one run per bin. A split between two
+bins sits at the midpoint of the lower one's highest value and the upper one's
+lowest, or at that lower value when rounding lands the midpoint on the upper
+one. Leafwise and depthwise growth share one best-first loop that splits the
+open leaf with the smallest priority: -gain for leafwise, (depth, -gain) for
+depthwise, which finishes each level before the next; ties go to the earliest
+leaf. Their candidates are the cuts between neighbouring bins present in a
 node, and equal computed gains go to the lowest feature, then the lowest
 threshold (gains equal in exact arithmetic may differ in the last bit). The
 smaller child of a split is histogrammed from its rows and the larger one is
@@ -28,11 +33,6 @@ all of its leaves that hold rows at once and skips the empty ones: an empty
 leaf adds exactly 0.0 to every cut's gain (both sides and the parent score
 0.0), and adding 0.0 changes no bits. So the gain must stay a sum over the
 occupied leaves one after another in ascending leaf order, never regrouped.
-Exact bins would make that histogram 6x larger on the stacker's windows, so
-oblivious growth searches at most 63 borders per feature (all the midpoints
-when a feature has at most 64 distinct values).
-Node-wise growth keeps every midpoint: a 63-border cap there failed
-test_default_presets_ensemble_close_to_best_member.
 
 Every round fits every row and every feature: there is no row or column
 subsampling, and so no random state. Each grower therefore already knows the
@@ -71,7 +71,7 @@ import numpy as np
 
 from .errors import (ArityError, ConfigError, DataError, FormatError, PipelineError,
                      TrainingError)
-from .fileio import atomic_write_text, read_json
+from .fileio import atomic_write_text, is_finite_number, read_json
 
 GROWTH_MODES = ("leafwise", "depthwise", "oblivious")
 
@@ -80,7 +80,7 @@ _PROB_CLIP = 1e-6
 # negatives (the formula subtracts near-equal float sums), so acceptance uses
 # a relative noise floor instead of an exact >= 0 comparison.
 _GAIN_NOISE_RELATIVE = 1e-12
-_OBLIVIOUS_MAX_BORDERS = 63
+_MAX_BINS = {"leafwise": 255, "depthwise": 255, "oblivious": 64}
 # (tree, row) pairs raw_score walks together. This caps each of its node-id
 # arrays at 512 KB whatever the row count, which also keeps them in cache: on
 # 4,000 rows and 100 trees, blocks of 2^16 pairs walked 1.4-1.5x faster than
@@ -275,7 +275,7 @@ def train(features, labels, config: GbdtConfig) -> GbdtModel:
         warnings.warn("all labels belong to one class; model is base score only", stacklevel=2)
         return GbdtModel.from_trees(base_score, (), num_features)
 
-    bins = _Bins(X)
+    bins = _Bins(X, _MAX_BINS[config.growth])
     grower = (_ObliviousGrower if config.growth == "oblivious" else _NodeGrower)(bins, config)
     margins = np.full(n, base_score)
     trees = []
@@ -350,18 +350,31 @@ class _TreeBuilder:
 
 
 class _Bins:
-    """One bin per distinct value of each feature, the features' bins
-    concatenated in feature order: a bin id names its feature and value, and
-    within a feature bin order is value order."""
+    """Each feature's bins by the module docstring's rule, feature after feature
+    and in value order within one: bin i spans feature[i]'s values low[i]..high[i]."""
 
-    def __init__(self, X: np.ndarray):
-        columns = [np.unique(column, return_inverse=True) for column in X.T]
-        sizes = [len(distinct) for distinct, _ in columns]
-        self.value = np.concatenate([distinct for distinct, _ in columns])
+    def __init__(self, X: np.ndarray, max_bins: int):
+        columns = []
+        for column in X.T:
+            values, inverse = np.unique(column, return_inverse=True)
+            low = high = values
+            if len(values) > max_bins:  # gap i is above values[i]; picks over 1 apart stay distinct
+                kept = np.linspace(0, len(values) - 2, max_bins - 1).round().astype(int)
+                low, high = values[np.r_[0, kept + 1]], values[np.r_[kept, -1]]
+                inverse = np.searchsorted(kept, inverse)  # kept gaps below each value
+            columns.append((low, high, inverse))
+        lows, highs, codes = zip(*columns)
+        sizes = [len(low) for low in lows]
+        self.low, self.high = np.concatenate(lows), np.concatenate(highs)
         self.feature = np.repeat(np.arange(X.shape[1]), sizes)
         self.starts = np.cumsum([0] + sizes)  # first bin of each feature, then the end
-        self.codes = np.column_stack([inverse + start
-                                      for (_, inverse), start in zip(columns, self.starts)])
+        self.codes = np.column_stack([code + start for code, start in zip(codes, self.starts)])
+
+
+def _midpoint(below: float, above: float) -> float:
+    """Midpoint of ``below`` < ``above``, or ``below`` where rounding lands it on ``above``."""
+    mid = below + (above - below) / 2.0
+    return below if mid >= above else mid
 
 
 @dataclass(eq=False)
@@ -375,12 +388,12 @@ class _Leaf:
 
 
 class _NodeGrower:
-    """Best-first exact split search shared by leafwise and depthwise growth."""
+    """Best-first split search shared by leafwise and depthwise growth."""
 
     def __init__(self, bins: _Bins, config: GbdtConfig):
         self.bins = bins
         self.config = config
-        self.slot = np.empty(len(bins.value), dtype=np.intp)  # bin id -> position in a node
+        self.slot = np.empty(len(bins.low), dtype=np.intp)  # bin id -> position in a node
 
     def grow(self, g, h, y) -> tuple[Tree, np.ndarray]:
         """The tree and, per training row, the node id of the leaf it ends in."""
@@ -391,7 +404,7 @@ class _NodeGrower:
         # Splittable leaves by priority; node ids follow creation order, so the
         # earliest leaf wins ties.
         heap = []
-        every_bin = np.arange(len(self.bins.value))
+        every_bin = np.arange(len(self.bins.low))
         rows = np.arange(len(y))
         new_leaves = [self._make_leaf(builder, 0, rows, every_bin,
                                       self._histogram(rows, every_bin))]
@@ -458,10 +471,7 @@ class _NodeGrower:
         if gain < -_GAIN_NOISE_RELATIVE * (1.0 + abs(parent)):
             return None
         low_bin, high_bin = leaf.present[cuts[at]], leaf.present[cuts[at] + 1]
-        low, high = self.bins.value[low_bin], self.bins.value[high_bin]
-        threshold = low + (high - low) / 2.0
-        if threshold >= high:  # rounding collapsed the midpoint onto the upper value
-            threshold = low
+        threshold = _midpoint(self.bins.high[low_bin], self.bins.low[high_bin])
         return float(gain), int(low_bin), float(threshold)
 
     def _score(self, grad, hess):
@@ -490,11 +500,8 @@ class _NodeGrower:
 
 
 class _ObliviousGrower:
-    """Level-shared splits over a fixed per-feature border grid.
-
-    Borders are value midpoints when a feature has few distinct values and
-    evenly spaced midpoint quantiles otherwise; min_samples_leaf applies to
-    the level totals on each side of the shared split.
+    """Level-shared splits between neighbouring bins of a feature;
+    min_samples_leaf applies to the level totals on each side of the split.
 
     Each level histograms only the leaves that hold rows, one dense slot per
     occupied leaf in ascending leaf order; an empty leaf would add exactly
@@ -505,26 +512,19 @@ class _ObliviousGrower:
 
     def __init__(self, bins: _Bins, config: GbdtConfig):
         self.config = config
-        self.borders: list[np.ndarray] = []
-        border_codes = []
-        for distinct in np.split(bins.value, bins.starts[1:-1]):
-            borders = (distinct[:-1] + distinct[1:]) / 2.0
-            if len(borders) > _OBLIVIOUS_MAX_BORDERS:
-                pick = np.linspace(0, len(borders) - 1, _OBLIVIOUS_MAX_BORDERS)
-                borders = borders[np.unique(pick.round().astype(int))]
-            self.borders.append(borders)
-            border_codes.append(np.searchsorted(borders, distinct, side="left"))
-        self.codes = np.concatenate(border_codes)[bins.codes]
-        border_lens = np.array([len(borders) for borders in self.borders])
-        self.stride = int(border_lens.max(initial=0)) + 1
+        self.codes = bins.codes - bins.starts[:-1]  # bin ids within each feature
+        midpoints = np.vectorize(_midpoint, otypes=[float])
+        self.borders = [midpoints(bins.high[start:end - 1], bins.low[start + 1:end])
+                        for start, end in zip(bins.starts[:-1], bins.starts[1:])]
+        self.stride = int(np.diff(bins.starts).max())  # the most bins of any feature
         # Every row sits in some leaf at every level, so the level total left
-        # of a cut is the same at every level: count it once, here.
+        # of a cut is the same at every level: count it once, here. A cut past
+        # a feature's last bin leaves no row on its right.
         m, num_features = self.codes.shape
         flat = (np.arange(num_features) * self.stride + self.codes).ravel()
         counts = np.bincount(flat, minlength=num_features * self.stride)
         left_total = np.cumsum(counts.reshape(num_features, self.stride), axis=1)[:, :-1]
-        self.cut_valid = ((np.arange(self.stride - 1) < border_lens[:, None])
-                          & (left_total >= config.min_samples_leaf)
+        self.cut_valid = ((left_total >= config.min_samples_leaf)
                           & (m - left_total >= config.min_samples_leaf))
 
     def grow(self, g, h, y) -> tuple[Tree, np.ndarray]:
@@ -665,7 +665,7 @@ def _model_from_json(record: dict) -> GbdtModel:
     base_score, num_features = record["base_score"], record["num_features"]
     if type(num_features) is not int:
         raise FormatError(f"model num_features must be an integer, got {num_features!r}")
-    if type(base_score) not in (int, float) or not math.isfinite(base_score):
+    if not is_finite_number(base_score):
         raise FormatError(f"model base_score must be a finite number, got {base_score!r}")
     counts = {name: record[name] for name in ("num_trees", "num_nodes")}
     for name, count in counts.items():

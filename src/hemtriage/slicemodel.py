@@ -29,7 +29,7 @@ import numpy as np
 
 from . import gbdt
 from .errors import DataError, FormatError, PipelineError
-from .fileio import read_slice_table, write_csv
+from .fileio import is_finite_number, read_slice_table, write_csv
 from .volume import (DEFAULT_WINDOWS, HEMORRHAGE_TYPES, HU_MAX, HU_MIN, NUM_TYPES, CtVolume,
                      WindowSpec, apply_window, stack_channels)
 
@@ -186,8 +186,11 @@ def load_slice_model(path) -> tuple[gbdt.GbdtEnsemble, SliceInput]:
     if not isinstance(record.get("identity"), str):
         raise FormatError(f"{path}: slice model identity must be a string")
     try:
-        windows = tuple(WindowSpec(float(c), float(w)) for c, w in record["windows"])
-    except (KeyError, TypeError, ValueError, OverflowError, PipelineError) as exc:
+        windows = record["windows"]
+        if not all(is_finite_number(value) for pair in windows for value in pair):
+            raise ValueError(f"window values must be finite numbers, got {windows!r}")
+        windows = tuple(WindowSpec(float(c), float(w)) for c, w in windows)
+    except (KeyError, TypeError, ValueError, PipelineError) as exc:
         raise FormatError(f"{path}: malformed slice model windows: {exc}") from exc
     if len(windows) != 3:
         raise FormatError(f"{path}: slice model must carry 3 windows")

@@ -70,6 +70,9 @@ class SynthConfig:
             raise ConfigError("positive fractions must lie in [0, 1]")
         if sum(self.positive_fraction) > 1.0 + 1e-9:
             raise ConfigError("per-type positive fractions must sum to at most 1")
+        if sum(self.type_counts) > self.num_scans:  # rounding up can pass the total
+            raise ConfigError(f"per-type positive counts {self.type_counts} (num_scans x "
+                              f"fraction, rounded) sum past num_scans={self.num_scans}")
         if not 1 <= self.slices_min <= self.slices_max:
             raise ConfigError("need 1 <= slices_min <= slices_max")
         if self.slices_min < LESION_SPAN_MIN:
@@ -81,6 +84,11 @@ class SynthConfig:
             raise ConfigError("distractor_fraction must lie in [0, 1]")
         if not 0.0 <= self.paired_scan_fraction <= 1.0:
             raise ConfigError("paired_scan_fraction must lie in [0, 1]")
+
+    @property
+    def type_counts(self) -> list[int]:
+        """Positive scans of each type: round(num_scans * fraction)."""
+        return [int(round(self.num_scans * fraction)) for fraction in self.positive_fraction]
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,13 +255,12 @@ def _build_scan(config: SynthConfig, scan_index: int, lesion_types: tuple[str, .
 
 
 def _type_assignment(config: SynthConfig) -> list[tuple[str, ...]]:
-    """Disjoint per-type scan sets with exact counts round(num_scans * fraction)."""
+    """Disjoint per-type scan sets with exact counts ``config.type_counts``."""
     rng = np.random.default_rng((config.seed, 0))
     order = rng.permutation(config.num_scans)
     assignment: list[tuple[str, ...]] = [() for _ in range(config.num_scans)]
     cursor = 0
-    for t, fraction in enumerate(config.positive_fraction):
-        count = int(round(config.num_scans * fraction))
+    for t, count in enumerate(config.type_counts):
         for scan in order[cursor:cursor + count]:
             assignment[scan] = (HEMORRHAGE_TYPES[t],)
         cursor += count

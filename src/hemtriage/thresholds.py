@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityError, ConfigError, DataError, FormatError, UndefinedMetricError
-from .fileio import atomic_write_text, read_json
+from .fileio import atomic_write_text, is_finite_number, read_json
 from .metrics import compute_confusion, compute_metrics
 from .volume import HEMORRHAGE_TYPES, NUM_TYPES
 
@@ -295,9 +295,10 @@ def load_thresholds(path) -> ThresholdSet:
     payload = read_json(path, "threshold file")
     if not isinstance(payload, dict) or set(payload) != set(_THRESHOLD_KEYS):
         raise FormatError(f"{path}: threshold file must contain exactly the keys {_THRESHOLD_KEYS}")
+    values = [payload[key] for key in _THRESHOLD_KEYS]
+    if not all(is_finite_number(value) for value in values):
+        raise FormatError(f"{path}: thresholds must be finite numbers, got {values!r}")
     try:
-        return ThresholdSet(*(float(payload[key]) for key in _THRESHOLD_KEYS))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        return ThresholdSet(*(float(value) for value in values))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArityError, ConfigError, DataError, FormatError
-from .fileio import (atomic_write_bytes, parse_flags, read_scan_table, read_slice_table,
-                     write_csv)
+from .fileio import (atomic_write_bytes, is_finite_number, parse_flags, read_scan_table,
+                     read_slice_table, write_csv)
 
 HU_MIN = -1024
 HU_MAX = 4095
@@ -166,7 +166,7 @@ def load_volume(path) -> CtVolume:
     if not (isinstance(header["scan_id"], str) and isinstance(header["patient_id"], str)):
         raise FormatError(f"{path}: scan_id and patient_id must be strings")
     thickness = header["slice_thickness_mm"]
-    if type(thickness) not in (int, float) or not 0 < thickness < math.inf:
+    if not is_finite_number(thickness) or thickness <= 0:
         raise FormatError(f"{path}: slice_thickness_mm must be a finite positive number, "
                           f"got {thickness!r}")
     if num_slices < 1:

@@ -104,7 +104,7 @@ def brute_force_level_gains(X, g, h, leaf_of, lam, min_samples_leaf=1):
     for feature in range(X.shape[1]):
         values = np.unique(X[:, feature])
         for lo, hi in zip(values[:-1], values[1:]):
-            threshold = (lo + hi) / 2
+            threshold = lo + (hi - lo) / 2  # the split midpoint; exact on a quarter grid
             left = X[:, feature] <= threshold
             if min(left.sum(), (~left).sum()) < min_samples_leaf:
                 continue
@@ -400,6 +400,33 @@ class TestEngineAgainstOracles:
             assert chosen[0] == pytest.approx(best, rel=1e-12, abs=1e-12 * scale)
             leaf_of = leaf_of * 2 + (X[:, feature] > threshold)
 
+    @pytest.mark.parametrize("growth", ["leafwise", "depthwise"])
+    def test_capped_root_split_is_the_best_kept_gap(self, growth, rng):
+        # 400 distinct values are more than the 255 bins node-wise growth
+        # keeps, so its root may cut only at the 254 evenly spaced gaps kept
+        # between runs of values. The labels split perfectly at a gap that is
+        # not kept, which an exact search would pick.
+        num_rows, lam = 400, 1.0
+        x = rng.random(num_rows)
+        values = np.unique(x)
+        kept = np.unique(np.linspace(0, len(values) - 2, 254).round().astype(int))
+        assert len(kept) == 254
+        y = (x > values[np.setdiff1d(np.arange(250, 399), kept)[0]]).astype(float)
+        config = gbdt.GbdtConfig(rounds=1, learning_rate=1.0, l2_reg=lam, growth=growth,
+                                 max_depth=1, max_leaves=2)
+        threshold = gbdt.train(x[:, None], y, config).trees[0].threshold[0]
+        p0 = y.mean()
+        g, h = p0 - y, np.full(num_rows, p0 * (1 - p0))
+        best = max(split_gain(g, h, x <= values[i], x > values[i], lam) for i in kept)
+        gap = np.searchsorted(values, threshold, side="right") - 1  # values[gap] <= threshold
+        assert gap in kept
+        low, high = values[gap], values[gap + 1]
+        assert threshold == low + (high - low) / 2.0
+        scale = 1.0 + g.sum() ** 2 / (h.sum() + lam)
+        left = x <= threshold
+        assert split_gain(g, h, left, ~left, lam) == pytest.approx(best, rel=1e-12,
+                                                                   abs=1e-12 * scale)
+
     def test_single_leaf_value_formula(self):
         # One round forced to a single leaf (min_samples_leaf too large to
         # split): value must be -sum(g) / (sum(h) + l2) * lr.
@@ -453,7 +480,7 @@ def _grow_rounds(X, y, config):
     """Boost like ``gbdt.train``, yielding each round's tree and the leaf
     node of every training row that its grower hands back."""
     grower_class = gbdt._ObliviousGrower if config.growth == "oblivious" else gbdt._NodeGrower
-    grower = grower_class(gbdt._Bins(X), config)
+    grower = grower_class(gbdt._Bins(X, gbdt._MAX_BINS[config.growth]), config)
     margins = np.zeros(len(y))
     for _ in range(config.rounds):
         p = gbdt._sigmoid(margins)
@@ -549,11 +576,11 @@ class TestOccupiedLeafLevels:
         y = rng.integers(0, 2, num_rows).astype(float)
         config = gbdt.GbdtConfig(rounds=4, learning_rate=0.5, l2_reg=lam, growth="oblivious",
                                  max_depth=depth, min_samples_leaf=min_samples_leaf)
-        grower = gbdt._ObliviousGrower(gbdt._Bins(X), config)
+        grower = gbdt._ObliviousGrower(gbdt._Bins(X, gbdt._MAX_BINS["oblivious"]), config)
         if num_varied == 0 and not capped:
             assert grower.stride == 1
         if capped:
-            assert len(grower.borders[-1]) == gbdt._OBLIVIOUS_MAX_BORDERS
+            assert len(grower.borders[-1]) == gbdt._MAX_BINS["oblivious"] - 1
         margins = np.zeros(num_rows)
         for _ in range(config.rounds):
             p = gbdt._sigmoid(margins)
@@ -580,7 +607,7 @@ class TestOccupiedLeafLevels:
         y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
         config = gbdt.GbdtConfig(rounds=5, learning_rate=0.3, l2_reg=0.0, growth="oblivious",
                                  max_depth=4)
-        grower = gbdt._ObliviousGrower(gbdt._Bins(X), config)
+        grower = gbdt._ObliviousGrower(gbdt._Bins(X, gbdt._MAX_BINS["oblivious"]), config)
         p = np.full(len(y), 0.5)
         with np.errstate(divide="raise", invalid="raise"):
             tree, leaf_of = grower.grow(p - y, p * (1.0 - p), y)
@@ -605,32 +632,39 @@ class TestLeavesFromGrowth:
     @pytest.mark.parametrize("growth,extra", GROWTHS)
     @pytest.mark.parametrize("min_samples_leaf", [1, 3])
     @pytest.mark.parametrize("seed", range(4))
-    def test_grown_leaf_values_equal_walked_values(self, growth, extra, min_samples_leaf, seed):
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_grown_leaf_values_equal_walked_values(self, growth, extra, min_samples_leaf, seed,
+                                                   capped):
         rng = np.random.default_rng(seed)
-        num_rows = 40
+        num_rows = 320 if capped else 40
         y = rng.integers(0, 2, num_rows).astype(float)
         y[:2] = (0.0, 1.0)
         # Column 0 holds 1.0 and the next float up, whose midpoint rounds
         # down onto 1.0; it mostly tracks the label so it gets split on. The
-        # other columns sit on a quarter grid, where ties are common.
+        # next columns sit on a quarter grid, where ties are common. A capped
+        # draw adds a column of 320 distinct values, more than any growth
+        # mode keeps bins for, whose bins are runs of several values.
         tracks = np.where(rng.random(num_rows) < 0.8, y, 1.0 - y)
         X = np.column_stack([np.where(tracks > 0, np.nextafter(1.0, 2.0), 1.0),
-                             rng.integers(0, 5, (num_rows, 3)) / 4.0])
+                             rng.integers(0, 5, (num_rows, 3)) / 4.0,
+                             rng.random((num_rows, int(capped)))])
         config = gbdt.GbdtConfig(rounds=4, learning_rate=0.5, growth=growth,
                                  min_samples_leaf=min_samples_leaf, **extra)
-        split_on_collapsed_midpoint = False
+        split_on_collapsed_midpoint = split_on_runs = False
         for tree, leaf_of in _grow_rounds(X, y, config):
             assert np.array_equal(leaf_of, _walk_to_leaves(tree, X))
             assert tree.value[leaf_of].tobytes() == tree_values(tree, X).tobytes()
             split_on_collapsed_midpoint |= bool(np.any(
                 (tree.feature == 0) & (tree.threshold == 1.0)))
+            split_on_runs |= bool(np.any(tree.feature == 4))
         assert split_on_collapsed_midpoint
+        assert split_on_runs == capped
 
-    @pytest.mark.parametrize("growth,extra", GROWTHS[:2])
+    @pytest.mark.parametrize("growth,extra", GROWTHS)
     def test_midpoint_rounding_up_splits_at_the_lower_value(self, growth, extra):
         # Between 1.0 + ulp and the next float up the midpoint rounds up onto
-        # the upper value, where it would send both values left; the node-wise
-        # split falls back to the lower value.
+        # the upper value, where it would send both values left; every growth
+        # mode splits at the lower value instead.
         low = np.nextafter(1.0, 2.0)
         high = np.nextafter(low, 2.0)
         assert low + (high - low) / 2.0 == high
@@ -640,7 +674,7 @@ class TestLeavesFromGrowth:
         tree, leaf_of = next(_grow_rounds(X, y, config))
         assert tree.feature[0] == 0 and tree.threshold[0] == low
         assert np.array_equal(leaf_of, _walk_to_leaves(tree, X))
-        assert np.array_equal(leaf_of == tree.left[0], y == 0)
+        assert not np.intersect1d(leaf_of[y == 0], leaf_of[y == 1]).size  # no leaf holds both
 
     def test_train_never_walks_a_tree(self, monkeypatch, rng):
         walks = []

@@ -120,8 +120,8 @@ GOLDEN = {
     "report/roc_curves.csv": "0be708e2647f2ad0c6d4e086f595ac08a20dea3b9c4fc09275f043d593f3b66d",
     "report/roc_curves.svg": "2dbec7cf513985794ca11b8f1fa7ec1bf31e5aed69dd592321130c5fccf61e6e",
     "slice_model.json": "4c9bb3bc61bd34378688d265f115e7ee2d9113a67f51e253e84d90d3ebd32b27",
-    "stacker.json": "dbae03b50b6bcf95d4580e4160fe302f301ca070fdf2e790b05d963c5498ba6f",
-    "stacker_broadcast.json": "636b34d4a638db7f4b4f27686d452a1c28c9e7e503b0bec2338ffe61fb489030",
+    "stacker.json": "8a86f9c2ef5ec7925215cf60f609acb289f117ecc1996cdfbede2770d1bde0ff",
+    "stacker_broadcast.json": "c4d6bff27a976291cfbf88b87f05b9f91ca8a3ccbbf9e162017e169bfd6e34a8",
     "thresholds.json": "aade61b134ea5d7ef5e4bdccf8be2dc72c862d5d794e643ac150e5c444365bf4",
     "thresholds_mean_type.json": "e1f323ded079ebcb78f7acc6d4cdb04f9292f17b87d9b24ea4e988c1512be4fa",
 }
@@ -157,8 +157,8 @@ GOLDEN_GROWTH = {
     "oof/folds.csv": "dc57d9eee59e7fe5b89f8ffe50ae7f5241953bf3c93660ed3196f6d7245f7d24",
     "oof/oof_probs.csv": "d26e3a11aa543e6550d5275b78ce1ee1c4fd3245e3c8e4bb37871edb1c689eec",
     "refined.csv": "10dc4ed8539f0d978ef9533a694deb0937d6d6a231404102bb6973302f6c12b4",
-    "stacker.json": "83ceaadab5c218bc60a377e16705b0e79bdc94d5e1083f0a2f49476c265ff447",
-    "stacker_broadcast.json": "c44315bfed576de0b6c0403f073bc1fed74222c3aabab43ff602b49c7fc1b223",
+    "stacker.json": "c46efdf180d68df7a70030c0152f0c33abe79a5426d67124fe4a751ba38fba35",
+    "stacker_broadcast.json": "1a915763af3aa82e366a34cf1d3f7e71282f81afc035678085e3d91a9e569de8",
 }
 
 

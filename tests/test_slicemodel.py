@@ -287,7 +287,9 @@ class TestSliceModelFile:
         ({"slice_shape": [24, 0]}, "slice_shape must be two positive integers"),
         ({"slice_shape": [24, 32.0]}, "slice_shape must be two positive integers"),
         ({"slice_shape": [24, True]}, "slice_shape must be two positive integers"),
-        ({"windows": [[10 ** 400, 80]] * 3}, "malformed slice model windows"),  # float() overflows
+        ({"windows": [[10 ** 400, 80]] * 3}, "malformed slice model windows"),  # past float range
+        ({"windows": [[True, 80]] * 3}, "malformed slice model windows"),
+        ({"windows": [["40", "80"]] * 3}, "malformed slice model windows"),
         ({"identity": 3}, "slice model identity must be a string"),
     ])
     def test_rejects_version_1_and_bad_own_fields(self, tmp_path, rng, edit, message):

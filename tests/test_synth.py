@@ -26,6 +26,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SynthConfig(positive_fraction=(0.1, -0.1, 0.1, 0.1, 0.1))
 
+    @pytest.mark.parametrize("num_scans", [3, 9])
+    def test_rounded_type_counts_must_fit_num_scans(self, num_scans):
+        # All scans positive, a fifth per type: 3 x 0.2 and 9 x 0.2 both round
+        # up, to 1 and 2 scans per type, 5 and 10 in all.
+        with pytest.raises(ConfigError, match=f"sum past num_scans={num_scans}"):
+            SynthConfig(num_scans=num_scans, positive_fraction=(0.2,) * 5)
+        SynthConfig(num_scans=10, positive_fraction=(0.2,) * 5)
+
     def test_span_must_fit_smallest_scan(self):
         SynthConfig(slices_min=LESION_SPAN_MIN)
         with pytest.raises(ConfigError):

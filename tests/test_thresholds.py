@@ -328,7 +328,9 @@ class TestThresholdFile:
     @pytest.mark.parametrize("value, error", [("2.0", "t_edh must lie in"),
                                               ("0.0", "t_edh must lie in"),
                                               ("NaN", "NaN is not a JSON number"),
-                                              ("-Infinity", "-Infinity is not a JSON number")])
+                                              ("-Infinity", "-Infinity is not a JSON number"),
+                                              ("true", "thresholds must be finite numbers"),
+                                              ('"0.47"', "thresholds must be finite numbers")])
     def test_bad_value_names_file(self, tmp_path, value, error):
         path = tmp_path / "thresholds.json"
         save_thresholds(PUBLISHED_THRESHOLDS, path)
