@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleError, TrainingError
 from .fileio import write_csv
+from .parallel import fork_map
 from .slicemodel import predict_by_scan
 from .volume import NUM_TYPES
 
@@ -162,12 +163,17 @@ def generate_oof(features_by_scan, labels_by_scan, assignment: FoldAssignment,
     folds' scans (concatenated in input order) and its ``predict`` scores the
     held-out scans in one call, so every prediction comes from a model that
     never saw that scan's fold.
+
+    The folds run side by side, one forked worker per usable CPU
+    (``parallel.fork_map``). ``train_fn`` runs in a worker: its side effects
+    do not reach the caller, but the predictions, its warnings and its
+    exceptions do.
     """
     scan_ids = list(features_by_scan)
     missing = [scan_id for scan_id in scan_ids if scan_id not in assignment.fold_of]
     if missing:
         raise ConfigError(f"scans without a fold assignment: {missing[:5]}")
-    out: dict[str, np.ndarray] = {}
+    jobs = []  # (training scans, held-out scans) of each fold that holds scans
     for fold in range(assignment.k):
         held_out = [scan_id for scan_id in scan_ids if assignment.fold_of[scan_id] == fold]
         if not held_out:
@@ -175,10 +181,18 @@ def generate_oof(features_by_scan, labels_by_scan, assignment: FoldAssignment,
         train_ids = [scan_id for scan_id in scan_ids if assignment.fold_of[scan_id] != fold]
         if not train_ids:
             raise TrainingError(f"fold {fold} leaves no training scans")
+        jobs.append((train_ids, held_out))
+
+    def run_fold(job: int) -> dict[str, np.ndarray]:
+        train_ids, held_out = jobs[job]
         model = train_fn(np.concatenate([features_by_scan[s] for s in train_ids]),
                          np.concatenate([labels_by_scan[s] for s in train_ids]))
-        out.update(predict_by_scan(model.predict,
-                                   {scan_id: features_by_scan[scan_id] for scan_id in held_out}))
+        return predict_by_scan(model.predict,
+                               {scan_id: features_by_scan[scan_id] for scan_id in held_out})
+
+    out: dict[str, np.ndarray] = {}
+    for predictions in fork_map(run_fold, len(jobs)):
+        out.update(predictions)
     return {scan_id: out[scan_id] for scan_id in scan_ids}
 
 

@@ -47,6 +47,13 @@ at log loss ln 2 forever. Label-pure nodes are never split.
 A model holds all its trees packed into five flat node columns, tree after
 tree, and ``raw_score`` walks every tree at once, one level per step.
 
+``train_ensemble`` trains its (config, type) models side by side, each in a
+worker forked from the caller (``parallel.fork_map``), one per usable CPU.
+A worker's side effects do not reach the caller, but its model, its warnings
+(the one-class fallback) and its exceptions do. The models are the ones a
+serial run trains, byte for byte: each runs the same arithmetic on the same
+inputs, and they are assembled in (config, type) order.
+
 Model files have one layout, known only here: ``save_ensemble`` writes an
 ensemble as one ``hemtriage/<kind>`` JSON record (format tag, version, the
 caller's own fields, then the groups of models) and ``load_ensemble`` is the
@@ -72,6 +79,7 @@ import numpy as np
 from .errors import (ArityError, ConfigError, DataError, FormatError, PipelineError,
                      TrainingError)
 from .fileio import atomic_write_text, is_finite_number, read_json
+from .parallel import fork_map
 
 GROWTH_MODES = ("leafwise", "depthwise", "oblivious")
 
@@ -177,6 +185,12 @@ class GbdtModel:
     def __post_init__(self):
         for name in ("sizes", *_COLUMNS):
             getattr(self, name).flags.writeable = False
+
+    def __reduce__(self):
+        # Through the constructor, so a pickled or deep-copied model's arrays
+        # are read-only too.
+        return GbdtModel, (self.base_score, self.num_features, self.sizes,
+                           *(getattr(self, name) for name in _COLUMNS))
 
     @classmethod
     def from_trees(cls, base_score: float, trees, num_features: int) -> GbdtModel:
@@ -606,16 +620,20 @@ def _assemble_full_tree(levels: list[tuple[int, float]], leaf_values: np.ndarray
 
 
 def train_ensemble(features, labels, configs) -> GbdtEnsemble:
-    """Independent per-type models for each config; labels are (n, types) binary."""
+    """Independent per-type models for each config; labels are (n, types) binary.
+
+    The models train side by side, one forked worker per usable CPU
+    (``parallel.fork_map``), and come back in (config, type) order."""
     if not configs:
         raise ArityError("train_ensemble needs at least one config")
     Y = np.asarray(labels)
     if Y.ndim != 2:
         raise DataError(f"ensemble labels must be (rows, types), got ndim={Y.ndim}")
-    groups = []
-    for config in configs:
-        groups.append(tuple(train(features, Y[:, t], config) for t in range(Y.shape[1])))
-    return GbdtEnsemble(groups=tuple(groups))
+    num_types = Y.shape[1]
+    models = fork_map(lambda i: train(features, Y[:, i % num_types], configs[i // num_types]),
+                      len(configs) * num_types)
+    return GbdtEnsemble(groups=tuple(tuple(models[c * num_types:(c + 1) * num_types])
+                                     for c in range(len(configs))))
 
 
 def save_ensemble(ensemble: GbdtEnsemble, kind: str, version: int, fields: dict, path) -> None:

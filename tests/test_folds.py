@@ -1,9 +1,10 @@
 import csv
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from hemtriage import folds, gbdt
+from hemtriage import folds, gbdt, parallel
 from hemtriage.errors import ConfigError, InfeasibleError
 from hemtriage.folds import FoldAssignment, assign_folds, generate_oof, save_fold_csv
 from hemtriage.slicemodel import DEFAULT_REFERENCE_CONFIG, volume_features
@@ -198,3 +199,23 @@ class TestGenerateOof:
         # s0's model trains without s0's fold, so it never sees an IPH
         # positive and predicts the clipped base rate for that type.
         np.testing.assert_allclose(oof["s0"][:, 4], 1e-6)
+
+    def test_pooled_folds_match_serial(self, monkeypatch):
+        # Folds trained in forked workers give the serial predictions bit for
+        # bit, and the one-class fallback still warns in the caller.
+        volumes, rows, labels = self.build(6, size=8, seed=300, label=lambda i: (4, i == 0))
+        assignment = assign_folds(rows, k=3, seed=0)
+        features = self.features(volumes)
+
+        def train_fn(X, Y):
+            return gbdt.train_ensemble(X, Y, (DEFAULT_REFERENCE_CONFIG,))
+
+        out = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+            with pytest.warns(UserWarning, match="one class"):
+                out.append(generate_oof(features, labels, assignment, train_fn))
+        serial, pooled = out
+        assert list(serial) == list(pooled)
+        assert all(np.array_equal(serial[k], pooled[k]) for k in serial)
+        assert multiprocessing.active_children() == []

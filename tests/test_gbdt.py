@@ -1,6 +1,8 @@
 import base64
+import copy
 import json
 import math
+import pickle
 import warnings
 from unittest import mock
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hemtriage import gbdt
+from hemtriage import gbdt, parallel
 from hemtriage.errors import ArityError, ConfigError, DataError, FormatError, TrainingError
 from hemtriage.metrics import log_loss
 
@@ -792,6 +794,28 @@ class TestEnsemble:
     def test_empty_config_list(self):
         with pytest.raises(ArityError):
             gbdt.train_ensemble(np.ones((2, 2)), np.ones((2, 5)), [])
+
+    def test_pooled_training_writes_the_serial_files(self, monkeypatch, tmp_path, rng):
+        # One (config, type) model per forked worker gives the same bytes as
+        # training them one after another in this process.
+        X = rng.random((80, 4))
+        Y = (X[:, :1] + rng.random((80, 5)) > 0.9).astype(float)
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+            ensemble = gbdt.train_ensemble(X, Y, gbdt.default_presets(rounds=5))
+            gbdt.save_ensemble(ensemble, "test-model", 1, {}, tmp_path / f"cpus{cpus}.json")
+        assert (tmp_path / "cpus1.json").read_bytes() == (tmp_path / "cpus2.json").read_bytes()
+
+    def test_models_stay_read_only_through_pickle_and_copies(self, monkeypatch, rng):
+        X = rng.random((40, 3))
+        Y = rng.integers(0, 2, (40, 2)).astype(float)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+        (pooled, _), = gbdt.train_ensemble(X, Y, [gbdt.GbdtConfig(rounds=3)]).groups
+        for model in (pooled, pickle.loads(pickle.dumps(pooled)), copy.deepcopy(pooled)):
+            for name in ("sizes", "feature", "threshold", "left", "right", "value"):
+                column = getattr(model, name)
+                assert not column.flags.writeable, name
+                assert np.array_equal(column, getattr(pooled, name)), name
 
     def test_default_presets_ensemble_close_to_best_member(self, rng):
         # Smooth nonlinear target with label noise; ensemble validation loss
