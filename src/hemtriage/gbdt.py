@@ -44,8 +44,15 @@ like 4-point XOR are perfectly symmetric at the base score, so every root
 candidate has exactly zero gain; refusing those splits would freeze training
 at log loss ln 2 forever. Label-pure nodes are never split.
 
-A model holds all its trees packed into five flat node columns, tree after
-tree, and ``raw_score`` walks every tree at once, one level per step.
+A model holds all its trees packed into flat columns, tree after tree, in a
+layout that follows from its growth mode. A leafwise or depthwise
+``GbdtModel`` holds five node columns. An oblivious tree is only one
+(feature, threshold) per level and 2^depth leaves, so an ``ObliviousModel``
+holds each tree's depth, its levels and its leaf values in path order; a
+depth-6 tree is 6 levels and 64 leaves instead of 127 nodes. ``raw_score``
+walks every tree at once, one level per step: node ids for a ``GbdtModel``,
+and for an ``ObliviousModel`` leaf indices built from the level comparisons
+read as bits (CatBoost's oblivious trees, Prokhorenkova et al. 2018).
 
 ``train_ensemble`` trains its (config, type) models side by side, each in a
 worker forked from the caller (``parallel.fork_map``), one per usable CPU.
@@ -58,11 +65,12 @@ Model files have one layout, known only here: ``save_ensemble`` writes an
 ensemble as one ``hemtriage/<kind>`` JSON record (format tag, version, the
 caller's own fields, then the groups of models) and ``load_ensemble`` is the
 only code that reads one back. Each model keeps ``base_score``,
-``num_features``, ``num_trees`` and ``num_nodes`` as plain JSON numbers and
-its per-tree node counts and five node columns as base64 of little-endian
-typed bytes (int32 or float64), decoded without parsing a number per node and
-checked against those counts. The slice model and the stacker are both such
-records, and each of their modules checks only its own fields.
+``num_features``, ``num_trees`` and its column counts (``num_nodes``, or
+``num_levels`` and ``num_leaves``) as plain JSON numbers and its per-tree node
+counts or depths and its columns as base64 of little-endian typed bytes (int32
+or float64), decoded without parsing a number per node and checked against
+those counts. The slice model and the stacker are both such records, and each
+of their modules checks only its own fields.
 """
 
 from __future__ import annotations
@@ -131,6 +139,8 @@ class GbdtConfig:
             raise ConfigError(f"growth must be one of {GROWTH_MODES}, got {self.growth!r}")
         if self.growth in ("depthwise", "oblivious") and self.max_depth is None:
             raise ConfigError(f"{self.growth} growth requires max_depth")
+        if self.growth == "oblivious" and self.max_depth > MAX_OBLIVIOUS_DEPTH:
+            raise ConfigError(f"oblivious growth takes at most {MAX_OBLIVIOUS_DEPTH} levels")
 
 
 def default_presets(rounds: int = 200) -> tuple[GbdtConfig, ...]:
@@ -160,18 +170,68 @@ class Tree:
         return len(self.feature)
 
 
-#: Node columns in record order, with the little-endian dtype each is held
-#: and stored in; per-tree node counts are held and stored as _SIZE_DTYPE.
+@dataclass(frozen=True, eq=False)
+class _LevelTree:
+    """One oblivious tree: a (feature, threshold) per level, root level first,
+    and its 2^depth leaf values in path order."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    value: np.ndarray
+
+
+#: Node and level columns in record order, with the little-endian dtype each
+#: is held and stored in; per-tree node counts and depths are _SIZE_DTYPE.
 _COLUMNS = {"feature": "<i4", "threshold": "<f8", "left": "<i4", "right": "<i4",
             "value": "<f8"}
+_LEVEL_COLUMNS = {"feature": "<i4", "threshold": "<f8", "value": "<f8"}
 _SIZE_DTYPE = "<i4"
+#: The most levels an oblivious tree may have, so that 2^depth leaves fit an
+#: int32 count and no leaf index shift can wrap. Growth never gets close:
+#: 2^30 leaf values alone take 8 GB.
+MAX_OBLIVIOUS_DEPTH = 30
+
+
+class _Packed:
+    """What both model layouts share: a per-tree count column (``_COUNTS``)
+    and flat columns (``_ARRAYS``), all read-only, holding tree after tree.
+    A tree's count is the length of its own ``feature`` column."""
+
+    _COUNTS: str
+    _ARRAYS: dict
+
+    def __post_init__(self):
+        for name in (self._COUNTS, *self._ARRAYS):
+            getattr(self, name).flags.writeable = False
+
+    def __reduce__(self):
+        # Through the constructor, so a pickled or deep-copied model's arrays
+        # are read-only too.
+        return type(self), (self.base_score, self.num_features,
+                            *(getattr(self, name) for name in (self._COUNTS, *self._ARRAYS)))
+
+    @classmethod
+    def from_trees(cls, base_score: float, trees, num_features: int):
+        """Pack ``trees`` in order into one model's columns."""
+        columns = {name: np.concatenate([np.empty(0, dtype)]
+                                        + [getattr(tree, name) for tree in trees], dtype=dtype)
+                   for name, dtype in cls._ARRAYS.items()}
+        counts = np.array([len(tree.feature) for tree in trees], dtype=_SIZE_DTYPE)
+        return cls(base_score, num_features, counts, **columns)
+
+    @property
+    def num_trees(self) -> int:
+        return len(getattr(self, self._COUNTS))
 
 
 @dataclass(frozen=True, eq=False)
-class GbdtModel:
-    """One booster: the nodes of all its trees in five flat columns, tree
-    after tree, and ``sizes``, each tree's node count in tree order. Child ids
-    count from the first node of their own tree. The arrays are read-only."""
+class GbdtModel(_Packed):
+    """One leafwise or depthwise booster: the nodes of all its trees in five
+    flat columns, tree after tree, and ``sizes``, each tree's node count in
+    tree order. Child ids count from the first node of their own tree. The
+    arrays are read-only."""
+
+    _COUNTS, _ARRAYS = "sizes", _COLUMNS
 
     base_score: float  # log-odds
     num_features: int
@@ -182,25 +242,6 @@ class GbdtModel:
     right: np.ndarray
     value: np.ndarray
 
-    def __post_init__(self):
-        for name in ("sizes", *_COLUMNS):
-            getattr(self, name).flags.writeable = False
-
-    def __reduce__(self):
-        # Through the constructor, so a pickled or deep-copied model's arrays
-        # are read-only too.
-        return GbdtModel, (self.base_score, self.num_features, self.sizes,
-                           *(getattr(self, name) for name in _COLUMNS))
-
-    @classmethod
-    def from_trees(cls, base_score: float, trees, num_features: int) -> GbdtModel:
-        """Pack ``trees`` in order into one model's columns."""
-        columns = {name: np.concatenate([np.empty(0, dtype)]
-                                        + [getattr(tree, name) for tree in trees], dtype=dtype)
-                   for name, dtype in _COLUMNS.items()}
-        sizes = np.array([tree.num_nodes for tree in trees], dtype=_SIZE_DTYPE)
-        return cls(base_score, num_features, sizes, **columns)
-
     @property
     def trees(self) -> tuple[Tree, ...]:
         """Each tree, in order, as views into the columns."""
@@ -210,11 +251,54 @@ class GbdtModel:
 
 
 @dataclass(frozen=True, eq=False)
+class ObliviousModel(_Packed):
+    """One oblivious booster as levels: ``depths``, each tree's level count in
+    tree order; ``feature`` and ``threshold``, one pair per level, tree after
+    tree and root level first; and ``value``, each tree's 2^depth leaf values
+    in path order, tree after tree. A row's leaf is its level comparisons read
+    as bits, the root level's the highest, 1 where the row goes right. The
+    arrays are read-only."""
+
+    _COUNTS, _ARRAYS = "depths", _LEVEL_COLUMNS
+
+    base_score: float  # log-odds
+    num_features: int
+    depths: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    value: np.ndarray
+
+    @property
+    def trees(self) -> tuple[Tree, ...]:
+        """Each tree, in order, in the heap layout of a node-wise tree: its
+        2^depth - 1 interior nodes level by level, node i's children being
+        2i + 1 and 2i + 2, then its 2^depth leaves in path order."""
+        depths = self.depths.astype(np.int64)
+        widths = 1 << depths
+        sizes = 2 * widths - 1
+        tree = np.repeat(np.arange(len(sizes)), sizes)
+        node = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        level = np.frexp(node + 1)[1] - 1  # floor(log2(node + 1)), exactly
+        interior = level < depths[tree]
+        leaf = ~interior
+        feature = np.full(len(node), -1, dtype=np.int32)
+        threshold, value = np.zeros(len(node)), np.zeros(len(node))
+        at = (np.cumsum(depths) - depths)[tree[interior]] + level[interior]
+        feature[interior], threshold[interior] = self.feature[at], self.threshold[at]
+        # Leaf node 2^depth - 1 + i holds the tree's leaf value i.
+        value[leaf] = self.value[(np.cumsum(widths) - 2 * widths + 1)[tree[leaf]] + node[leaf]]
+        left = np.where(interior, 2 * node + 1, -1).astype(np.int32)
+        right = np.where(interior, 2 * node + 2, -1).astype(np.int32)
+        return GbdtModel(self.base_score, self.num_features, sizes.astype(_SIZE_DTYPE),
+                         feature, threshold, left, right, value).trees
+
+
+@dataclass(frozen=True, eq=False)
 class GbdtEnsemble:
     """One model per hemorrhage type per configuration; predictions average
     the per-configuration probabilities."""
 
-    groups: tuple[tuple[GbdtModel, ...], ...]  # [config][type]
+    groups: tuple[tuple[GbdtModel | ObliviousModel, ...], ...]  # [config][type]
 
     def __post_init__(self):
         if not self.groups:
@@ -226,7 +310,7 @@ class GbdtEnsemble:
             raise ConfigError("all ensemble members must share one feature dimensionality")
 
     @property
-    def models(self) -> tuple[GbdtModel, ...]:
+    def models(self) -> tuple[GbdtModel | ObliviousModel, ...]:
         """Every member, group by group, in type order within a group."""
         return tuple(model for group in self.groups for model in group)
 
@@ -265,8 +349,9 @@ def _as_matrix(features) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def train(features, labels, config: GbdtConfig) -> GbdtModel:
+def train(features, labels, config: GbdtConfig) -> GbdtModel | ObliviousModel:
     """Fit one binary model; the same inputs always give the same trees.
+    Oblivious growth gives an ``ObliviousModel``, the others a ``GbdtModel``.
 
     All-one-class labels yield a base-score-only model (with a warning), so a
     degenerate target predicts its clipped base rate everywhere.
@@ -283,14 +368,16 @@ def train(features, labels, config: GbdtConfig) -> GbdtModel:
         raise DataError("labels must be binary 0/1")
 
     n, num_features = X.shape
+    oblivious = config.growth == "oblivious"
+    layout = ObliviousModel if oblivious else GbdtModel
     rate = float(y.mean())
     base_score = _logit(min(max(rate, _PROB_CLIP), 1.0 - _PROB_CLIP))
     if rate in (0.0, 1.0):
         warnings.warn("all labels belong to one class; model is base score only", stacklevel=2)
-        return GbdtModel.from_trees(base_score, (), num_features)
+        return layout.from_trees(base_score, (), num_features)
 
     bins = _Bins(X, _MAX_BINS[config.growth])
-    grower = (_ObliviousGrower if config.growth == "oblivious" else _NodeGrower)(bins, config)
+    grower = (_ObliviousGrower if oblivious else _NodeGrower)(bins, config)
     margins = np.full(n, base_score)
     trees = []
     for _ in range(config.rounds):
@@ -298,21 +385,38 @@ def train(features, labels, config: GbdtConfig) -> GbdtModel:
         tree, leaf_of = grower.grow(p - y, p * (1.0 - p), y)
         trees.append(tree)
         margins += tree.value[leaf_of]
-    return GbdtModel.from_trees(base_score, trees, num_features)
+    return layout.from_trees(base_score, trees, num_features)
 
 
-def raw_score(model: GbdtModel, features) -> np.ndarray:
+def raw_score(model: GbdtModel | ObliviousModel, features) -> np.ndarray:
     """base_score plus the leaf value each tree gives each row, added tree by
     tree in tree order.
 
-    Every tree is walked at once over a (trees, rows) array of node ids. A
-    leaf points to itself, so one step per level of the deepest tree brings
-    every row of every tree to its leaf. A row goes left when its value is
-    <= the node's threshold, so a NaN goes right.
+    Every tree is walked at once, over blocks of at most ``_WALK_PAIRS``
+    (tree, row) pairs. A row goes left when its value is <= the split's
+    threshold, so a NaN goes right. A ``GbdtModel`` walks a (trees, rows)
+    array of node ids: a leaf points to itself, so one step per level of the
+    deepest tree brings every row of every tree to its leaf. An
+    ``ObliviousModel`` builds a (trees, rows) array of leaf indices: at level
+    l, each tree deeper than l compares every row with its level-l threshold
+    and appends the bit ~(x <= threshold).
     """
     X = _as_matrix(features)
     if X.shape[1] != model.num_features:
         raise ArityError(f"model expects {model.num_features} features, got {X.shape[1]}")
+    leaf_values = (_level_walk if isinstance(model, ObliviousModel) else _node_walk)(model)
+    margins = np.full(X.shape[0], model.base_score)
+    block = max(1, _WALK_PAIRS // max(1, model.num_trees))
+    for begin in range(0, X.shape[0], block):
+        out = margins[begin:begin + block]
+        for values in leaf_values(X[begin:begin + block]):
+            out += values
+    return margins
+
+
+def _node_walk(model: GbdtModel):
+    """A function from a block of rows to the (trees, rows) leaf values of
+    ``model``'s trees."""
     starts = np.cumsum(model.sizes) - model.sizes  # each tree's root
     first = np.repeat(starts, model.sizes)  # per node, the root of its tree
     node = np.arange(len(first))
@@ -324,23 +428,42 @@ def raw_score(model: GbdtModel, features) -> np.ndarray:
     while (level := level[~leaf[level]]).size:  # the interior nodes of one level
         level = np.concatenate([left[level], right[level]])
         depth += 1
-    margins = np.full(X.shape[0], model.base_score)
-    block = max(1, _WALK_PAIRS // max(1, len(starts)))
-    for begin in range(0, X.shape[0], block):
-        rows = X[begin:begin + block]
+
+    def walk(rows):
         flat = rows.ravel()
         row_start = np.arange(rows.shape[0]) * rows.shape[1]
         nodes = np.repeat(starts[:, None], rows.shape[0], axis=1)
         for _ in range(depth):
             go_left = flat.take(row_start + feature.take(nodes)) <= model.threshold.take(nodes)
             nodes = np.where(go_left, left.take(nodes), right.take(nodes))
-        out = margins[begin:begin + block]
-        for values in model.value.take(nodes):
-            out += values
-    return margins
+        return model.value.take(nodes)
+    return walk
 
 
-def predict(model: GbdtModel, features) -> np.ndarray:
+def _level_walk(model: ObliviousModel):
+    """A function from a block of rows to the (trees, rows) leaf values of
+    ``model``'s trees."""
+    depths = model.depths.astype(np.intp)
+    level_start = np.cumsum(depths) - depths
+    widths = np.left_shift(1, depths)
+    leaf_start = (np.cumsum(widths) - widths)[:, None]
+    levels = []  # per level: the trees deeper than it, and their (feature, threshold)
+    for level in range(depths.max(initial=0)):
+        moving = np.flatnonzero(depths > level)
+        at = level_start[moving] + level
+        levels.append((slice(None) if len(moving) == len(depths) else moving,
+                       model.feature[at], model.threshold[at][:, None]))
+
+    def walk(rows):
+        columns = np.ascontiguousarray(rows.T)
+        leaf = np.zeros((len(depths), rows.shape[0]), dtype=np.intp)
+        for moving, feature, threshold in levels:
+            leaf[moving] = leaf[moving] * 2 + ~(columns[feature] <= threshold)
+        return model.value.take(leaf + leaf_start)
+    return walk
+
+
+def predict(model: GbdtModel | ObliviousModel, features) -> np.ndarray:
     """Probabilities sigmoid(base + sum of tree values); strictly inside (0, 1)."""
     return _sigmoid(raw_score(model, features))
 
@@ -541,8 +664,9 @@ class _ObliviousGrower:
         self.cut_valid = ((left_total >= config.min_samples_leaf)
                           & (m - left_total >= config.min_samples_leaf))
 
-    def grow(self, g, h, y) -> tuple[Tree, np.ndarray]:
-        """The tree and, per training row, the node id of the leaf it ends in."""
+    def grow(self, g, h, y) -> tuple[_LevelTree, np.ndarray]:
+        """The tree's levels and leaf values and, per training row, the path
+        index of the leaf it ends in."""
         lam = self.config.l2_reg
         lr = self.config.learning_rate
         codes, stride = self.codes, self.stride
@@ -596,27 +720,15 @@ class _ObliviousGrower:
         leaf_n = np.bincount(leaf_of, minlength=num_leaves)
         denom = leaf_h + lam
         values = np.where((leaf_n > 0) & (denom > 0), -leaf_g / np.where(denom > 0, denom, 1.0), 0.0)
-        # Heap layout: the leaves follow the num_leaves - 1 interior nodes.
-        return _assemble_full_tree(levels, values * lr), leaf_of + (num_leaves - 1)
+        tree = _LevelTree(np.array([feature for feature, _ in levels], dtype=np.int32),
+                          np.array([threshold for _, threshold in levels], dtype=np.float64),
+                          values * lr)
+        return tree, leaf_of
 
 
 def _safe_ratio(num, den):
     """num^2 / den where den > 0, else 0.0: never a division by zero."""
     return np.divide(np.square(num), den, out=np.zeros(np.shape(den)), where=den > 0)
-
-
-def _assemble_full_tree(levels: list[tuple[int, float]], leaf_values: np.ndarray) -> Tree:
-    """Heap-layout full binary tree; leaves sit left-to-right in path order."""
-    features = np.array([feature for feature, _ in levels], dtype=np.int32)
-    thresholds = np.array([threshold for _, threshold in levels], dtype=np.float64)
-    width = 1 << np.arange(len(levels))  # interior nodes per level
-    interior = np.arange(width.sum(), dtype=np.int32)
-    no_leaf = np.full(len(leaf_values), -1, dtype=np.int32)
-    return Tree(feature=np.concatenate([np.repeat(features, width), no_leaf]),
-                threshold=np.concatenate([np.repeat(thresholds, width), np.zeros(len(no_leaf))]),
-                left=np.concatenate([2 * interior + 1, no_leaf]),
-                right=np.concatenate([2 * interior + 2, no_leaf]),
-                value=np.concatenate([np.zeros(len(interior)), leaf_values]))
 
 
 def train_ensemble(features, labels, configs) -> GbdtEnsemble:
@@ -639,17 +751,26 @@ def train_ensemble(features, labels, configs) -> GbdtEnsemble:
 def save_ensemble(ensemble: GbdtEnsemble, kind: str, version: int, fields: dict, path) -> None:
     """Write ``ensemble`` as one ``hemtriage/<kind>`` record: the format tag,
     ``version``, the caller's ``fields``, then ``groups``, each a list of
-    models in type order. A model is ``{base_score, num_features, num_trees,
-    num_nodes}``, then ``tree_sizes`` and the five node columns, each the
-    base64 of its little-endian bytes."""
-    groups = [[{"base_score": model.base_score, "num_features": model.num_features,
-                "num_trees": len(model.sizes), "num_nodes": len(model.feature),
-                "tree_sizes": _encode(model.sizes, _SIZE_DTYPE),
-                **{name: _encode(getattr(model, name), dtype) for name, dtype in _COLUMNS.items()}}
-               for model in group]
-              for group in ensemble.groups]
+    models in type order. A ``GbdtModel`` is ``{base_score, num_features,
+    num_trees, num_nodes}``, then ``tree_sizes`` and the five node columns; an
+    ``ObliviousModel`` is ``{base_score, num_features, num_trees, num_levels,
+    num_leaves}``, then ``tree_depths`` and its level ``feature`` and
+    ``threshold`` and leaf ``value`` columns. Each column is the base64 of
+    its little-endian bytes."""
+    groups = [[_model_record(model) for model in group] for group in ensemble.groups]
     record = {"format": f"hemtriage/{kind}", "version": version, **fields, "groups": groups}
     atomic_write_text(path, json.dumps(record) + "\n")
+
+
+def _model_record(model: GbdtModel | ObliviousModel) -> dict:
+    if isinstance(model, ObliviousModel):
+        counts = {"num_levels": len(model.feature), "num_leaves": len(model.value),
+                  "tree_depths": _encode(model.depths, _SIZE_DTYPE)}
+    else:
+        counts = {"num_nodes": len(model.feature), "tree_sizes": _encode(model.sizes, _SIZE_DTYPE)}
+    return {"base_score": model.base_score, "num_features": model.num_features,
+            "num_trees": model.num_trees, **counts,
+            **{name: _encode(getattr(model, name), dtype) for name, dtype in model._ARRAYS.items()}}
 
 
 def _encode(column: np.ndarray, dtype: str) -> str:
@@ -659,9 +780,11 @@ def _encode(column: np.ndarray, dtype: str) -> str:
 def load_ensemble(path, kind: str, version: int, num_types: int) -> tuple[GbdtEnsemble, dict]:
     """The ensemble in a ``save_ensemble`` record at ``path``, and the record,
     whose other fields the caller checks. The only reader of model files: a
-    wrong tag or version, a malformed group or model, a column that does not
-    decode to its count of values, a tree ``predict`` cannot walk or a type
-    count other than ``num_types`` raises a ``FormatError`` naming the file."""
+    model with ``tree_depths`` is an ``ObliviousModel``, any other a
+    ``GbdtModel``. A wrong tag or version, a malformed group or model, a
+    column that does not decode to its count of values, a tree ``predict``
+    cannot walk or a type count other than ``num_types`` raises a
+    ``FormatError`` naming the file."""
     record = read_json(path, kind)
     tag = f"hemtriage/{kind}"
     if not isinstance(record, dict) or record.get("format") != tag:
@@ -679,16 +802,26 @@ def load_ensemble(path, kind: str, version: int, num_types: int) -> tuple[GbdtEn
     return ensemble, record
 
 
-def _model_from_json(record: dict) -> GbdtModel:
+def _model_from_json(record: dict) -> GbdtModel | ObliviousModel:
     base_score, num_features = record["base_score"], record["num_features"]
     if type(num_features) is not int:
         raise FormatError(f"model num_features must be an integer, got {num_features!r}")
     if not is_finite_number(base_score):
         raise FormatError(f"model base_score must be a finite number, got {base_score!r}")
-    counts = {name: record[name] for name in ("num_trees", "num_nodes")}
+    levels = "tree_depths" in record
+    names = ("num_trees", "num_levels", "num_leaves") if levels else ("num_trees", "num_nodes")
+    counts = {name: record[name] for name in names}
     for name, count in counts.items():
         if type(count) is not int or count < 0:
             raise FormatError(f"model {name} must be a non-negative integer, got {count!r}")
+    if levels:
+        depths = _decode(record, "tree_depths", _SIZE_DTYPE, counts["num_trees"])
+        columns = {name: _decode(record, name, dtype,
+                                 counts["num_leaves" if name == "value" else "num_levels"])
+                   for name, dtype in _LEVEL_COLUMNS.items()}
+        model = ObliviousModel(float(base_score), num_features, depths, **columns)
+        _check_levels(model)
+        return model
     sizes = _decode(record, "tree_sizes", _SIZE_DTYPE, counts["num_trees"])
     columns = {name: _decode(record, name, dtype, counts["num_nodes"])
                for name, dtype in _COLUMNS.items()}
@@ -705,6 +838,24 @@ def _decode(record: dict, name: str, dtype: str, count: int) -> np.ndarray:
         raise FormatError(f"model {name} holds {len(raw)} bytes, not {count} values "
                           f"of {itemsize} bytes")
     return np.frombuffer(raw, dtype=dtype)
+
+
+def _check_levels(model: ObliviousModel) -> None:
+    """Reject levels that ``predict`` cannot walk: a depth outside [0,
+    MAX_OBLIVIOUS_DEPTH], checked before any 2^depth is formed, depths that
+    do not give the level and leaf counts, a feature index out of range or a
+    non-finite threshold or value."""
+    if ((model.depths < 0) | (model.depths > MAX_OBLIVIOUS_DEPTH)).any():
+        raise FormatError(f"tree depths must lie in [0, {MAX_OBLIVIOUS_DEPTH}]")
+    depths = model.depths.astype(np.int64)
+    levels, leaves = int(depths.sum()), int(np.left_shift(1, depths).sum())
+    if (levels, leaves) != (len(model.feature), len(model.value)):
+        raise FormatError(f"tree depths give {levels} levels and {leaves} leaves, not "
+                          f"num_levels {len(model.feature)} and num_leaves {len(model.value)}")
+    if not ((model.feature >= 0) & (model.feature < model.num_features)).all():
+        raise FormatError(f"level feature index outside [0, {model.num_features})")
+    if not (np.isfinite(model.threshold).all() and np.isfinite(model.value).all()):
+        raise FormatError("level thresholds and leaf values must be finite")
 
 
 def _check_trees(model: GbdtModel) -> None:

@@ -4,8 +4,9 @@ Each slice's meta-feature row is the flattened window of probability vectors
 from ``delta_s`` slices on each side (edge replication at scan boundaries, so
 boundary slices are not biased toward "no hemorrhage"). The stacker refines
 every slice's 5-vector with one boosted model per type per preset. Its file
-is a ``gbdt.save_ensemble`` record of kind ``stacker-model``, version 3,
-whose one own field is ``delta_s``.
+is a ``gbdt.save_ensemble`` record of kind ``stacker-model``, version 4,
+whose one own field is ``delta_s``; its oblivious models are stored as
+levels, the others as nodes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .slicemodel import predict_by_scan
 from .volume import NUM_TYPES
 
 _STACKER_KIND = "stacker-model"
-_STACKER_VERSION = 3
+_STACKER_VERSION = 4
 
 
 def window_length(delta_s: int) -> int:

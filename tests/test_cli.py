@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hemtriage
-from hemtriage import slicemodel
+from hemtriage import gbdt, slicemodel, stacker
 from hemtriage.cli import main
 from hemtriage.metrics import REPORT_LABELS
 from hemtriage.slicemodel import extract_features, load_slice_probs, save_slice_probs
@@ -242,6 +242,22 @@ class TestStackApplyValidation:
         assert code == 1
         assert not out.exists()
         assert "delta" in capsys.readouterr().err.lower()
+
+
+    def test_version_3_stacker_exits_nonzero_naming_the_file(self, pipeline_dir, tmp_path,
+                                                             capsys):
+        # Version 3 stored every model, oblivious ones too, as heap-layout nodes.
+        ensemble, delta_s = stacker.load_stacker_model(pipeline_dir / "stacker.json")
+        nodes = gbdt.GbdtEnsemble(groups=tuple(
+            tuple(gbdt.GbdtModel.from_trees(model.base_score, model.trees, model.num_features)
+                  for model in group) for group in ensemble.groups))
+        path = tmp_path / "stacker_v3.json"
+        gbdt.save_ensemble(nodes, "stacker-model", 3, {"delta_s": delta_s}, path)
+        out = tmp_path / "never.csv"
+        assert run(["stack-apply", "--model", str(path), "--probs",
+                    str(pipeline_dir / "oof" / "oof_probs.csv"), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert f"{path}: unsupported version 3" in capsys.readouterr().err
 
 
 class TestJsonInputErrors:

@@ -1,5 +1,6 @@
 import base64
 import copy
+import dataclasses
 import json
 import math
 import pickle
@@ -40,6 +41,23 @@ def reference_raw_score(model, X):
     for tree in model.trees:
         margins += tree_values(tree, X)
     return margins
+
+
+def stopped_early(model, rng):
+    """``model`` with each tree cut to a random depth from 0 to its own, and
+    one tree to depth 0, as if their growth had stopped there. A tree cut to
+    depth d keeps its first d levels and its first 2^d leaf values."""
+    level_ends = np.cumsum(model.depths)
+    leaf_ends = np.cumsum(1 << model.depths.astype(np.int64))
+    keep = rng.integers(0, model.depths + 1)
+    keep[rng.integers(len(keep))] = 0
+    trees = [gbdt._LevelTree(model.feature[level_end - depth:level_end - depth + kept],
+                             model.threshold[level_end - depth:level_end - depth + kept],
+                             model.value[leaf_end - (1 << depth):leaf_end - (1 << depth)
+                                         + (1 << kept)])
+             for depth, kept, level_end, leaf_end in zip(model.depths.tolist(), keep.tolist(),
+                                                         level_ends, leaf_ends)]
+    return gbdt.ObliviousModel.from_trees(model.base_score, trees, model.num_features)
 
 
 def model_losses_per_round(model, X, y):
@@ -138,6 +156,12 @@ class TestConfig:
     def test_rate_bounds(self):
         with pytest.raises(ConfigError):
             gbdt.GbdtConfig(learning_rate=0.0)
+
+    def test_oblivious_depth_capped(self):
+        gbdt.GbdtConfig(growth="oblivious", max_depth=gbdt.MAX_OBLIVIOUS_DEPTH)
+        gbdt.GbdtConfig(growth="depthwise", max_depth=gbdt.MAX_OBLIVIOUS_DEPTH + 1)
+        with pytest.raises(ConfigError, match="at most 30 levels"):
+            gbdt.GbdtConfig(growth="oblivious", max_depth=gbdt.MAX_OBLIVIOUS_DEPTH + 1)
 
 
 class TestXor:
@@ -270,9 +294,27 @@ class TestPredict:
                           left=np.array([-1], dtype=np.int32),
                           right=np.array([-1], dtype=np.int32), value=np.array([8.0]))
         model = gbdt.GbdtModel.from_trees(16.0, (stump, deep), 2)
-        X = np.array([[0.0, 0.5], [0.25, 0.75], [0.3, 0.75], [0.0, np.nan], [np.nan, 1.0]])
-        assert gbdt.raw_score(model, X).tolist() == [25.0, 26.0, 28.0, 26.0, 28.0]
+        X = np.array([[0.0, 0.5], [0.25, 0.75], [0.3, 0.75], [0.0, np.nan], [np.nan, 1.0],
+                      [np.nan, 0.5]])
+        assert gbdt.raw_score(model, X).tolist() == [25.0, 26.0, 28.0, 26.0, 28.0, 25.0]
         assert gbdt.raw_score(model, X).tobytes() == reference_raw_score(model, X).tobytes()
+        # The same splits as one oblivious tree of 2 levels (feature 1 at 0.5,
+        # then feature 0 at 0.25) packed after a depth-0 tree. Leaves are in
+        # path order, so a row going left then right ends in leaf 0b01.
+        levels = gbdt.ObliviousModel(16.0, 2, depths=np.array([0, 2], dtype=np.int32),
+                                     feature=np.array([1, 0], dtype=np.int32),
+                                     threshold=np.array([0.5, 0.25]),
+                                     value=np.array([8.0, 1.0, 2.0, 4.0, 64.0]))
+        assert gbdt.raw_score(levels, X).tolist() == [25.0, 28.0, 88.0, 28.0, 88.0, 26.0]
+        root, full = levels.trees
+        assert tree_bytes(root) == tree_bytes(stump)
+        assert tree_bytes(full) == tree_bytes(gbdt.Tree(
+            feature=np.array([1, 0, 0, -1, -1, -1, -1], dtype=np.int32),
+            threshold=np.array([0.5, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0]),
+            left=np.array([1, 3, 5, -1, -1, -1, -1], dtype=np.int32),
+            right=np.array([2, 4, 6, -1, -1, -1, -1], dtype=np.int32),
+            value=np.array([0.0, 0.0, 0.0, 1.0, 2.0, 4.0, 64.0])))
+        assert gbdt.raw_score(levels, X).tobytes() == reference_raw_score(levels, X).tobytes()
 
     GROWTHS = [
         ("leafwise", {"max_depth": None}),  # no depth cap: trees of uneven depth
@@ -285,9 +327,10 @@ class TestPredict:
     @given(seed=st.integers(0, 2**32 - 1), growth=st.sampled_from(GROWTHS),
            rounds=st.integers(1, 12), depth=st.integers(1, 6), max_leaves=st.integers(2, 24),
            min_samples_leaf=st.sampled_from([1, 4, 30]), num_features=st.integers(1, 5),
-           walk_pairs=st.sampled_from([1, 50, gbdt._WALK_PAIRS]))
+           walk_pairs=st.sampled_from([1, 50, gbdt._WALK_PAIRS]), stop_early=st.booleans())
     def test_packed_walk_equals_per_tree_walk(self, seed, growth, rounds, depth, max_leaves,
-                                              min_samples_leaf, num_features, walk_pairs):
+                                              min_samples_leaf, num_features, walk_pairs,
+                                              stop_early):
         growth, extra = growth
         rng = np.random.default_rng(seed)
         X = rng.integers(0, 9, (60, num_features)) / 8.0
@@ -297,6 +340,9 @@ class TestPredict:
                                  max_leaves=max_leaves, min_samples_leaf=min_samples_leaf,
                                  **({"max_depth": depth} | extra))
         model = gbdt.train(X, y, config)
+        if growth == "oblivious" and stop_early:
+            model = stopped_early(model, rng)
+            assert 0 in model.depths
         assert len(model.trees) == rounds
         probe = rng.random((40, num_features))
         probe[rng.random(probe.shape) < 0.05] = np.nan
@@ -380,10 +426,9 @@ class TestEngineAgainstOracles:
         config = gbdt.GbdtConfig(rounds=1, learning_rate=1.0, l2_reg=lam, growth="oblivious",
                                  max_depth=depth, min_samples_leaf=min_samples_leaf)
         model = gbdt.train(X, y, config)
-        tree = model.trees[0]
         p = gbdt._sigmoid(np.full(num_rows, model.base_score))
         g, h = p - y, p * (1.0 - p)
-        levels = (tree.num_nodes + 1).bit_length() - 2  # a full tree has 2^(levels+1) - 1 nodes
+        (levels,) = model.depths
         leaf_of = np.zeros(num_rows, dtype=np.int64)
         for level in range(levels + 1):
             gains = brute_force_level_gains(X, g, h, leaf_of, lam, min_samples_leaf)
@@ -395,8 +440,7 @@ class TestEngineAgainstOracles:
                 if level < depth:
                     assert best < -1e-12 * scale  # the next level had nothing to take
                 break
-            node = (1 << level) - 1
-            feature, threshold = tree.feature[node], tree.threshold[node]
+            feature, threshold = model.feature[level], model.threshold[level]
             chosen = [gain for gain, f, t in gains if (f, t) == (feature, threshold)]
             assert len(chosen) == 1  # a border of the feature that keeps min_samples_leaf
             assert chosen[0] == pytest.approx(best, rel=1e-12, abs=1e-12 * scale)
@@ -480,13 +524,19 @@ def _walk_to_leaves(tree, X):
 
 def _grow_rounds(X, y, config):
     """Boost like ``gbdt.train``, yielding each round's tree and the leaf
-    node of every training row that its grower hands back."""
-    grower_class = gbdt._ObliviousGrower if config.growth == "oblivious" else gbdt._NodeGrower
+    node of every training row that its grower hands back. An oblivious
+    tree comes in the heap layout of ``ObliviousModel.trees``, where leaf i
+    in path order is node 2^depth - 1 + i."""
+    oblivious = config.growth == "oblivious"
+    grower_class = gbdt._ObliviousGrower if oblivious else gbdt._NodeGrower
     grower = grower_class(gbdt._Bins(X, gbdt._MAX_BINS[config.growth]), config)
     margins = np.zeros(len(y))
     for _ in range(config.rounds):
         p = gbdt._sigmoid(margins)
         tree, leaf_of = grower.grow(p - y, p * (1.0 - p), y)
+        if oblivious:
+            tree, leaf_of = (gbdt.ObliviousModel.from_trees(0.0, [tree], X.shape[1]).trees[0],
+                             leaf_of + len(tree.value) - 1)
         yield tree, leaf_of
         margins += tree_values(tree, X)
 
@@ -539,13 +589,15 @@ def dense_oblivious_grow(grower, g, h, y):
     leaf_n = np.bincount(leaf_of, minlength=num_leaves)
     denom = leaf_h + lam
     values = np.where((leaf_n > 0) & (denom > 0), -leaf_g / np.where(denom > 0, denom, 1.0), 0.0)
-    tree = gbdt._assemble_full_tree(levels, values * grower.config.learning_rate)
-    return tree, leaf_of + (num_leaves - 1)
+    tree = gbdt._LevelTree(np.array([feature for feature, _ in levels], dtype=np.int32),
+                           np.array([threshold for _, threshold in levels]),
+                           values * grower.config.learning_rate)
+    return tree, leaf_of
 
 
 def tree_bytes(tree):
-    return [(name, getattr(tree, name).dtype.str, getattr(tree, name).tobytes())
-            for name in ("feature", "threshold", "left", "right", "value")]
+    return [(field.name, getattr(tree, field.name).dtype.str, getattr(tree, field.name).tobytes())
+            for field in dataclasses.fields(tree)]
 
 
 class TestOccupiedLeafLevels:
@@ -614,7 +666,7 @@ class TestOccupiedLeafLevels:
         with np.errstate(divide="raise", invalid="raise"):
             tree, leaf_of = grower.grow(p - y, p * (1.0 - p), y)
             model = gbdt.train(X, y, config)
-        assert tree.num_nodes == 31 and len(np.unique(leaf_of)) < 16  # some leaves are empty
+        assert len(tree.feature) == 4 and len(np.unique(leaf_of)) < 16  # some leaves are empty
         for fitted in model.trees:
             assert np.isfinite(fitted.value).all() and np.isfinite(fitted.threshold).all()
         assert np.isfinite(gbdt.predict(model, X)).all()
@@ -810,12 +862,20 @@ class TestEnsemble:
         X = rng.random((40, 3))
         Y = rng.integers(0, 2, (40, 2)).astype(float)
         monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
-        (pooled, _), = gbdt.train_ensemble(X, Y, [gbdt.GbdtConfig(rounds=3)]).groups
-        for model in (pooled, pickle.loads(pickle.dumps(pooled)), copy.deepcopy(pooled)):
-            for name in ("sizes", "feature", "threshold", "left", "right", "value"):
-                column = getattr(model, name)
-                assert not column.flags.writeable, name
-                assert np.array_equal(column, getattr(pooled, name)), name
+        configs = [gbdt.GbdtConfig(rounds=3), gbdt.GbdtConfig(rounds=3, growth="oblivious",
+                                                              max_depth=3)]
+        ensemble = gbdt.train_ensemble(X, Y, configs)
+        assert [type(model) for model in ensemble.models] == [gbdt.GbdtModel] * 2 + [
+            gbdt.ObliviousModel] * 2
+        for pooled in ensemble.models:
+            names = [field.name for field in dataclasses.fields(pooled)
+                     if isinstance(getattr(pooled, field.name), np.ndarray)]
+            for model in (pooled, pickle.loads(pickle.dumps(pooled)), copy.deepcopy(pooled)):
+                assert type(model) is type(pooled)
+                for name in names:
+                    column = getattr(model, name)
+                    assert not column.flags.writeable, name
+                    assert np.array_equal(column, getattr(pooled, name)), name
 
     def test_default_presets_ensemble_close_to_best_member(self, rng):
         # Smooth nonlinear target with label noise; ensemble validation loss
@@ -836,12 +896,13 @@ class TestEnsemble:
 #: The model-file dtype of each typed column: little-endian int32 and float64.
 COLUMN_DTYPES = {"tree_sizes": "<i4", "feature": "<i4", "threshold": "<f8", "left": "<i4",
                  "right": "<i4", "value": "<f8"}
+LEVEL_DTYPES = {"tree_depths": "<i4", "feature": "<i4", "threshold": "<f8", "value": "<f8"}
 
 
 def decode(model_record, name, dtype=None):
     """A model record's typed column, as a writable array."""
     raw = base64.b64decode(model_record[name])
-    return np.frombuffer(raw, dtype or COLUMN_DTYPES[name]).copy()
+    return np.frombuffer(raw, dtype or {**COLUMN_DTYPES, **LEVEL_DTYPES}[name]).copy()
 
 
 def encode(values, dtype):
@@ -902,6 +963,7 @@ class TestPersistence:
         restored, _ = self.load(path, num_types=5)
         assert [len(group) for group in restored.groups] == [5, 5, 5]
         for model, back in zip(ensemble.models, restored.models):
+            assert type(back) is type(model)
             assert back.base_score == model.base_score
             assert all(trees_equal(a, b) for a, b in zip(model.trees, back.trees))
         probe = rng.random((10, 3))
@@ -993,6 +1055,86 @@ class TestPersistence:
         edit(model)
         self.write(record, path)
         with pytest.raises(FormatError, match=f"model.json: malformed test-model record: .*{match}"):
+            self.load(path)
+
+    def test_level_record_layout(self, tmp_path, rng):
+        # Counts stay readable JSON; each column is its trees' levels or
+        # leaves, in order.
+        path = tmp_path / "model.json"
+        record, stored = self.saved_model(rng, path, rounds=3, growth="oblivious", max_depth=2)
+        (model,) = self.load(path)[0].models
+        assert isinstance(model, gbdt.ObliviousModel)
+        assert list(stored) == ["base_score", "num_features", "num_trees", "num_levels",
+                                "num_leaves", *LEVEL_DTYPES]
+        assert decode(stored, "tree_depths").tolist() == [2, 2, 2] == model.depths.tolist()
+        assert (stored["num_trees"], stored["num_levels"], stored["num_leaves"]) == (3, 6, 12)
+        for name in ("feature", "threshold", "value"):
+            assert decode(stored, name).tobytes() == getattr(model, name).tobytes()
+        zero_trees = gbdt.ObliviousModel.from_trees(0.25, (), 2)
+        record = self.save(gbdt.GbdtEnsemble(groups=((zero_trees,),)), path)
+        assert record["groups"] == [[{"base_score": 0.25, "num_features": 2, "num_trees": 0,
+                                      "num_levels": 0, "num_leaves": 0,
+                                      **{name: "" for name in LEVEL_DTYPES}}]]
+        (restored,) = self.load(path)[0].models
+        assert isinstance(restored, gbdt.ObliviousModel) and restored.num_trees == 0
+
+    @staticmethod
+    def edit_levels(model, depths=None, num_levels=0, num_leaves=0, **columns):
+        """Replace a level model record's depths or edit its columns
+        (``name=(index, value)`` sets one value, ``name=count`` appends that
+        many copies of the last value or, if negative, drops that many) and
+        add to its level and leaf counts."""
+        if depths is not None:
+            model["tree_depths"] = encode(depths, "<i4")
+        for name, edit in columns.items():
+            values = decode(model, name)
+            if isinstance(edit, tuple):
+                values[edit[0]] = edit[1]
+            elif edit < 0:
+                values = values[:edit]
+            else:
+                values = np.concatenate([values, np.repeat(values[-1:], edit)])
+            model[name] = encode(values, LEVEL_DTYPES[name])
+        model["num_levels"] += num_levels
+        model["num_leaves"] += num_leaves
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda model: model.update(num_trees=3), "model tree_depths holds 8 bytes, not 3 values"),
+        (lambda model: TestPersistence.edit_levels(model, num_levels=1, feature=1, threshold=1),
+         "tree depths give 4 levels and 8 leaves, not num_levels 5 and num_leaves 8"),
+        (lambda model: TestPersistence.edit_levels(model, num_leaves=1, value=1),
+         "tree depths give 4 levels and 8 leaves, not num_levels 4 and num_leaves 9"),
+        (lambda model: TestPersistence.edit_levels(model, feature=-1),
+         "model feature holds 12 bytes, not 4 values"),
+        (lambda model: TestPersistence.edit_levels(model, feature=(2, 3)),
+         r"level feature index outside \[0, 3\)"),
+        (lambda model: TestPersistence.edit_levels(model, feature=(0, -1)),
+         r"level feature index outside \[0, 3\)"),
+        (lambda model: TestPersistence.edit_levels(model, threshold=(3, float("inf"))),
+         "level thresholds and leaf values must be finite"),
+        (lambda model: TestPersistence.edit_levels(model, value=(5, float("nan"))),
+         "level thresholds and leaf values must be finite"),
+        (lambda model: TestPersistence.edit_levels(model, depths=[2, -1]),
+         r"tree depths must lie in \[0, 30\]"),
+        (lambda model: TestPersistence.edit_levels(model, depths=[2, 31], num_levels=29,
+                                                   feature=29, threshold=29),
+         r"tree depths must lie in \[0, 30\]"),
+        # 1 << 64 wraps to 0 in int64, so these counts and columns agree
+        # with a wrapped leaf count: only the depth cap rejects the file.
+        (lambda model: TestPersistence.edit_levels(model, depths=[2, 64], num_levels=62,
+                                                   num_leaves=-4, feature=62, threshold=62,
+                                                   value=-4),
+         r"tree depths must lie in \[0, 30\]"),
+    ], ids=["tree-count", "levels-sum", "leaves-sum", "short-column", "feature-high",
+            "feature-negative", "threshold-inf", "value-nan", "negative-depth", "depth-31",
+            "depth-wraps"])
+    def test_rejects_malformed_level_records(self, tmp_path, rng, edit, match):
+        path = tmp_path / "model.json"
+        record, model = self.saved_model(rng, path, rounds=2, growth="oblivious", max_depth=2)
+        assert decode(model, "tree_depths").tolist() == [2, 2]
+        edit(model)
+        self.write(record, path)
+        with pytest.raises(FormatError, match=f"model.json: malformed test-model record: {match}"):
             self.load(path)
 
     @pytest.mark.parametrize("field, node, bad, match", [

@@ -120,8 +120,8 @@ GOLDEN = {
     "report/roc_curves.csv": "0be708e2647f2ad0c6d4e086f595ac08a20dea3b9c4fc09275f043d593f3b66d",
     "report/roc_curves.svg": "2dbec7cf513985794ca11b8f1fa7ec1bf31e5aed69dd592321130c5fccf61e6e",
     "slice_model.json": "4c9bb3bc61bd34378688d265f115e7ee2d9113a67f51e253e84d90d3ebd32b27",
-    "stacker.json": "8a86f9c2ef5ec7925215cf60f609acb289f117ecc1996cdfbede2770d1bde0ff",
-    "stacker_broadcast.json": "c4d6bff27a976291cfbf88b87f05b9f91ca8a3ccbbf9e162017e169bfd6e34a8",
+    "stacker.json": "2763aa5e75626ab41a0a0cf90627b567288a900be08a05ec2c011097b45cfa3a",
+    "stacker_broadcast.json": "f8cebe144f813b4b6890d5305454437b05f8b8b53125705e9f3edf70f8c0a9b7",
     "thresholds.json": "aade61b134ea5d7ef5e4bdccf8be2dc72c862d5d794e643ac150e5c444365bf4",
     "thresholds_mean_type.json": "e1f323ded079ebcb78f7acc6d4cdb04f9292f17b87d9b24ea4e988c1512be4fa",
 }
@@ -157,8 +157,8 @@ GOLDEN_GROWTH = {
     "oof/folds.csv": "dc57d9eee59e7fe5b89f8ffe50ae7f5241953bf3c93660ed3196f6d7245f7d24",
     "oof/oof_probs.csv": "d26e3a11aa543e6550d5275b78ce1ee1c4fd3245e3c8e4bb37871edb1c689eec",
     "refined.csv": "10dc4ed8539f0d978ef9533a694deb0937d6d6a231404102bb6973302f6c12b4",
-    "stacker.json": "c46efdf180d68df7a70030c0152f0c33abe79a5426d67124fe4a751ba38fba35",
-    "stacker_broadcast.json": "1a915763af3aa82e366a34cf1d3f7e71282f81afc035678085e3d91a9e569de8",
+    "stacker.json": "c99963131a0c0df9d097d94028581827224a191d4307dd19d4f86897f548d9cc",
+    "stacker_broadcast.json": "b8cb11433c4fb92fcdf707f3173a280a9c649676b1acc3d72319cfe5aac55c1f",
 }
 
 
