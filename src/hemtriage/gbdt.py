@@ -26,13 +26,17 @@ open leaf with the smallest priority: -gain for leafwise, (depth, -gain) for
 depthwise, which finishes each level before the next; ties go to the earliest
 leaf. Their candidates are the cuts between neighbouring bins present in a
 node, and equal computed gains go to the lowest feature, then the lowest
-threshold (gains equal in exact arithmetic may differ in the last bit). The
-smaller child of a split is histogrammed from its rows and the larger one is
-its parent minus that sibling (Ke et al. 2017). An oblivious level histograms
-all of its leaves that hold rows at once and skips the empty ones: an empty
-leaf adds exactly 0.0 to every cut's gain (both sides and the parent score
-0.0), and adding 0.0 changes no bits. So the gain must stay a sum over the
-occupied leaves one after another in ascending leaf order, never regrouped.
+threshold (gains equal in exact arithmetic may differ in the last bit). Only
+a leaf that can split is histogrammed and searched: one with at least
+2 * min_samples_leaf rows and both label classes. When either child of a split
+can, the smaller child is histogrammed from its rows, and the larger one is its
+parent minus that sibling (Ke et al. 2017). Every round's root holds every row
+and every bin holds a training row, so the root's bin counts and candidate cuts
+are computed once per model. An oblivious level histograms all of its leaves
+that hold rows at once and skips the empty ones: an empty leaf adds exactly 0.0
+to every cut's gain (both sides and the parent score 0.0), and adding 0.0
+changes no bits. So the gain must stay a sum over the occupied leaves one after
+another in ascending leaf order, never regrouped.
 
 Every round fits every row and every feature: there is no row or column
 subsampling, and so no random state. Each grower therefore already knows the
@@ -519,18 +523,33 @@ class _Leaf:
     node: int
     depth: int
     rows: np.ndarray
-    present: np.ndarray | None  # sorted ids of the bins holding any of rows
-    hist: np.ndarray | None     # (gradient, hessian, count) sums per present bin
+    grad_sum: float  # of g over rows
+    hess_sum: float  # of h over rows
+    present: np.ndarray | None = None  # sorted ids of the bins holding any of rows
+    hist: np.ndarray | None = None     # (gradient, hessian, count) sums per present bin
     best: tuple[float, int, float] | None = None  # (gain, last bin of the left side, threshold)
 
 
 class _NodeGrower:
-    """Best-first split search shared by leafwise and depthwise growth."""
+    """Best-first split search shared by leafwise and depthwise growth.
+
+    Only a leaf that can split gets a histogram, a compaction to its present
+    bins and a split search: one with at least 2 * min_samples_leaf rows and
+    both label classes. Every round's root holds every row, and every bin
+    holds at least one training row, so the root's count row, its flat bin
+    codes and its cut layout are the same in every round and are computed
+    once per model, in the constructor.
+    """
 
     def __init__(self, bins: _Bins, config: GbdtConfig):
         self.bins = bins
         self.config = config
-        self.slot = np.empty(len(bins.low), dtype=np.intp)  # bin id -> position in a node
+        num_bins = len(bins.low)
+        self.slot = np.empty(num_bins, dtype=np.intp)  # bin id -> position in a node
+        self.every_bin = np.arange(num_bins)
+        self.root_codes = bins.codes.ravel()
+        self.root_counts = np.bincount(self.root_codes, minlength=num_bins).astype(np.float64)
+        self.root_layout = self._layout(self.every_bin, self.root_counts, len(bins.codes))
 
     def grow(self, g, h, y) -> tuple[Tree, np.ndarray]:
         """The tree and, per training row, the node id of the leaf it ends in."""
@@ -541,10 +560,10 @@ class _NodeGrower:
         # Splittable leaves by priority; node ids follow creation order, so the
         # earliest leaf wins ties.
         heap = []
-        every_bin = np.arange(len(self.bins.low))
-        rows = np.arange(len(y))
-        new_leaves = [self._make_leaf(builder, 0, rows, every_bin,
-                                      self._histogram(rows, every_bin))]
+        root = self._make_leaf(builder, 0, np.arange(len(y)))
+        if self._can_split(root):
+            self._search(root, self.every_bin, self._root_histogram(), self.root_layout)
+        new_leaves = [root]
         for _ in range(self.config.max_leaves - 1):
             for leaf in new_leaves:
                 if leaf.best is not None:
@@ -554,6 +573,15 @@ class _NodeGrower:
                 break
             new_leaves = self._split(builder, heapq.heappop(heap)[1])
         return builder.build(), self.leaf_of
+
+    def _root_histogram(self):
+        """(gradient, hessian, count) sums of every row per bin."""
+        width = self.bins.codes.shape[1]
+        hist = np.empty((3, len(self.every_bin)))
+        hist[0] = np.bincount(self.root_codes, np.repeat(self.g, width), minlength=hist.shape[1])
+        hist[1] = np.bincount(self.root_codes, np.repeat(self.h, width), minlength=hist.shape[1])
+        hist[2] = self.root_counts
+        return hist
 
     def _histogram(self, rows, present):
         """(gradient, hessian, count) sums of ``rows`` per bin of ``present``,
@@ -570,37 +598,58 @@ class _NodeGrower:
         hist[2] = np.bincount(flat, minlength=size)
         return hist
 
-    def _make_leaf(self, builder, depth, rows, present, hist) -> _Leaf:
+    def _make_leaf(self, builder, depth, rows) -> _Leaf:
         grad_sum = float(self.g[rows].sum())
         hess_sum = float(self.h[rows].sum())
         denom = hess_sum + self.config.l2_reg
         node = builder.add_leaf(-grad_sum / denom * self.config.learning_rate if denom > 0 else 0.0)
         self.leaf_of[rows] = node
-        leaf = _Leaf(node, depth, rows, None, None)
-        if hist is not None:
-            keep = np.flatnonzero(hist[2])
-            leaf.present, leaf.hist = present[keep], hist.take(keep, axis=1)
-            leaf.best = self._best_split(leaf, grad_sum, hess_sum)
-        return leaf
+        return _Leaf(node, depth, rows, grad_sum, hess_sum)
 
-    def _best_split(self, leaf: _Leaf, grad_sum: float, hess_sum: float):
-        msl = self.config.min_samples_leaf
-        m = len(leaf.rows)
-        if m < 2 * msl or np.ptp(self.y[leaf.rows]) == 0:
-            return None  # too few rows, or label-pure: nothing a split can improve
+    def _can_split(self, leaf: _Leaf) -> bool:
+        """Whether ``leaf`` has rows enough for two children and both label
+        classes; any other leaf has nothing a split can improve."""
+        return (len(leaf.rows) >= 2 * self.config.min_samples_leaf
+                and np.ptp(self.y[leaf.rows]) != 0)
+
+    def _search(self, leaf: _Leaf, present, hist, layout=None) -> None:
+        """Give ``leaf`` its present bins, its histogram over them and its
+        best split. ``hist`` covers ``present``; a child's histogram, over its
+        parent's present bins, is first compacted to its own, and without a
+        ``layout`` its cut layout is computed from them."""
+        if layout is None:
+            keep = np.flatnonzero(hist[2])
+            present, hist = present[keep], hist.take(keep, axis=1)
+            layout = self._layout(present, hist[2], len(leaf.rows))
+        leaf.present, leaf.hist = present, hist
+        leaf.best = self._best_split(leaf, layout)
+
+    def _layout(self, present, counts, m):
+        """The candidate cuts of a node of ``m`` rows whose bins ``present``
+        hold ``counts`` rows each: the positions in ``present`` after which
+        a cut leaves min_samples_leaf rows on each side, and the position
+        where each one's feature starts."""
         # first[i] is where the present bins of position i's feature start; a
         # cut after position i is valid when position i + 1 has the same feature.
-        bounds = np.searchsorted(leaf.present, self.bins.starts)
+        bounds = np.searchsorted(present, self.bins.starts)
         first = np.repeat(bounds[:-1], np.diff(bounds))
         cuts = np.flatnonzero(first[1:] == first[:-1])
-        sums = np.zeros((3, len(leaf.present) + 1))
-        np.cumsum(leaf.hist, axis=1, out=sums[:, 1:])
-        left_g, left_h, left_c = sums.take(cuts + 1, axis=1) - sums.take(first[cuts], axis=1)
+        msl = self.config.min_samples_leaf
         if msl > 1:  # a valid cut always leaves one row on each side
-            enough = (left_c >= msl) & (m - left_c >= msl)
-            cuts, left_g, left_h = cuts[enough], left_g[enough], left_h[enough]
+            sums = np.zeros(len(present) + 1)
+            np.cumsum(counts, out=sums[1:])
+            left_c = sums.take(cuts + 1) - sums.take(first[cuts])
+            cuts = cuts[(left_c >= msl) & (m - left_c >= msl)]
+        return cuts, first[cuts]
+
+    def _best_split(self, leaf: _Leaf, layout):
+        cuts, first = layout
         if not len(cuts):
             return None
+        sums = np.zeros((2, len(leaf.present) + 1))
+        np.cumsum(leaf.hist[:2], axis=1, out=sums[:, 1:])
+        left_g, left_h = sums.take(cuts + 1, axis=1) - sums.take(first, axis=1)
+        grad_sum, hess_sum = leaf.grad_sum, leaf.hess_sum
         score = self._score(left_g, left_h) + self._score(grad_sum - left_g, hess_sum - left_h)
         at = int(np.argmax(score))  # first hit: lowest feature, then lowest threshold
         parent = float(self._score(grad_sum, hess_sum))
@@ -619,21 +668,28 @@ class _NodeGrower:
         return grad ** 2 / (hess + lam) if lam > 0 else _safe_ratio(grad, hess)
 
     def _split(self, builder, leaf: _Leaf) -> tuple[_Leaf, _Leaf]:
+        """Split ``leaf`` at its best cut. The smaller child is histogrammed
+        from its rows whenever either child can split, since the larger one's
+        histogram must be its parent's minus that sibling's, and that
+        subtraction is skipped when the larger child cannot split."""
         _, low_bin, threshold = leaf.best
         feature = int(self.bins.feature[low_bin])
         go_left = self.bins.codes[:, feature].take(leaf.rows) <= low_bin
-        parts = (leaf.rows[go_left], leaf.rows[~go_left])
         depth = leaf.depth + 1
-        hists = [None, None]
+        children = (self._make_leaf(builder, depth, leaf.rows[go_left]),
+                    self._make_leaf(builder, depth, leaf.rows[~go_left]))
         if self.config.max_depth is None or depth < self.config.max_depth:
-            small = int(len(parts[1]) < len(parts[0]))
-            hists[small] = self._histogram(parts[small], leaf.present)
-            hists[1 - small] = leaf.hist - hists[small]
-        left = self._make_leaf(builder, depth, parts[0], leaf.present, hists[0])
-        right = self._make_leaf(builder, depth, parts[1], leaf.present, hists[1])
-        builder.to_split(leaf.node, feature, threshold, left.node, right.node)
+            splits = [self._can_split(child) for child in children]
+            if any(splits):
+                small = int(len(children[1].rows) < len(children[0].rows))
+                small_hist = self._histogram(children[small].rows, leaf.present)
+                if splits[small]:
+                    self._search(children[small], leaf.present, small_hist)
+                if splits[1 - small]:
+                    self._search(children[1 - small], leaf.present, leaf.hist - small_hist)
+        builder.to_split(leaf.node, feature, threshold, children[0].node, children[1].node)
         leaf.rows = leaf.present = leaf.hist = None  # free node data early
-        return left, right
+        return children
 
 
 class _ObliviousGrower:
@@ -679,7 +735,9 @@ class _ObliviousGrower:
         if stride > 1 and y.min() != y.max():
             feature_offsets = np.arange(num_features, dtype=np.int64)
             for _ in range(self.config.max_depth):
-                occupied, slot = np.unique(leaf_of, return_inverse=True)
+                held = np.bincount(leaf_of) > 0
+                occupied = np.flatnonzero(held)
+                slot = (np.cumsum(held) - 1)[leaf_of]  # rank of each row's leaf among occupied
                 num_slots = len(occupied)
                 flat = ((slot[:, None] * num_features + feature_offsets) * stride
                         + codes).ravel()

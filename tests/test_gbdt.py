@@ -1,6 +1,7 @@
 import base64
 import copy
 import dataclasses
+import heapq
 import json
 import math
 import pickle
@@ -670,6 +671,216 @@ class TestOccupiedLeafLevels:
         for fitted in model.trees:
             assert np.isfinite(fitted.value).all() and np.isfinite(fitted.threshold).all()
         assert np.isfinite(gbdt.predict(model, X)).all()
+
+
+@dataclasses.dataclass(eq=False)
+class EveryChildLeaf:
+    node: int
+    depth: int
+    rows: np.ndarray
+    present: np.ndarray | None
+    hist: np.ndarray | None
+    best: tuple | None = None
+
+
+class EveryChildNodeGrower:
+    """Oracle: node-wise growth that histograms every round's root from
+    scratch and every child of every split, compacts each histogram and runs
+    a split search on it, whether or not that leaf can split."""
+
+    def __init__(self, bins, config):
+        self.bins = bins
+        self.config = config
+        self.slot = np.empty(len(bins.low), dtype=np.intp)
+
+    def grow(self, g, h, y):
+        self.g, self.h, self.y = g, h, y
+        self.leaf_of = np.zeros(len(y), dtype=np.intp)
+        builder = gbdt._TreeBuilder()
+        by_level = self.config.growth == "depthwise"
+        heap = []
+        every_bin = np.arange(len(self.bins.low))
+        rows = np.arange(len(y))
+        new_leaves = [self._make_leaf(builder, 0, rows, every_bin,
+                                      self._histogram(rows, every_bin))]
+        for _ in range(self.config.max_leaves - 1):
+            for leaf in new_leaves:
+                if leaf.best is not None:
+                    priority = (leaf.depth if by_level else 0, -leaf.best[0], leaf.node)
+                    heapq.heappush(heap, (priority, leaf))
+            if not heap:
+                break
+            new_leaves = self._split(builder, heapq.heappop(heap)[1])
+        return builder.build(), self.leaf_of
+
+    def _histogram(self, rows, present):
+        size = len(present)
+        local = self.bins.codes.take(rows, axis=0)
+        if size < len(self.slot):
+            self.slot[present] = np.arange(size)
+            local = self.slot.take(local)
+        flat = local.ravel()
+        hist = np.empty((3, size))
+        hist[0] = np.bincount(flat, np.repeat(self.g[rows], local.shape[1]), minlength=size)
+        hist[1] = np.bincount(flat, np.repeat(self.h[rows], local.shape[1]), minlength=size)
+        hist[2] = np.bincount(flat, minlength=size)
+        return hist
+
+    def _make_leaf(self, builder, depth, rows, present, hist):
+        grad_sum = float(self.g[rows].sum())
+        hess_sum = float(self.h[rows].sum())
+        denom = hess_sum + self.config.l2_reg
+        node = builder.add_leaf(-grad_sum / denom * self.config.learning_rate if denom > 0 else 0.0)
+        self.leaf_of[rows] = node
+        leaf = EveryChildLeaf(node, depth, rows, None, None)
+        if hist is not None:
+            keep = np.flatnonzero(hist[2])
+            leaf.present, leaf.hist = present[keep], hist.take(keep, axis=1)
+            leaf.best = self._best_split(leaf, grad_sum, hess_sum)
+        return leaf
+
+    def _best_split(self, leaf, grad_sum, hess_sum):
+        msl = self.config.min_samples_leaf
+        m = len(leaf.rows)
+        if m < 2 * msl or np.ptp(self.y[leaf.rows]) == 0:
+            return None
+        bounds = np.searchsorted(leaf.present, self.bins.starts)
+        first = np.repeat(bounds[:-1], np.diff(bounds))
+        cuts = np.flatnonzero(first[1:] == first[:-1])
+        sums = np.zeros((3, len(leaf.present) + 1))
+        np.cumsum(leaf.hist, axis=1, out=sums[:, 1:])
+        left_g, left_h, left_c = sums.take(cuts + 1, axis=1) - sums.take(first[cuts], axis=1)
+        if msl > 1:
+            enough = (left_c >= msl) & (m - left_c >= msl)
+            cuts, left_g, left_h = cuts[enough], left_g[enough], left_h[enough]
+        if not len(cuts):
+            return None
+        score = self._score(left_g, left_h) + self._score(grad_sum - left_g, hess_sum - left_h)
+        at = int(np.argmax(score))
+        parent = float(self._score(grad_sum, hess_sum))
+        gain = 0.5 * (score[at] - parent)
+        if gain < -gbdt._GAIN_NOISE_RELATIVE * (1.0 + abs(parent)):
+            return None
+        low_bin, high_bin = leaf.present[cuts[at]], leaf.present[cuts[at] + 1]
+        threshold = gbdt._midpoint(self.bins.high[low_bin], self.bins.low[high_bin])
+        return float(gain), int(low_bin), float(threshold)
+
+    def _score(self, grad, hess):
+        lam = self.config.l2_reg
+        return grad ** 2 / (hess + lam) if lam > 0 else gbdt._safe_ratio(grad, hess)
+
+    def _split(self, builder, leaf):
+        _, low_bin, threshold = leaf.best
+        feature = int(self.bins.feature[low_bin])
+        go_left = self.bins.codes[:, feature].take(leaf.rows) <= low_bin
+        parts = (leaf.rows[go_left], leaf.rows[~go_left])
+        depth = leaf.depth + 1
+        hists = [None, None]
+        if self.config.max_depth is None or depth < self.config.max_depth:
+            small = int(len(parts[1]) < len(parts[0]))
+            hists[small] = self._histogram(parts[small], leaf.present)
+            hists[1 - small] = leaf.hist - hists[small]
+        left = self._make_leaf(builder, depth, parts[0], leaf.present, hists[0])
+        right = self._make_leaf(builder, depth, parts[1], leaf.present, hists[1])
+        builder.to_split(leaf.node, feature, threshold, left.node, right.node)
+        return left, right
+
+
+def recording(method, calls):
+    """``method`` wrapped to append the arguments of each call to ``calls``."""
+    def recorded(self, *args):
+        calls.append(args)
+        return method(self, *args)
+    return recorded
+
+
+class TestSplittableLeaves:
+    """Node-wise growth histograms, compacts and searches only the leaves
+    that can split, and builds every round's root counts and cut layout once
+    per model. The trees and leaves must be byte-equal to growth that does
+    all of that for every leaf."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_rows=st.integers(2, 80),
+           positive_rate=st.sampled_from([0.05, 0.2, 0.5]), capped=st.booleans(),
+           growth=st.sampled_from(["leafwise", "depthwise"]),
+           max_depth=st.sampled_from([None, 1, 2, 3]), max_leaves=st.integers(2, 12),
+           lam=st.sampled_from([0.0, 1.0]), min_samples_leaf=st.integers(1, 8))
+    def test_grow_is_byte_equal_to_histogramming_every_child(
+            self, seed, num_rows, positive_rate, capped, growth, max_depth, max_leaves, lam,
+            min_samples_leaf):
+        # Rare positives leave most children label-pure. The varied columns
+        # sit on a quarter grid; a capped draw adds 256 rows and a column of
+        # distinct values, more than the 255 bins node-wise growth keeps.
+        rng = np.random.default_rng(seed)
+        num_rows += 256 * capped
+        X = np.column_stack([rng.integers(0, 5, (num_rows, 3)) / 4.0,
+                             rng.random((num_rows, int(capped)))])
+        y = (rng.random(num_rows) < positive_rate).astype(float)
+        if growth == "depthwise" and max_depth is None:
+            max_depth = 4
+        config = gbdt.GbdtConfig(rounds=4, learning_rate=0.5, l2_reg=lam, growth=growth,
+                                 max_depth=max_depth, max_leaves=max_leaves,
+                                 min_samples_leaf=min_samples_leaf)
+        bins = gbdt._Bins(X, gbdt._MAX_BINS[growth])
+        if capped:
+            assert np.diff(bins.starts)[-1] == gbdt._MAX_BINS[growth]
+        grower, oracle = gbdt._NodeGrower(bins, config), EveryChildNodeGrower(bins, config)
+        margins = np.zeros(num_rows)
+        for _ in range(config.rounds):
+            p = gbdt._sigmoid(margins)
+            g, h = p - y, p * (1.0 - p)
+            tree, leaf_of = grower.grow(g, h, y)
+            oracle_tree, oracle_leaf_of = oracle.grow(g, h, y)
+            assert tree_bytes(tree) == tree_bytes(oracle_tree)
+            assert leaf_of.tobytes() == oracle_leaf_of.tobytes()
+            margins += tree.value[leaf_of]
+
+    def test_separating_root_builds_no_child_histogram(self, monkeypatch, rng):
+        # Feature 0 separates the labels, so every round's root split leaves
+        # two label-pure children, and neither may be histogrammed.
+        X = np.column_stack([np.repeat([0.0, 1.0], 30), rng.random((60, 3))])
+        y = X[:, 0].copy()
+        built = []
+        monkeypatch.setattr(gbdt._NodeGrower, "_histogram",
+                            recording(gbdt._NodeGrower._histogram, built))
+        for growth, extra in (("leafwise", {}), ("depthwise", {"max_depth": 3})):
+            model = gbdt.train(X, y, gbdt.GbdtConfig(rounds=6, growth=growth, **extra))
+            assert all(tree.feature[0] == 0 and tree.num_nodes == 3 for tree in model.trees)
+        assert built == []
+
+    @pytest.mark.parametrize("growth,extra", [("leafwise", {"max_leaves": 16}),
+                                              ("depthwise", {"max_depth": 4, "max_leaves": 16})])
+    def test_unsplittable_leaves_hold_no_search(self, monkeypatch, growth, extra):
+        rng = np.random.default_rng(7)
+        X = rng.integers(0, 9, (120, 4)) / 8.0
+        y = (X[:, 0] + X[:, 1] + 0.5 * rng.random(120) > 1.4).astype(float)
+        msl = 4
+        made = []
+        make_leaf = gbdt._NodeGrower._make_leaf
+
+        def spy(self, builder, depth, rows):
+            leaf = make_leaf(self, builder, depth, rows)
+            made.append((leaf, rows, self.y))
+            return leaf
+
+        splits, histograms = [], []
+        monkeypatch.setattr(gbdt._NodeGrower, "_make_leaf", spy)
+        monkeypatch.setattr(gbdt._NodeGrower, "_split", recording(gbdt._NodeGrower._split, splits))
+        monkeypatch.setattr(gbdt._NodeGrower, "_histogram",
+                            recording(gbdt._NodeGrower._histogram, histograms))
+        gbdt.train(X, y, gbdt.GbdtConfig(rounds=5, growth=growth, min_samples_leaf=msl, **extra))
+        # A split histograms at most its smaller child; the larger one is the
+        # parent minus that sibling.
+        assert 0 < len(histograms) <= len(splits)
+        searched = unsplittable = 0
+        for leaf, rows, labels in made:
+            if len(rows) < 2 * msl or np.ptp(labels[rows]) == 0:
+                unsplittable += 1
+                assert leaf.present is None and leaf.hist is None and leaf.best is None
+            else:
+                searched += leaf.best is not None
+        assert unsplittable > 0 and searched > 0
 
 
 class TestLeavesFromGrowth:
