@@ -17,6 +17,15 @@ while it remains among the best points, so their ``V`` only gains a row per
 new point; a step costs O(candidates x points) rather than a dense solve over
 every candidate.
 
+Kernels are built in place, in one (candidates x points) buffer. An axis-line
+candidate differs from its anchor in one coordinate, so a line takes one
+subtract-and-square for its own axis, and each other axis adds one shared row
+of the anchor's squared offsets from the design points. The rows are added in
+axis order, the order ``_rbf_kernel`` sums axes in. The sum is then divided
+by ``-2l^2`` in place, which IEEE division makes the same float as ``-sq``
+divided by ``2l^2``. So every kernel value is the same float as the plain
+per-candidate kernel's; the tests check this bit for bit.
+
 scipy is imported inside the optimizer's functions only: its import is most of
 the package's start-up time, and no other command needs it.
 """
@@ -132,12 +141,22 @@ def _norm_cdf(z):
 
 
 def _rbf_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Squared distance summed one axis at a time: the same floats as summing
-    # an (a, b, axes) difference stack, without that temporary.
-    sq = (a[:, None, 0] - b[None, :, 0]) ** 2
+    # Squared distance summed one axis at a time into one (a, b) buffer: the
+    # same floats as summing an (a, b, axes) difference stack.
+    sq = np.empty((len(a), len(b)))
+    np.square(np.subtract(a[:, None, 0], b[None, :, 0], out=sq), out=sq)
+    term = np.empty_like(sq)
     for axis in range(1, a.shape[1]):
-        sq += (a[:, None, axis] - b[None, :, axis]) ** 2
-    return np.exp(-sq / (2.0 * _GP_LENGTH_SCALE ** 2))
+        sq += np.square(np.subtract(a[:, None, axis], b[None, :, axis], out=term), out=term)
+    return _exp_scaled(sq)
+
+
+def _exp_scaled(sq: np.ndarray) -> np.ndarray:
+    """``exp(-sq / 2l^2)``, in place. Dividing ``sq`` by ``-2l^2`` gives the
+    same floats as dividing ``-sq`` by ``2l^2``: IEEE division is symmetric
+    in sign."""
+    sq /= -2.0 * _GP_LENGTH_SCALE ** 2
+    return np.exp(sq, out=sq)
 
 
 def _cholesky_append(factor: np.ndarray, n: int, column: np.ndarray) -> None:
@@ -161,19 +180,32 @@ class _Block:
     over its column. ``extend`` adds one row of ``V`` per new design point."""
 
     def __init__(self, candidates, design, factor):
+        self.candidates = candidates
+        self._whiten(design, factor)
+
+    def _whiten(self, design, factor):
         from scipy.linalg import solve_triangular
 
         n = len(design)
-        self.candidates = candidates
-        self.whitened = np.empty((len(factor), len(candidates)))
-        self.whitened[:n] = solve_triangular(factor[:n, :n], _rbf_kernel(candidates, design).T,
-                                             lower=True)
+        cross = self.kernel(design)
+        self.size = len(cross)
+        self.whitened = np.empty((len(factor), self.size))
+        # The solve may overwrite the kernel, which no one else holds, and
+        # need not check it: scan vectors are checked to lie in [0, 1] on
+        # entry, so every kernel is finite.
+        self.whitened[:n] = solve_triangular(factor[:n, :n], cross.T, lower=True,
+                                             overwrite_b=True, check_finite=False)
         self.sumsq = np.einsum("ij,ij->j", self.whitened[:n], self.whitened[:n])
         self.n = n
 
+    def kernel(self, points):
+        return _rbf_kernel(self.candidates, points)
+
+    def candidate(self, index):
+        return self.candidates[index]
+
     def extend(self, design, factor):
-        for j in range(self.n, len(design)):
-            column = _rbf_kernel(self.candidates, design[j:j + 1])[:, 0]
+        for j, column in zip(range(self.n, len(design)), self.kernel(design[self.n:]).T):
             row = (column - factor[j, :j] @ self.whitened[:j]) / factor[j, j]
             self.whitened[j] = row
             self.sumsq += row * row
@@ -185,14 +217,55 @@ class _Block:
         return mu, np.maximum(1.0 - self.sumsq, 1e-12)
 
 
-def _axis_lines(point: np.ndarray, breakpoints) -> np.ndarray:
-    """``point`` with one coordinate swept over that axis's breakpoints, axis by axis."""
-    lines = []
-    for axis in range(NUM_TYPES):
-        line = np.repeat(point[None, :], len(breakpoints[axis]), axis=0)
-        line[:, axis] = breakpoints[axis]
-        lines.append(line)
-    return np.vstack(lines)
+class _AxisLines(_Block):
+    """``point`` with one coordinate swept over that axis's breakpoints, axis
+    by axis: ``_axis_line_kernel`` gives their kernel, and ``candidate``
+    builds one line point on demand."""
+
+    def __init__(self, point, breakpoints, design, factor):
+        self.point = point
+        self.breakpoints = breakpoints
+        self._whiten(design, factor)
+
+    def kernel(self, points):
+        return _axis_line_kernel(self.point, self.breakpoints, points)
+
+    def candidate(self, index):
+        axis, index = _locate(index, map(len, self.breakpoints))
+        chosen = self.point.copy()
+        chosen[axis] = self.breakpoints[axis][index]
+        return chosen
+
+
+def _axis_line_kernel(point: np.ndarray, breakpoints, points: np.ndarray) -> np.ndarray:
+    """``_rbf_kernel`` of the axis lines of ``point`` against ``points``, float
+    for float. A line differs from ``point`` in its own axis only, so only
+    that axis takes a (breakpoints x points) subtract-and-square; every other
+    axis adds one shared row of ``(point - points)^2``, in axis order, the
+    same operations on the same operands as ``_rbf_kernel``."""
+    shared = np.square(point[:, None] - points.T)  # (axes, points)
+    leading = np.cumsum(shared, axis=0)  # summed left to right, as _rbf_kernel sums
+    sq = np.empty((sum(map(len, breakpoints)), len(points)))
+    start = 0
+    for axis, values in enumerate(breakpoints):
+        line = sq[start:start + len(values)]
+        np.square(np.subtract(values[:, None], points[None, :, axis], out=line), out=line)
+        if axis:
+            line += leading[axis - 1]
+        for later in shared[axis + 1:]:
+            line += later
+        start += len(values)
+    return _exp_scaled(sq)
+
+
+def _locate(index: int, sizes) -> tuple[int, int]:
+    """The part that holds ``index`` of a concatenation of parts of ``sizes``,
+    and the index inside that part."""
+    for part, size in enumerate(sizes):
+        if index < size:
+            return part, index
+        index -= size
+    raise IndexError("index past the last part")
 
 
 def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
@@ -215,6 +288,8 @@ def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
         raise DataError(f"scan vectors must be (scans, {NUM_TYPES}), got {vectors.shape}")
     if labels.shape != vectors.shape:
         raise ArityError(f"labels shape {labels.shape} must match vectors {vectors.shape}")
+    if not ((vectors >= 0.0) & (vectors <= 1.0)).all():
+        raise DataError("scan vectors must be finite and inside [0, 1]")
     if objective not in OBJECTIVES:
         raise ConfigError(f"unknown objective {objective!r}; pick from {sorted(OBJECTIVES)}")
     if budget < 1:
@@ -263,7 +338,7 @@ def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
         refining = step >= total_steps - _REFINE_TAIL
         anchors = [int(a) for a in np.argsort(-y)[:_REFINE_TOP if refining else 4]]
         lines = {a: lines[a].extend(design, factor) if a in lines
-                 else _Block(_axis_lines(X[a], breakpoints), design, factor)
+                 else _AxisLines(X[a], breakpoints, design, factor)
                  for a in anchors}
         pool = [lines[a] for a in anchors]
         if not refining:
@@ -276,7 +351,8 @@ def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
         sigma = np.sqrt(var)
         z = (mu - y_std.max()) / sigma
         improvement = sigma * (z * _norm_cdf(z) + _norm_pdf(z))
-        chosen = np.concatenate([b.candidates for b in pool])[int(np.argmax(improvement))]
+        part, index = _locate(int(np.argmax(improvement)), (b.size for b in pool))
+        chosen = pool[part].candidate(index)
         _cholesky_append(factor, n, _rbf_kernel(design, chosen[None, :])[:, 0])
         X[n] = chosen
         y = np.append(y, score(chosen, vectors, labels))

@@ -1,10 +1,11 @@
+import hashlib
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hemtriage.errors import (ArityError, ConfigError, FormatError, PipelineError,
+from hemtriage.errors import (ArityError, ConfigError, DataError, FormatError, PipelineError,
                              UndefinedMetricError)
 from hemtriage import thresholds as th
 from hemtriage.thresholds import (OBJECTIVES, PUBLISHED_THRESHOLDS, ThresholdSet,
@@ -125,6 +126,33 @@ def validation_scans(seed, num_scans=200, hard_frac=0.12):
     return np.clip(vectors, 0, 1), labels
 
 
+def reference_rbf_kernel(a, b):
+    """The kernel written out of place, one temporary per operation: the
+    bit-exact reference for the in-place and axis-line kernels."""
+    sq = (a[:, None, 0] - b[None, :, 0]) ** 2
+    for axis in range(1, a.shape[1]):
+        sq += (a[:, None, axis] - b[None, :, axis]) ** 2
+    return np.exp(-sq / (2.0 * th._GP_LENGTH_SCALE ** 2))
+
+
+coordinates = st.floats(0.0, 1.0)
+
+
+@st.composite
+def axis_line_cases(draw):
+    """An anchor, per-axis breakpoints (one allowed) and a design. Anchor
+    coordinates may equal a breakpoint, and a design row may equal the anchor."""
+    breakpoints = [np.unique(draw(st.lists(coordinates, min_size=1, max_size=6)))
+                   for _ in range(5)]
+    point = np.array([draw(st.sampled_from(values.tolist()) | coordinates)
+                      for values in breakpoints])
+    design = np.array(draw(st.lists(st.lists(coordinates, min_size=5, max_size=5),
+                                    min_size=1, max_size=6)))
+    if draw(st.booleans()):
+        design[draw(st.integers(0, len(design) - 1))] = point
+    return point, breakpoints, design
+
+
 class TestThresholdSet:
     def test_bounds_validated(self):
         with pytest.raises(ConfigError):
@@ -228,6 +256,13 @@ class TestObjectives:
         with pytest.raises(UndefinedMetricError):
             optimize_thresholds(vectors, np.zeros((10, 5), dtype=bool), budget=25)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5, -0.2])
+    def test_scan_vectors_outside_unit_interval_rejected(self, bad):
+        vectors = np.random.default_rng(0).random((10, 5))
+        vectors[3, 2] = bad
+        with pytest.raises(DataError, match=r"finite and inside \[0, 1\]"):
+            optimize_thresholds(vectors, np.eye(10, 5, dtype=bool), budget=25)
+
     def test_every_type_one_class_rejected(self):
         vectors = np.random.default_rng(0).random((10, 5))
         labels = np.zeros((10, 5), dtype=bool)
@@ -311,6 +346,64 @@ class TestOptimizerEquivalence:
         with pytest.raises(np.linalg.LinAlgError):
             th._cholesky_append(factor, 1, np.array(column))
         assert factor[1].tolist() == [0.0, 0.0]
+
+
+class TestKernelBits:
+    @settings(max_examples=200, deadline=None)
+    @given(axis_line_cases(), st.data())
+    def test_kernels_match_reference_bit_for_bit(self, case, data):
+        point, breakpoints, design = case
+        lines = []
+        for axis, values in enumerate(breakpoints):
+            line = np.repeat(point[None, :], len(values), axis=0)
+            line[:, axis] = values
+            lines.append(line)
+        lines = np.vstack(lines)
+        start = data.draw(st.integers(0, len(design) - 1), label="first new design point")
+
+        def same_bytes(got, expected):
+            return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+        # A fresh block, the factor's new column, an anchor's axis lines, and
+        # the lines extended by the design points from ``start`` on.
+        assert same_bytes(th._rbf_kernel(lines, design), reference_rbf_kernel(lines, design))
+        assert same_bytes(th._rbf_kernel(design, point[None, :]),
+                          reference_rbf_kernel(design, point[None, :]))
+        assert same_bytes(th._axis_line_kernel(point, breakpoints, design),
+                          reference_rbf_kernel(lines, design))
+        assert same_bytes(th._axis_line_kernel(point, breakpoints, design[start:]),
+                          reference_rbf_kernel(lines, design[start:]))
+
+        factor = np.zeros((1, 1))
+        th._cholesky_append(factor, 0, np.zeros(0))
+        block = th._AxisLines(point, breakpoints, design[:1], factor)
+        assert block.size == len(lines)
+        assert same_bytes(np.array([block.candidate(i) for i in range(block.size)]), lines)
+
+
+class TestOptimizerPin:
+    """A budget-100 search over 400 scans of continuous probabilities, whose
+    axis lines hold 703-731 breakpoints per axis (the golden chain's 12 scans
+    give at most 24). The digest and thresholds were recorded before the
+    axis-line kernel shared its per-axis terms; it must reproduce them
+    exactly."""
+
+    EVALUATED_SHA256 = "8cebc97d54bf4630f73179bdb9c044a8958d175b7d31428c1ac2a11c9d193ac5"
+    THRESHOLDS = [0.34178779953287675, 0.4454596633131015, 0.35023726822334467,
+                  0.22519978866972423, 0.2296275769411333]
+    VALUE = 0.970414201183432
+
+    def test_evaluations_and_thresholds_pinned(self, monkeypatch):
+        vectors, labels = validation_scans(20, num_scans=400)
+        assert [len(np.unique(vectors[:, t])) for t in range(5)] == [400] * 5
+        evaluated = []
+        score = OBJECTIVES["any_bacc"]
+        monkeypatch.setitem(OBJECTIVES, "any_bacc",
+                            lambda x, v, l: evaluated.append(np.array(x)) or score(x, v, l))
+        best, value = optimize_thresholds(vectors, labels, "any_bacc", budget=100, seed=20)
+        digest = hashlib.sha256(np.array(evaluated).astype("<f8").tobytes()).hexdigest()
+        assert len(evaluated) == 100 and digest == self.EVALUATED_SHA256
+        assert best.as_array().tolist() == self.THRESHOLDS and value == self.VALUE
 
 
 class TestThresholdFile:
