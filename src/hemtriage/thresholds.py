@@ -1,30 +1,25 @@
 """Per-type decision thresholds, slice-to-scan aggregation, and the
-Gaussian-process threshold optimizer.
+threshold optimizer.
 
 A slice is positive for a type when its probability meets or exceeds that
 type's threshold; a scan is positive when any slice is, which is exactly
 thresholding the per-type max over slices. The optimizer searches
-[0.01, 1]^5 with a squared-exponential GP surrogate and expected improvement;
-the default objective is the balanced accuracy of the scan-level any-type
-decision. AUC itself is threshold-free, so it cannot serve as a threshold
-search objective.
+[0.01, 1]^5; the default objective is the balanced accuracy of the scan-level
+any-type decision. AUC itself is threshold-free, so it cannot serve as a
+threshold search objective.
 
-The posterior is never refit from scratch. One lower Cholesky factor ``L`` of
-the design kernel grows by a row per evaluated point; each candidate is
-whitened once as ``V = L^-1 K(X, candidate)``, giving mean ``V . (L^-1 y)``
-and variance ``1 - |V|^2``. The axis-line candidates of an anchor stay fixed
-while it remains among the best points, so their ``V`` only gains a row per
-new point; a step costs O(candidates x points) rather than a dense solve over
-every candidate.
-
-Kernels are built in place, in one (candidates x points) buffer. An axis-line
-candidate differs from its anchor in one coordinate, so a line takes one
-subtract-and-square for its own axis, and each other axis adds one shared row
-of the anchor's squared offsets from the design points. The rows are added in
-axis order, the order ``_rbf_kernel`` sums axes in. The sum is then divided
-by ``-2l^2`` in place, which IEEE division makes the same float as ``-sq``
-divided by ``2l^2``. So every kernel value is the same float as the plain
-per-candidate kernel's; the tests check this bit for bit.
+The search has two phases. A GP-EI phase explores with a squared-exponential
+GP surrogate and expected improvement over quasi-random and local
+candidates. Its posterior is never refit from scratch: one lower Cholesky
+factor ``L`` of the design kernel grows by a row per evaluated point, and
+each step whitens its candidates in one triangular solve. Then exact
+coordinate ascent polishes the best evaluated points. Both objectives are
+step functions that change only where a threshold crosses a scan value, so
+with four thresholds fixed, one sweep of the fifth over the cuts between
+those values gives the exact objective everywhere on that line: the ROC
+threshold sweep, one axis at a time. ``mean_type_bacc`` is a mean of
+per-type terms that each depend on one threshold, so one pass of the ascent
+reaches its global optimum.
 
 scipy is imported inside the optimizer's functions only: its import is most of
 the package's start-up time, and no other command needs it.
@@ -49,8 +44,8 @@ SEARCH_BOUNDS = (0.01, 1.0)
 _GP_LENGTH_SCALE = 0.2
 _GP_NOISE = 1e-6
 _NUM_INITIAL_POINTS = 20
-_REFINE_TAIL = 40  # final iterations rank only axis-line candidates
-_REFINE_TOP = 2    # around the best points observed so far
+_ASCENT_TAIL = 40   # evaluations of the budget left to the exact ascent
+_ASCENT_STARTS = 4  # best evaluated points the ascent starts from
 
 
 @dataclass(frozen=True)
@@ -142,19 +137,14 @@ def _norm_cdf(z):
 
 def _rbf_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Squared distance summed one axis at a time into one (a, b) buffer: the
-    # same floats as summing an (a, b, axes) difference stack.
+    # same floats as summing an (a, b, axes) difference stack. Dividing it by
+    # ``-2l^2`` in place gives the same floats as dividing ``-sq`` by ``2l^2``:
+    # IEEE division is symmetric in sign.
     sq = np.empty((len(a), len(b)))
     np.square(np.subtract(a[:, None, 0], b[None, :, 0], out=sq), out=sq)
     term = np.empty_like(sq)
     for axis in range(1, a.shape[1]):
         sq += np.square(np.subtract(a[:, None, axis], b[None, :, axis], out=term), out=term)
-    return _exp_scaled(sq)
-
-
-def _exp_scaled(sq: np.ndarray) -> np.ndarray:
-    """``exp(-sq / 2l^2)``, in place. Dividing ``sq`` by ``-2l^2`` gives the
-    same floats as dividing ``-sq`` by ``2l^2``: IEEE division is symmetric
-    in sign."""
     sq /= -2.0 * _GP_LENGTH_SCALE ** 2
     return np.exp(sq, out=sq)
 
@@ -174,110 +164,93 @@ def _cholesky_append(factor: np.ndarray, n: int, column: np.ndarray) -> None:
     factor[n, n] = math.sqrt(pivot)
 
 
-class _Block:
-    """Candidates with ``V = L^-1 K(X, candidates)`` against the first ``n``
-    design points; the posterior variance of a candidate is ``1 - sum V^2``
-    over its column. ``extend`` adds one row of ``V`` per new design point."""
+def _posterior(candidates, design, factor, beta):
+    """Posterior mean and variance at ``candidates``: with ``V = L^-1 K(X,
+    candidates)``, the mean is ``beta . V`` and the variance ``1 - |V|^2``."""
+    from scipy.linalg import solve_triangular
 
-    def __init__(self, candidates, design, factor):
-        self.candidates = candidates
-        self._whiten(design, factor)
-
-    def _whiten(self, design, factor):
-        from scipy.linalg import solve_triangular
-
-        n = len(design)
-        cross = self.kernel(design)
-        self.size = len(cross)
-        self.whitened = np.empty((len(factor), self.size))
-        # The solve may overwrite the kernel, which no one else holds, and
-        # need not check it: scan vectors are checked to lie in [0, 1] on
-        # entry, so every kernel is finite.
-        self.whitened[:n] = solve_triangular(factor[:n, :n], cross.T, lower=True,
-                                             overwrite_b=True, check_finite=False)
-        self.sumsq = np.einsum("ij,ij->j", self.whitened[:n], self.whitened[:n])
-        self.n = n
-
-    def kernel(self, points):
-        return _rbf_kernel(self.candidates, points)
-
-    def candidate(self, index):
-        return self.candidates[index]
-
-    def extend(self, design, factor):
-        for j, column in zip(range(self.n, len(design)), self.kernel(design[self.n:]).T):
-            row = (column - factor[j, :j] @ self.whitened[:j]) / factor[j, j]
-            self.whitened[j] = row
-            self.sumsq += row * row
-        self.n = len(design)
-        return self
-
-    def posterior(self, beta):
-        mu = beta @ self.whitened[:self.n]
-        return mu, np.maximum(1.0 - self.sumsq, 1e-12)
+    n = len(design)
+    # The solve may overwrite the kernel, which no one else holds, and need not
+    # check it: scan vectors are checked to lie in [0, 1] on entry, so every
+    # kernel is finite.
+    whitened = solve_triangular(factor[:n, :n], _rbf_kernel(design, candidates), lower=True,
+                                overwrite_b=True, check_finite=False)
+    return beta @ whitened, np.maximum(1.0 - np.einsum("ij,ij->j", whitened, whitened), 1e-12)
 
 
-class _AxisLines(_Block):
-    """``point`` with one coordinate swept over that axis's breakpoints, axis
-    by axis: ``_axis_line_kernel`` gives their kernel, and ``candidate``
-    builds one line point on demand."""
-
-    def __init__(self, point, breakpoints, design, factor):
-        self.point = point
-        self.breakpoints = breakpoints
-        self._whiten(design, factor)
-
-    def kernel(self, points):
-        return _axis_line_kernel(self.point, self.breakpoints, points)
-
-    def candidate(self, index):
-        axis, index = _locate(index, map(len, self.breakpoints))
-        chosen = self.point.copy()
-        chosen[axis] = self.breakpoints[axis][index]
-        return chosen
+def _cuts(column: np.ndarray) -> np.ndarray:
+    """The thresholds worth trying on one axis: the midpoint of each gap
+    between the axis's distinct scan values, plus the search bounds, clipped
+    to them. A threshold's decisions change only where it crosses a scan
+    value, so these reach every value the objective takes along the axis."""
+    values = np.unique(column)
+    gaps = (values[:-1] + values[1:]) / 2.0
+    # Between adjacent floats the midpoint can round down onto the lower one.
+    gaps = np.where(gaps > values[:-1], gaps, values[1:])
+    return np.unique(np.clip(np.concatenate([gaps, SEARCH_BOUNDS]), *SEARCH_BOUNDS))
 
 
-def _axis_line_kernel(point: np.ndarray, breakpoints, points: np.ndarray) -> np.ndarray:
-    """``_rbf_kernel`` of the axis lines of ``point`` against ``points``, float
-    for float. A line differs from ``point`` in its own axis only, so only
-    that axis takes a (breakpoints x points) subtract-and-square; every other
-    axis adds one shared row of ``(point - points)^2``, in axis order, the
-    same operations on the same operands as ``_rbf_kernel``."""
-    shared = np.square(point[:, None] - points.T)  # (axes, points)
-    leading = np.cumsum(shared, axis=0)  # summed left to right, as _rbf_kernel sums
-    sq = np.empty((sum(map(len, breakpoints)), len(points)))
-    start = 0
-    for axis, values in enumerate(breakpoints):
-        line = sq[start:start + len(values)]
-        np.square(np.subtract(values[:, None], points[None, :, axis], out=line), out=line)
-        if axis:
-            line += leading[axis - 1]
-        for later in shared[axis + 1:]:
-            line += later
-        start += len(values)
-    return _exp_scaled(sq)
+def _line_values(objective: str, point: np.ndarray, axis: int, vectors: np.ndarray,
+                 labels: np.ndarray, cuts: np.ndarray) -> np.ndarray | None:
+    """The objective at ``point`` with coordinate ``axis`` set to each of
+    ``cuts``; for ``mean_type_bacc``, only the term of ``axis``'s type, the
+    only term that coordinate moves. None where that value is undefined.
+
+    A scan already positive on another axis stays positive; any other scan is
+    positive exactly when its value on ``axis`` reaches the cut. So sorting
+    those scans' values by class, two ``searchsorted`` calls count the true
+    positives and true negatives at every cut, and the balanced accuracy is
+    computed from them as ``metrics.compute_metrics`` computes it.
+    """
+    if objective == "any_bacc":
+        truth = labels.any(axis=1)
+        fixed = np.delete(vectors >= point, axis, axis=1).any(axis=1)
+    else:
+        truth = labels[:, axis]
+        fixed = np.zeros(len(truth), dtype=bool)
+    num_pos = int(truth.sum())
+    num_neg = len(truth) - num_pos
+    if not num_pos or not num_neg:
+        return None
+    positives = np.sort(vectors[~fixed & truth, axis])
+    negatives = np.sort(vectors[~fixed & ~truth, axis])
+    true_pos = num_pos - np.searchsorted(positives, cuts)
+    true_neg = np.searchsorted(negatives, cuts)
+    return (true_pos / num_pos + true_neg / num_neg) / 2.0
 
 
-def _locate(index: int, sizes) -> tuple[int, int]:
-    """The part that holds ``index`` of a concatenation of parts of ``sizes``,
-    and the index inside that part."""
-    for part, size in enumerate(sizes):
-        if index < size:
-            return part, index
-        index -= size
-    raise IndexError("index past the last part")
+def _ascend(objective: str, point: np.ndarray, vectors: np.ndarray, labels: np.ndarray,
+            cuts) -> np.ndarray:
+    """Coordinate ascent with exact line searches from ``point``: axis by
+    axis, move to the best of that axis's ``cuts`` (the lowest on a tie) when
+    it strictly beats the current threshold, until a full pass moves
+    nothing."""
+    point = point.copy()
+    moved = True
+    while moved:
+        moved = False
+        for axis, axis_cuts in enumerate(cuts):
+            values = _line_values(objective, point, axis, vectors, labels,
+                                  np.append(axis_cuts, point[axis]))
+            if values is not None and values[:-1].max() > values[-1]:
+                point[axis] = axis_cuts[int(np.argmax(values[:-1]))]
+                moved = True
+    return point
 
 
 def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
                         budget: int = 150, seed: int = 0) -> tuple[ThresholdSet, float]:
-    """Search thresholds with a GP surrogate and expected improvement.
+    """Search thresholds with GP-EI, then polish the best points exactly.
 
-    Twenty seeded quasi-random points start the design; each later step fits
-    the GP on everything evaluated so far and evaluates the candidate with the
-    highest expected improvement. Returns the best evaluated point and its
-    objective value. Deterministic given the seed. Whether an objective is
-    defined depends on the labels alone, so an undefined (None) score at the
-    first point raises ``UndefinedMetricError``.
+    Twenty seeded quasi-random points start the design; each later step
+    evaluates the candidate with the highest expected improvement, until the
+    GP phase has used all but the last ``_ASCENT_TAIL`` evaluations of
+    ``budget``. Exact coordinate ascent (``_ascend``) then starts from each
+    of the ``_ASCENT_STARTS`` best evaluated points, and each ascended point
+    that moved costs one more evaluation. Returns the best ascended point and
+    its objective value. Deterministic given the seed. Whether an objective
+    is defined depends on the labels alone, so an undefined (None) score at
+    the first point raises ``UndefinedMetricError``.
     """
     from scipy.linalg import solve_triangular
     from scipy.stats import qmc
@@ -299,67 +272,46 @@ def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
     lo, hi = SEARCH_BOUNDS
     sampler = qmc.Halton(d=NUM_TYPES, scramble=True, seed=seed)
     rng = np.random.default_rng(seed)
-    X = np.empty((budget, NUM_TYPES))
-    factor = np.zeros((budget, budget))
-    n = min(_NUM_INITIAL_POINTS, budget)
-    X[:n] = lo + sampler.random(n) * (hi - lo)
-    for j in range(n):
+    initial = min(_NUM_INITIAL_POINTS, budget)
+    gp_budget = max(initial, budget - _ASCENT_TAIL)
+    X = np.empty((gp_budget, NUM_TYPES))
+    factor = np.zeros((gp_budget, gp_budget))
+    X[:initial] = lo + sampler.random(initial) * (hi - lo)
+    for j in range(initial):
         _cholesky_append(factor, j, _rbf_kernel(X[:j], X[j:j + 1])[:, 0])
-    y = [score(x, vectors, labels) for x in X[:n]]
+    y = [score(x, vectors, labels) for x in X[:initial]]
     if y[0] is None:
         raise UndefinedMetricError(f"objective {objective} is undefined: its labels are "
                                    "one-class")
     y = np.array(y)
 
-    # The objective only changes where a threshold crosses an observed scan
-    # probability, so those per-axis values (and the plateau just above each)
-    # are the candidate coordinates worth ranking under the acquisition.
-    breakpoints = []
-    for t in range(NUM_TYPES):
-        values = np.unique(vectors[:, t])
-        above = np.append((values[:-1] + values[1:]) / 2.0, hi)
-        breakpoints.append(np.unique(np.clip(np.concatenate([values, above]), lo, hi)))
-
-    lines: dict[int, _Block] = {}  # anchor index -> its axis-line block
-    total_steps = budget - n
-    for step in range(total_steps):
+    for n in range(initial, gp_budget):
         design = X[:n]
         # Standardized targets keep the unit-variance kernel honest about
         # how much improvement is plausible.
         spread = max(float(y.std()), 1e-9)
         y_std = (y - y.mean()) / spread
         beta = solve_triangular(factor[:n, :n], y_std, lower=True)
-
-        # Early steps mix global quasi-random candidates with local moves;
-        # the tail ranks only single-coordinate moves around the best points,
-        # which walks plateau edges the way a threshold sweep would. An
-        # anchor's axis lines stay fixed while it remains an anchor, so its
-        # block only gains a row per new point; blocks of former anchors go.
-        refining = step >= total_steps - _REFINE_TAIL
-        anchors = [int(a) for a in np.argsort(-y)[:_REFINE_TOP if refining else 4]]
-        lines = {a: lines[a].extend(design, factor) if a in lines
-                 else _AxisLines(X[a], breakpoints, design, factor)
-                 for a in anchors}
-        pool = [lines[a] for a in anchors]
-        if not refining:
-            pool.insert(0, _Block(lo + sampler.random(512) * (hi - lo), design, factor))
-            local = [np.clip(X[anchors[0]] + rng.normal(0.0, scale, size=(128, NUM_TYPES)), lo, hi)
-                     for scale in (0.02, 0.06)]
-            pool.append(_Block(np.vstack(local), design, factor))
-
-        mu, var = (np.concatenate(parts) for parts in zip(*(b.posterior(beta) for b in pool)))
+        # Global quasi-random candidates and local moves around the best point.
+        local = [np.clip(X[np.argmax(y)] + rng.normal(0.0, scale, size=(128, NUM_TYPES)), lo, hi)
+                 for scale in (0.02, 0.06)]
+        candidates = np.vstack([lo + sampler.random(512) * (hi - lo), *local])
+        mu, var = _posterior(candidates, design, factor, beta)
         sigma = np.sqrt(var)
         z = (mu - y_std.max()) / sigma
         improvement = sigma * (z * _norm_cdf(z) + _norm_pdf(z))
-        part, index = _locate(int(np.argmax(improvement)), (b.size for b in pool))
-        chosen = pool[part].candidate(index)
+        chosen = candidates[int(np.argmax(improvement))]
         _cholesky_append(factor, n, _rbf_kernel(design, chosen[None, :])[:, 0])
         X[n] = chosen
         y = np.append(y, score(chosen, vectors, labels))
-        n += 1
 
-    winner = int(np.argmax(y))
-    return ThresholdSet.from_array(X[winner]), float(y[winner])
+    cuts = [_cuts(vectors[:, t]) for t in range(NUM_TYPES)]
+    starts = np.argsort(-y, kind="stable")[:_ASCENT_STARTS]
+    ascended = [_ascend(objective, X[start], vectors, labels, cuts) for start in starts]
+    values = [y[start] if np.array_equal(point, X[start]) else score(point, vectors, labels)
+              for start, point in zip(starts, ascended)]
+    best = int(np.argmax(values))
+    return ThresholdSet.from_array(ascended[best]), float(values[best])
 
 
 def save_thresholds(thresholds: ThresholdSet, path) -> None:

@@ -3,11 +3,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hemtriage.errors import (ArityError, ConfigError, DataError, FormatError, PipelineError,
                              UndefinedMetricError)
 from hemtriage import thresholds as th
+from hemtriage.metrics import compute_confusion, compute_metrics
 from hemtriage.thresholds import (OBJECTIVES, PUBLISHED_THRESHOLDS, ThresholdSet,
                                   aggregate_scan, binarize_slice, load_thresholds,
                                   optimize_thresholds, save_thresholds)
@@ -46,9 +47,10 @@ def grid_oracle(vectors, labels, step=0.01):
 
 
 def direct_solve_optimize(vectors, labels, objective="any_bacc", budget=150, seed=0):
-    """Independent reference: the GP-EI loop refitting the posterior from
-    scratch each step, with an LU solve over every candidate. Returns every
-    evaluated point and its objective value, in order."""
+    """Independent reference for the GP-EI phase: the loop refitting the
+    posterior from scratch each step, with an LU solve over every candidate,
+    until 40 evaluations of the budget are left. Returns every point the phase
+    evaluates and its objective value, in order."""
     from scipy.stats import qmc
 
     def kernel(a, b):
@@ -61,27 +63,13 @@ def direct_solve_optimize(vectors, labels, objective="any_bacc", budget=150, see
     rng = np.random.default_rng(seed)
     X = lo + sampler.random(min(th._NUM_INITIAL_POINTS, budget)) * (hi - lo)
     y = np.array([score(x, vectors, labels) for x in X])
-    breakpoints = []
-    for t in range(5):
-        values = np.unique(vectors[:, t])
-        above = np.append((values[:-1] + values[1:]) / 2.0, hi)
-        breakpoints.append(np.unique(np.clip(np.concatenate([values, above]), lo, hi)))
-    total_steps = budget - len(X)
-    for step in range(total_steps):
+    while len(X) < budget - 40:
         y_std = (y - y.mean()) / max(float(y.std()), 1e-9)
         design = kernel(X, X) + th._GP_NOISE * np.eye(len(X))
-        refining = step >= total_steps - th._REFINE_TAIL
-        anchors = np.argsort(-y)[:th._REFINE_TOP if refining else 4]
-        pool = [] if refining else [lo + sampler.random(512) * (hi - lo)]
-        for anchor in anchors:
-            for axis in range(5):
-                line = np.repeat(X[anchor][None, :], len(breakpoints[axis]), axis=0)
-                line[:, axis] = breakpoints[axis]
-                pool.append(line)
-        if not refining:
-            pool.extend(np.clip(X[anchors[0]] + rng.normal(0.0, scale, size=(128, 5)), lo, hi)
-                        for scale in (0.02, 0.06))
-        candidates = np.vstack(pool)
+        best = X[np.argmax(y)]
+        candidates = np.vstack([lo + sampler.random(512) * (hi - lo)]
+                               + [np.clip(best + rng.normal(0.0, scale, size=(128, 5)), lo, hi)
+                                  for scale in (0.02, 0.06)])
         cross = kernel(candidates, X)
         mu = cross @ np.linalg.solve(design, y_std)
         var = np.maximum(1.0 - np.einsum("ij,ji->i", cross, np.linalg.solve(design, cross.T)),
@@ -128,29 +116,53 @@ def validation_scans(seed, num_scans=200, hard_frac=0.12):
 
 def reference_rbf_kernel(a, b):
     """The kernel written out of place, one temporary per operation: the
-    bit-exact reference for the in-place and axis-line kernels."""
+    bit-exact reference for the in-place kernel."""
     sq = (a[:, None, 0] - b[None, :, 0]) ** 2
     for axis in range(1, a.shape[1]):
         sq += (a[:, None, axis] - b[None, :, axis]) ** 2
     return np.exp(-sq / (2.0 * th._GP_LENGTH_SCALE ** 2))
 
 
+def brute_force_term(column, truth, threshold):
+    """One type's balanced accuracy at one threshold, None for one-class truth."""
+    return compute_metrics(compute_confusion(column >= threshold, truth)).bacc
+
+
+def counted_objective(monkeypatch, objective):
+    """Wrap ``OBJECTIVES[objective]`` to record every point it is called at."""
+    evaluated = []
+    score = OBJECTIVES[objective]
+    monkeypatch.setitem(OBJECTIVES, objective,
+                        lambda x, v, l: evaluated.append(np.array(x)) or score(x, v, l))
+    return evaluated
+
+
 coordinates = st.floats(0.0, 1.0)
 
 
 @st.composite
-def axis_line_cases(draw):
-    """An anchor, per-axis breakpoints (one allowed) and a design. Anchor
-    coordinates may equal a breakpoint, and a design row may equal the anchor."""
-    breakpoints = [np.unique(draw(st.lists(coordinates, min_size=1, max_size=6)))
-                   for _ in range(5)]
-    point = np.array([draw(st.sampled_from(values.tolist()) | coordinates)
-                      for values in breakpoints])
-    design = np.array(draw(st.lists(st.lists(coordinates, min_size=5, max_size=5),
-                                    min_size=1, max_size=6)))
+def kernel_cases(draw):
+    """Two point sets, where a row of the second may equal a row of the first."""
+    rows = st.lists(st.lists(coordinates, min_size=5, max_size=5), min_size=1, max_size=6)
+    a, b = np.array(draw(rows)), np.array(draw(rows))
     if draw(st.booleans()):
-        design[draw(st.integers(0, len(design) - 1))] = point
-    return point, breakpoints, design
+        b[draw(st.integers(0, len(b) - 1))] = a[draw(st.integers(0, len(a) - 1))]
+    return a, b
+
+
+@st.composite
+def small_cohorts(draw, min_scans=1, max_scans=8):
+    """A few scans whose values tie, sit on 0, 0.01 and 1.0, or fall anywhere
+    in [0, 1], with labels that may leave a type (or every type) one-class."""
+    num_scans = draw(st.integers(min_scans, max_scans))
+    value = st.sampled_from([0.0, 0.01, 0.3, 1.0]) | coordinates
+    vectors = np.array(draw(st.lists(st.lists(value, min_size=5, max_size=5),
+                                     min_size=num_scans, max_size=num_scans)))
+    # A scan drawn negative has no positive type, so about half the scans are
+    # negative and the any-type truth is rarely one-class.
+    labels = np.array([draw(st.lists(st.booleans(), min_size=5, max_size=5))
+                       if draw(st.booleans()) else [False] * 5 for _ in range(num_scans)])
+    return vectors, labels
 
 
 class TestThresholdSet:
@@ -310,6 +322,24 @@ class TestOptimizer:
             worst = max(worst, oracle_value - achieved)
         assert worst <= 0.02
 
+    @pytest.mark.parametrize("budget", [1, 5, 20, 30, 60, 100])
+    def test_objective_calls_bounded(self, monkeypatch, budget):
+        vectors, labels = validation_scans(3)
+        evaluated = counted_objective(monkeypatch, "any_bacc")
+        optimize_thresholds(vectors, labels, budget=budget, seed=1)
+        assert len(evaluated) <= max(min(budget, 20), budget - 40) + 4
+
+    def test_mean_type_bacc_reaches_per_type_optimum(self):
+        vectors, labels = validation_scans(7)
+        labels[:, 3] = False  # a one-class type is left out of the mean
+        terms = []
+        for t in (0, 1, 2, 4):
+            trials = np.concatenate([vectors[:, t], np.linspace(0.01, 1.0, 100)])
+            terms.append(max(brute_force_term(vectors[:, t], labels[:, t], threshold)
+                             for threshold in trials[(trials >= 0.01) & (trials <= 1.0)]))
+        _, value = optimize_thresholds(vectors, labels, "mean_type_bacc", budget=60, seed=1)
+        assert value == float(np.mean(terms))
+
 
 class TestOptimizerEquivalence:
     @pytest.mark.parametrize("case, objective, budget, seed", [
@@ -321,13 +351,10 @@ class TestOptimizerEquivalence:
         vectors, labels = (validation_scans(7) if case == "validation"
                            else repeated_probability_scans(13, 12))
         X, y = direct_solve_optimize(vectors, labels, objective, budget, seed)
-        evaluated = []
-        score = OBJECTIVES[objective]
-        monkeypatch.setitem(OBJECTIVES, objective,
-                            lambda x, v, l: evaluated.append(np.array(x)) or score(x, v, l))
-        best, value = optimize_thresholds(vectors, labels, objective, budget, seed)
-        assert np.array_equal(np.array(evaluated), X)
-        assert np.array_equal(best.as_array(), X[np.argmax(y)]) and value == y.max()
+        evaluated = counted_objective(monkeypatch, objective)
+        _, value = optimize_thresholds(vectors, labels, objective, budget, seed)
+        assert np.array_equal(np.array(evaluated[:len(X)]), X)
+        assert len(evaluated) <= len(X) + 4 and value >= y.max()
 
     def test_grown_factor_matches_cholesky_on_repeated_points(self):
         rng = np.random.default_rng(0)
@@ -350,59 +377,79 @@ class TestOptimizerEquivalence:
 
 class TestKernelBits:
     @settings(max_examples=200, deadline=None)
-    @given(axis_line_cases(), st.data())
-    def test_kernels_match_reference_bit_for_bit(self, case, data):
-        point, breakpoints, design = case
-        lines = []
-        for axis, values in enumerate(breakpoints):
-            line = np.repeat(point[None, :], len(values), axis=0)
-            line[:, axis] = values
-            lines.append(line)
-        lines = np.vstack(lines)
-        start = data.draw(st.integers(0, len(design) - 1), label="first new design point")
+    @given(kernel_cases())
+    def test_kernels_match_reference_bit_for_bit(self, case):
+        a, b = case
 
         def same_bytes(got, expected):
             return got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
-        # A fresh block, the factor's new column, an anchor's axis lines, and
-        # the lines extended by the design points from ``start`` on.
-        assert same_bytes(th._rbf_kernel(lines, design), reference_rbf_kernel(lines, design))
-        assert same_bytes(th._rbf_kernel(design, point[None, :]),
-                          reference_rbf_kernel(design, point[None, :]))
-        assert same_bytes(th._axis_line_kernel(point, breakpoints, design),
-                          reference_rbf_kernel(lines, design))
-        assert same_bytes(th._axis_line_kernel(point, breakpoints, design[start:]),
-                          reference_rbf_kernel(lines, design[start:]))
+        # Both orientations: the posterior takes (design, candidates) and the
+        # factor's new column (design, point).
+        assert same_bytes(th._rbf_kernel(a, b), reference_rbf_kernel(a, b))
+        assert same_bytes(th._rbf_kernel(b, a), reference_rbf_kernel(b, a))
 
-        factor = np.zeros((1, 1))
-        th._cholesky_append(factor, 0, np.zeros(0))
-        block = th._AxisLines(point, breakpoints, design[:1], factor)
-        assert block.size == len(lines)
-        assert same_bytes(np.array([block.candidate(i) for i in range(block.size)]), lines)
+
+class TestExactSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(small_cohorts(), st.lists(st.sampled_from([0.01, 0.3, 1.0]) | st.floats(0.01, 1.0),
+                                     min_size=5, max_size=5),
+           st.integers(0, 4), st.sampled_from(sorted(OBJECTIVES)))
+    def test_line_values_match_brute_force_at_every_cut(self, cohort, point, axis, objective):
+        vectors, labels = cohort
+        point = np.array(point)
+        cuts = th._cuts(vectors[:, axis])
+        values = th._line_values(objective, point, axis, vectors, labels, cuts)
+        expected = []
+        for cut in cuts:
+            trial = point.copy()
+            trial[axis] = cut
+            expected.append(OBJECTIVES["any_bacc"](trial, vectors, labels)
+                            if objective == "any_bacc"
+                            else brute_force_term(vectors[:, axis], labels[:, axis], cut))
+        if expected[0] is None:
+            assert values is None
+        else:
+            assert values.tolist() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_cohorts(8, 24), st.sampled_from(sorted(OBJECTIVES)), st.integers(0, 50))
+    def test_result_is_coordinatewise_optimal(self, cohort, objective, seed):
+        vectors, labels = cohort
+        score = OBJECTIVES[objective]
+        assume(score(np.full(5, 0.5), vectors, labels) is not None)
+        best, value = optimize_thresholds(vectors, labels, objective, budget=20, seed=seed)
+        point = best.as_array()
+        assert value == score(point, vectors, labels)
+        # Every scan value and a fine grid, besides the cuts themselves.
+        for axis in range(5):
+            trials = np.concatenate([th._cuts(vectors[:, axis]), vectors[:, axis],
+                                     np.linspace(0.01, 1.0, 100)])
+            for threshold in trials[(trials >= 0.01) & (trials <= 1.0)]:
+                trial = point.copy()
+                trial[axis] = threshold
+                assert score(trial, vectors, labels) <= value
 
 
 class TestOptimizerPin:
-    """A budget-100 search over 400 scans of continuous probabilities, whose
-    axis lines hold 703-731 breakpoints per axis (the golden chain's 12 scans
-    give at most 24). The digest and thresholds were recorded before the
-    axis-line kernel shared its per-axis terms; it must reproduce them
-    exactly."""
+    """A budget-100 search over 400 scans of continuous probabilities (400
+    distinct values per axis), pinned by a digest of every evaluated point,
+    GP phase and ascent alike, and by the thresholds it returns. CI also runs
+    it on one BLAS thread: the triangular solves and products must give the
+    same bits both ways."""
 
-    EVALUATED_SHA256 = "8cebc97d54bf4630f73179bdb9c044a8958d175b7d31428c1ac2a11c9d193ac5"
-    THRESHOLDS = [0.34178779953287675, 0.4454596633131015, 0.35023726822334467,
-                  0.22519978866972423, 0.2296275769411333]
-    VALUE = 0.970414201183432
+    EVALUATED_SHA256 = "2d6c36ef557ccae9db560bf62fbedfc7e83a67d6a5300f994635b52fad95dd07"
+    THRESHOLDS = [0.4315540492789401, 0.2783771568529723, 0.2944787931590653,
+                  0.2586671079683686, 0.2286343872533241]
+    VALUE = 0.9733727810650887
 
     def test_evaluations_and_thresholds_pinned(self, monkeypatch):
         vectors, labels = validation_scans(20, num_scans=400)
         assert [len(np.unique(vectors[:, t])) for t in range(5)] == [400] * 5
-        evaluated = []
-        score = OBJECTIVES["any_bacc"]
-        monkeypatch.setitem(OBJECTIVES, "any_bacc",
-                            lambda x, v, l: evaluated.append(np.array(x)) or score(x, v, l))
+        evaluated = counted_objective(monkeypatch, "any_bacc")
         best, value = optimize_thresholds(vectors, labels, "any_bacc", budget=100, seed=20)
         digest = hashlib.sha256(np.array(evaluated).astype("<f8").tobytes()).hexdigest()
-        assert len(evaluated) == 100 and digest == self.EVALUATED_SHA256
+        assert len(evaluated) == 64 and digest == self.EVALUATED_SHA256
         assert best.as_array().tolist() == self.THRESHOLDS and value == self.VALUE
 
 
