@@ -185,9 +185,10 @@ def cmd_optimize(args) -> None:
 
 
 def _load_decisions(path, rows) -> np.ndarray:
-    table = read_scan_table(path, _DECISION_COLUMNS, parse_flags, "decisions CSV")
-    check_manifest_coverage(path, "decisions CSV", table, rows)
-    return np.array([table[row.scan_id] for row in rows], dtype=bool)
+    scan_ids, _, flags = read_scan_table(path, _DECISION_COLUMNS, parse_flags, "decisions CSV")
+    check_manifest_coverage(path, "decisions CSV", scan_ids, rows)
+    position = dict(zip(scan_ids, range(len(scan_ids))))
+    return flags[[position[row.scan_id] for row in rows]]
 
 
 def cmd_evaluate(args) -> None:
@@ -240,8 +241,8 @@ def _write_roc(out_dir, label_scores, label_truths) -> None:
         if points is not None:
             series.append((label, points[:, 0], points[:, 1]))
     write_csv(out_dir / "roc_curves.csv", ("label", "fpr", "tpr"),
-              ((label, repr(float(fpr)), repr(float(tpr)))
-               for label, fprs, tprs in series for fpr, tpr in zip(fprs, tprs)))
+              ((label, fpr, tpr) for label, fprs, tprs in series
+               for fpr, tpr in zip(fprs.tolist(), tprs.tolist())))
     svg = svgplots.line_chart(series, title="Receiver operating curves",
                               x_label="false positive rate", y_label="true positive rate",
                               x_range=(0.0, 1.0), y_range=(0.0, 1.0), diagonal=True)
@@ -252,9 +253,10 @@ def _write_cumulative(out_dir, label_decisions, label_truths) -> None:
     rows = []
     for label in metrics.REPORT_LABELS:
         curves = metrics.cumulative_curves(label_decisions[label], label_truths[label])
-        rows.extend((label, i, int(d), int(t))
-                    for i, (d, t) in enumerate(zip(curves.decision_curve, curves.truth_curve)))
-        index = np.arange(1, len(curves.decision_curve) + 1)
+        count = len(curves.decision_curve)
+        rows.extend(zip([label] * count, range(count), curves.decision_curve.tolist(),
+                        curves.truth_curve.tolist()))
+        index = np.arange(1, count + 1)
         svg = svgplots.line_chart(
             [("prediction", index, curves.decision_curve),
              ("ground truth", index, curves.truth_curve, True)],

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import gbdt
 from .errors import DataError, FormatError, PipelineError
-from .fileio import is_finite_number, read_slice_table, write_csv
+from .fileio import is_finite_number, parse_floats, read_slice_table, write_csv
 from .volume import (DEFAULT_WINDOWS, HEMORRHAGE_TYPES, HU_MAX, HU_MIN, NUM_TYPES, CtVolume,
                      WindowSpec, apply_window, stack_channels)
 
@@ -147,18 +147,14 @@ def predict_by_scan(predict, matrices_by_scan) -> dict[str, np.ndarray]:
 def save_slice_probs(probs_by_scan: dict[str, np.ndarray], path) -> None:
     """Slice-probability exchange CSV, the boundary for external deep models."""
     write_csv(path, _PROB_COLUMNS,
-              ([scan_id, index] + [repr(float(v)) for v in row]
+              ([scan_id, index, *row]
                for scan_id, rows in probs_by_scan.items()
-               for index, row in enumerate(np.asarray(rows, dtype=np.float64))))
+               for index, row in enumerate(np.asarray(rows, dtype=np.float64).tolist())))
 
 
 def load_slice_probs(path) -> dict[str, np.ndarray]:
-    result = read_slice_table(path, _PROB_COLUMNS, lambda cells: [float(c) for c in cells],
-                              "probability CSV")
-    for scan_id, rows in result.items():
-        if rows.min() < 0.0 or rows.max() > 1.0 or not np.isfinite(rows).all():
-            raise FormatError(f"{path}: probabilities for scan {scan_id} outside [0, 1]")
-    return result
+    return read_slice_table(path, _PROB_COLUMNS, parse_floats, "probability CSV",
+                            bounds=(0.0, 1.0))
 
 
 class SliceInput(NamedTuple):

@@ -64,7 +64,9 @@ class _Canvas:
                           f'transform="rotate(-90 16 {(top + bottom) / 2:.0f})">{y_label}</text>')
 
     def polyline(self, xs, ys, color, dashed=False):
-        points = " ".join(f"{_fmt(self.px(x))},{_fmt(self.py(y))}" for x, y in zip(xs, ys))
+        points = " ".join(map("{:.2f},{:.2f}".format,
+                              self.px(np.asarray(xs, dtype=float)).tolist(),
+                              self.py(np.asarray(ys, dtype=float)).tolist()))
         dash = ' stroke-dasharray="5,4"' if dashed else ""
         self.parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                           f'stroke-width="1.5"{dash}/>')

@@ -208,12 +208,13 @@ def save_manifest(rows, path) -> None:
 
 
 def load_manifest(path) -> list[ManifestRow]:
-    table = read_scan_table(path, _MANIFEST_COLUMNS,
-                            lambda cells: (cells[0], cells[1], parse_flags(cells[2:])), "manifest")
-    if not table:
+    scan_ids, (patient_ids, paths), flags = read_scan_table(
+        path, _MANIFEST_COLUMNS, parse_flags, "manifest", text=2)
+    if not scan_ids:
         raise FormatError(f"{path}: manifest has no rows")
-    return [ManifestRow(scan_id, patient_id, volume_path, ScanLabels.from_vector(flags))
-            for scan_id, (patient_id, volume_path, flags) in table.items()]
+    return [ManifestRow(scan_id, patient_id, volume_path, ScanLabels.from_vector(vector))
+            for scan_id, patient_id, volume_path, vector
+            in zip(scan_ids, patient_ids, paths, flags.tolist())]
 
 
 def check_manifest_coverage(path, what: str, scan_ids, rows, complete: bool = True) -> None:

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rowwise_csv
 from hemtriage import gbdt
 from hemtriage.cli import _load_decisions
-from hemtriage.errors import PipelineError
-from hemtriage.fileio import read_csv, write_csv
+from hemtriage.errors import FormatError, PipelineError
+from hemtriage.fileio import CsvColumns, write_csv
 from hemtriage.slicemodel import (FEATURE_LENGTH, SliceInput, load_slice_model,
-                                  load_slice_probs, save_slice_model)
+                                  load_slice_probs, save_slice_model, save_slice_probs)
 from hemtriage.stacker import load_stacker_model, save_stacker_model, window_length
 from hemtriage.thresholds import PUBLISHED_THRESHOLDS, load_thresholds, save_thresholds
 from hemtriage.volume import (DEFAULT_WINDOWS, HEMORRHAGE_TYPES, ManifestRow, ScanLabels,
@@ -26,6 +27,10 @@ from hemtriage.volume import (DEFAULT_WINDOWS, HEMORRHAGE_TYPES, ManifestRow, Sc
 flag_cells = st.lists(st.sampled_from(("0", "1")), min_size=5, max_size=5)
 prob_cells = st.lists(st.floats(0.0, 1.0).map(repr), min_size=5, max_size=5)
 cell_text = st.text(alphabet='01x.-e, "\n', max_size=4)
+# Scan ids the writer has to quote (a comma, a quote, a newline) or keeps as is.
+scan_id_text = st.sampled_from(("s0", "s1", "s,2", 's"3', "s\n4", "s\r\n5", " s6"))
+# Line endings, and the records that a blank line goes before.
+dialects = st.tuples(st.sampled_from(("\n", "\r\n")), st.sets(st.integers(0, 12), max_size=3))
 
 
 def manifest_rows(scan_ids):
@@ -36,35 +41,40 @@ def manifest_rows(scan_ids):
 @st.composite
 def scan_table(draw, columns, cells):
     """A well-formed per-scan table: header, then one row per scan."""
-    num_scans = draw(st.integers(1, 3))
-    scan_ids = [f"s{i}" for i in range(num_scans)]
+    scan_ids = draw(st.lists(scan_id_text, min_size=1, max_size=3, unique=True))
     return scan_ids, list(columns), [[scan_id] + draw(cells) for scan_id in scan_ids]
 
 
 @st.composite
 def slice_table(draw, columns, cells):
-    """A well-formed per-slice table: each scan's slices numbered from 0."""
+    """A well-formed per-slice table: each scan's slices numbered from 0, the
+    rows of all scans in any order."""
     scan_ids, header, _ = draw(scan_table(columns, cells))
     rows = [[scan_id, str(index)] + draw(cells)
             for scan_id in scan_ids for index in range(draw(st.integers(1, 3)))]
-    return scan_ids, header, rows
+    return scan_ids, header, draw(st.permutations(rows))
 
 
+# Each reader: a strategy for its well-formed table, the package's loader and
+# the record-by-record reference loader, both called as load(path, scan_ids).
 READERS = {
     "manifest": (
         scan_table(("scan_id", "patient_id", "path") + HEMORRHAGE_TYPES,
-                   flag_cells.map(lambda flags: ["p0", "x.ctv"] + flags)),
-        lambda path, scan_ids: load_manifest(path)),
+                   flag_cells.map(lambda flags: ["p0", "scans, 1/x.ctv"] + flags)),
+        lambda path, scan_ids: load_manifest(path),
+        lambda path, scan_ids: rowwise_csv.load_manifest(path)),
     "decisions": (
         scan_table(("scan_id",) + HEMORRHAGE_TYPES, flag_cells),
-        lambda path, scan_ids: _load_decisions(path, manifest_rows(scan_ids))),
+        lambda path, scan_ids: _load_decisions(path, manifest_rows(scan_ids)),
+        lambda path, scan_ids: rowwise_csv.load_decisions(path, manifest_rows(scan_ids))),
     "slice labels": (
         slice_table(("scan_id", "slice_index") + HEMORRHAGE_TYPES, flag_cells),
-        lambda path, scan_ids: load_slice_labels(path)),
+        lambda path, scan_ids: load_slice_labels(path),
+        lambda path, scan_ids: rowwise_csv.load_slice_labels(path)),
     "probabilities": (
-        slice_table(("scan_id", "slice_index") + tuple(f"p_{t}" for t in HEMORRHAGE_TYPES),
-                    prob_cells),
-        lambda path, scan_ids: load_slice_probs(path)),
+        slice_table(rowwise_csv.PROB_COLUMNS, prob_cells),
+        lambda path, scan_ids: load_slice_probs(path),
+        lambda path, scan_ids: rowwise_csv.load_slice_probs(path)),
 }
 
 edits = st.lists(st.one_of(
@@ -73,9 +83,15 @@ edits = st.lists(st.one_of(
     st.tuples(st.just("drop column"), st.integers(0, 99)),
     st.tuples(st.just("extra column"), cell_text),
     st.tuples(st.just("garble"), st.integers(0, 99), st.integers(0, 99), cell_text),
+    st.tuples(st.just("garble"), st.integers(0, 99), st.integers(0, 99),
+              st.sampled_from(("nan", "-inf", "1e999", "1.5", "-1e-300", "+1", " 1 ", "1_0"))),
     st.tuples(st.just("repeat"), st.integers(0, 99)),
     st.tuples(st.just("empty")),
 ), max_size=3)
+# Bytes put into the written file at a fraction of its length: not UTF-8, or
+# a byte-order mark (leading, it is skipped; inside, it is a character).
+csv_byte_edits = st.one_of(st.none(), st.tuples(st.floats(0.0, 1.0),
+                                                st.sampled_from((b"\xff", b"\xef\xbb\xbf"))))
 
 
 def apply_edit(header, rows, edit):
@@ -103,33 +119,189 @@ def apply_edit(header, rows, edit):
     return header, rows[:i] + [row] + rows[i + 1:]
 
 
-@pytest.mark.parametrize("reader", sorted(READERS))
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_reader_fails_only_with_pipeline_error_naming_file(tmp_path_factory, reader, data):
-    table, load = READERS[reader]
+def write_table(path, header, rows, dialect=("\n", ()), insert=None):
+    """``header`` and ``rows`` as CSV with the dialect's line ending and blank
+    lines; nothing at all when ``header`` is empty. ``insert`` is a
+    (fraction, bytes) put into the file's bytes."""
+    terminator, blanks = dialect
+    buf = io.StringIO()
+    if header:
+        writer = csv.writer(buf, lineterminator=terminator)
+        writer.writerow(header)
+        for i, row in enumerate(rows):
+            if i in blanks:
+                buf.write(terminator)
+            writer.writerow(row)
+    raw = buf.getvalue().encode()
+    if insert is not None:
+        at = int(insert[0] * len(raw))
+        raw = raw[:at] + insert[1] + raw[at:]
+    path.write_bytes(raw)
+
+
+def draw_table(data, reader):
+    table = READERS[reader][0]
     scan_ids, header, rows = data.draw(table)
     changes = data.draw(edits)
     for edit in changes:
         header, rows = apply_edit(header, rows, edit)
-    buf = io.StringIO()
-    if header:
-        csv.writer(buf, lineterminator="\n").writerows([header] + rows)
+    return scan_ids, header, rows, changes
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reader_fails_only_with_pipeline_error_naming_file(tmp_path_factory, reader, data):
+    scan_ids, header, rows, changes = draw_table(data, reader)
     path = tmp_path_factory.getbasetemp() / f"fuzz_{reader.replace(' ', '_')}.csv"
-    path.write_text(buf.getvalue())
+    write_table(path, header, rows, data.draw(dialects))
     try:
-        load(path, scan_ids)
+        READERS[reader][1](path, scan_ids)
     except PipelineError as exc:
         assert str(path) in str(exc)
         assert changes, f"well-formed table rejected: {exc}"
+
+
+def outcome(load, path, scan_ids):
+    """What ``load`` returns, or the exception it raises."""
+    try:
+        return load(path, scan_ids)
+    except Exception as exc:  # the comparison below wants the class and message of any
+        return exc
+
+
+def first_probability_outside(path):
+    """The range error for the first probability outside [0, 1] in file
+    order, found record by record."""
+    parse = lambda cells: (cells[0], [float(cell) for cell in cells[2:]])  # noqa: E731
+    for line, (scan_id, values) in rowwise_csv.read_csv(path, rowwise_csv.PROB_COLUMNS, parse,
+                                                        "probability CSV"):
+        for column, value in zip(rowwise_csv.PROB_COLUMNS[2:], values):
+            if not 0.0 <= value <= 1.0:
+                return FormatError(f"{path}: line {line}: {column} {value!r} "
+                                   f"for scan {scan_id} outside [0, 1]")
+    raise AssertionError("no probability outside [0, 1]")
+
+
+def assert_same(got, expected):
+    """Same exception class and message, or same keys in the same order and
+    arrays of the same dtype, shape and bytes."""
+    if isinstance(expected, Exception):
+        assert (type(got), str(got)) == (type(expected), str(expected))
+        return
+    assert not isinstance(got, Exception), got
+    if isinstance(expected, np.ndarray):
+        got, expected = [got], [expected]
+    elif isinstance(expected, dict):
+        assert list(got) == list(expected)
+        got, expected = list(got.values()), list(expected.values())
+    if expected and isinstance(expected[0], np.ndarray):
+        for a, b in zip(got, expected, strict=True):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_column_read_matches_rowwise_reference(tmp_path_factory, reader, data):
+    scan_ids, header, rows, _ = draw_table(data, reader)
+    path = tmp_path_factory.getbasetemp() / f"oracle_{reader.replace(' ', '_')}.csv"
+    write_table(path, header, rows, data.draw(dialects), data.draw(csv_byte_edits))
+    _, load, reference = READERS[reader]
+    expected = outcome(reference, path, scan_ids)
+    if isinstance(expected, FormatError) and "probabilities for scan" in str(expected):
+        expected = first_probability_outside(path)
+    assert_same(outcome(load, path, scan_ids), expected)
+
+
+@pytest.mark.parametrize("repeat_at", [None, 5, 590])
+def test_bytes_that_are_not_utf8_past_the_first_read_fail_in_file_order(tmp_path, repeat_at):
+    """The reader decodes the file in chunks, so text that is not UTF-8 far
+    into a large file stops it after the records before that chunk; a bad
+    record among those still fails first."""
+    rows = [[f"s{i}", "0", "0.25", "0.5", "0.75", "1.0", "0.0"] for i in range(600)]
+    if repeat_at is not None:
+        rows[repeat_at] = list(rows[repeat_at - 1])
+    path = tmp_path / "probs.csv"
+    write_table(path, list(rowwise_csv.PROB_COLUMNS), rows, insert=(0.8, b"\xff"))
+    _, load, reference = READERS["probabilities"]
+    expected = outcome(reference, path, None)
+    assert isinstance(expected, FormatError)
+    assert ("duplicate slice" if repeat_at == 5 else "can't decode") in str(expected)
+    assert_same(outcome(load, path, None), expected)
+
+
+HUGE = str(10 ** 30)  # past int64
+
+
+@pytest.mark.parametrize("keys", [
+    ["s0 0", f"s0 {HUGE}"],
+    ["s0 0", f"s0 {HUGE}", "s1 0", f"s0 {HUGE}"],
+    ["s0 -1", "s0 0", "s0 -1"],
+    ["s0 1", "s1 0", "s0 x", "s1 0"],
+    ["s0 0", "s1 0", "s1 0", "s0 x"],
+    ["s0 0", "s1 0", "s1 0", "s0 0"],
+    ["s0 0", "s1 x 2"],
+    ["s0 0", "s1 0 2", "s0 x"],
+    ["s1 1", "s0 2", "s0 0"],
+])
+def test_slice_keys_fail_like_rowwise_reference(tmp_path, keys):
+    """Each key is "scan slice", or "scan slice flag" with that flag cell
+    put in the first flag column."""
+    path = tmp_path / "labels.csv"
+    rows = [key.split() for key in keys]
+    write_table(path, list(rowwise_csv.SLICE_LABEL_COLUMNS),
+                [row[:2] + (row[2:] or ["0"]) + ["0"] * 4 for row in rows])
+    _, load, reference = READERS["slice labels"]
+    expected = outcome(reference, path, None)
+    assert isinstance(expected, FormatError)
+    assert_same(outcome(load, path, None), expected)
 
 
 def test_write_then_read_round_trips_cells_and_lines(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ("a", "b"), [("x", 1), ("y, z", 2)])
     assert path.read_text() == 'a,b\nx,1\n"y, z",2\n'
-    assert list(read_csv(path, ("b", "a"), tuple, "table")) == [(2, ("1", "x")),
-                                                                (3, ("2", "y, z"))]
+    table = CsvColumns(path, ("b", "a"), "table")
+    assert table.cells == [("1", "2"), ("x", "y, z")]
+    assert [table.line(0), table.line(1)] == [2, 3]
+
+
+def test_probability_outside_range_names_first_bad_cell_in_file_order(tmp_path):
+    path = tmp_path / "probs.csv"
+    header = ",".join(rowwise_csv.PROB_COLUMNS)
+    path.write_text(f"{header}\na,0,0.1,0.1,0.1,0.1,0.1\nb,0,0.1,0.1,nan,0.1,0.1\n"
+                    f"a,1,1.5,0.1,0.1,0.1,0.1\n")
+    with pytest.raises(FormatError,
+                       match=r"probs\.csv: line 3: p_sah nan for scan b outside \[0, 1\]$"):
+        load_slice_probs(path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(0.0, 1.0),
+                                 st.sampled_from((0.0, 1.0, 5e-324, 1 - 2 ** -53))),
+                       min_size=5, max_size=60).map(lambda v: v[:len(v) // 5 * 5]))
+def test_slice_probs_round_trip_bit_for_bit(tmp_path_factory, values):
+    probs = np.array(values, dtype=np.float64).reshape(-1, 5)
+    table = {"a": probs[:len(probs) // 2], "b,1": probs[len(probs) // 2:]}
+    table = {scan_id: rows for scan_id, rows in table.items() if len(rows)}
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    save_slice_probs(table, path)
+    loaded = load_slice_probs(path)
+    assert list(loaded) == list(table)
+    for scan_id, rows in table.items():
+        assert loaded[scan_id].dtype == np.float64
+        assert loaded[scan_id].tobytes() == rows.tobytes()
+
+
+def test_probability_csv_with_byte_order_mark_loads_the_same(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    rng = np.random.default_rng(0)
+    save_slice_probs({"s0": rng.random((3, 5)), "s1": rng.random((2, 5))}, plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert_same(load_slice_probs(marked), load_slice_probs(plain))
 
 
 @cache
