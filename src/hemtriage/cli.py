@@ -375,9 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probs", required=True, help="refined slice probability CSV")
     p.add_argument("--objective", default="any_bacc", choices=sorted(thresholds.OBJECTIVES))
     p.add_argument("--budget", type=int, default=150,
-                   help="bounds the GP-EI search to max(min(BUDGET, 20), BUDGET - 40) objective "
-                        "evaluations; exact coordinate ascent from its 4 best points then adds one "
-                        "evaluation per start that moves")
+                   help="random design points scored; exact coordinate ascent from the 4 best "
+                        "then adds one objective evaluation per start that moves")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_optimize)

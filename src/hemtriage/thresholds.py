@@ -8,27 +8,20 @@ thresholding the per-type max over slices. The optimizer searches
 any-type decision. AUC itself is threshold-free, so it cannot serve as a
 threshold search objective.
 
-The search has two phases. A GP-EI phase explores with a squared-exponential
-GP surrogate and expected improvement over quasi-random and local
-candidates. Its posterior is never refit from scratch: one lower Cholesky
-factor ``L`` of the design kernel grows by a row per evaluated point, and
-each step whitens its candidates in one triangular solve. Then exact
-coordinate ascent polishes the best evaluated points. Both objectives are
-step functions that change only where a threshold crosses a scan value, so
-with four thresholds fixed, one sweep of the fifth over the cuts between
-those values gives the exact objective everywhere on that line: the ROC
-threshold sweep, one axis at a time. ``mean_type_bacc`` is a mean of
+The search has two phases. A seeded random design scores ``budget`` points
+drawn uniformly from the search box; it only chooses where the second phase
+starts. Then exact coordinate ascent polishes the best design points. Both
+objectives are step functions that change only where a threshold crosses a
+scan value, so with four thresholds fixed, one sweep of the fifth over the
+cuts between those values gives the exact objective everywhere on that line:
+the ROC threshold sweep, one axis at a time. ``mean_type_bacc`` is a mean of
 per-type terms that each depend on one threshold, so one pass of the ascent
 reaches its global optimum.
-
-scipy is imported inside the optimizer's functions only: its import is most of
-the package's start-up time, and no other command needs it.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +34,7 @@ from .volume import HEMORRHAGE_TYPES, NUM_TYPES
 _THRESHOLD_KEYS = tuple(f"t_{t}" for t in HEMORRHAGE_TYPES)
 
 SEARCH_BOUNDS = (0.01, 1.0)
-_GP_LENGTH_SCALE = 0.2
-_GP_NOISE = 1e-6
-_NUM_INITIAL_POINTS = 20
-_ASCENT_TAIL = 40   # evaluations of the budget left to the exact ascent
-_ASCENT_STARTS = 4  # best evaluated points the ascent starts from
+_ASCENT_STARTS = 4  # best design points the ascent starts from
 
 
 @dataclass(frozen=True)
@@ -125,59 +114,6 @@ OBJECTIVES = {
 }
 
 
-def _norm_pdf(z):
-    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-
-def _norm_cdf(z):
-    from scipy.special import erf
-
-    return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
-
-
-def _rbf_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Squared distance summed one axis at a time into one (a, b) buffer: the
-    # same floats as summing an (a, b, axes) difference stack. Dividing it by
-    # ``-2l^2`` in place gives the same floats as dividing ``-sq`` by ``2l^2``:
-    # IEEE division is symmetric in sign.
-    sq = np.empty((len(a), len(b)))
-    np.square(np.subtract(a[:, None, 0], b[None, :, 0], out=sq), out=sq)
-    term = np.empty_like(sq)
-    for axis in range(1, a.shape[1]):
-        sq += np.square(np.subtract(a[:, None, axis], b[None, :, axis], out=term), out=term)
-    sq /= -2.0 * _GP_LENGTH_SCALE ** 2
-    return np.exp(sq, out=sq)
-
-
-def _cholesky_append(factor: np.ndarray, n: int, column: np.ndarray) -> None:
-    """Grow ``factor[:n, :n]``, the lower Cholesky factor of the design kernel,
-    by row ``n`` for a new point whose kernel against the first ``n`` points is
-    ``column``. A pivot that is not positive raises ``LinAlgError``."""
-    from scipy.linalg import solve_triangular
-
-    row = (solve_triangular(factor[:n, :n], column, lower=True, check_finite=False)
-           if n else column)
-    pivot = 1.0 + _GP_NOISE - row @ row
-    if not pivot > 0.0:
-        raise np.linalg.LinAlgError(f"design kernel is not positive definite at point {n}")
-    factor[n, :n] = row
-    factor[n, n] = math.sqrt(pivot)
-
-
-def _posterior(candidates, design, factor, beta):
-    """Posterior mean and variance at ``candidates``: with ``V = L^-1 K(X,
-    candidates)``, the mean is ``beta . V`` and the variance ``1 - |V|^2``."""
-    from scipy.linalg import solve_triangular
-
-    n = len(design)
-    # The solve may overwrite the kernel, which no one else holds, and need not
-    # check it: scan vectors are checked to lie in [0, 1] on entry, so every
-    # kernel is finite.
-    whitened = solve_triangular(factor[:n, :n], _rbf_kernel(design, candidates), lower=True,
-                                overwrite_b=True, check_finite=False)
-    return beta @ whitened, np.maximum(1.0 - np.einsum("ij,ij->j", whitened, whitened), 1e-12)
-
-
 def _cuts(column: np.ndarray) -> np.ndarray:
     """The thresholds worth trying on one axis: the midpoint of each gap
     between the axis's distinct scan values, plus the search bounds, clipped
@@ -240,21 +176,17 @@ def _ascend(objective: str, point: np.ndarray, vectors: np.ndarray, labels: np.n
 
 def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
                         budget: int = 150, seed: int = 0) -> tuple[ThresholdSet, float]:
-    """Search thresholds with GP-EI, then polish the best points exactly.
+    """Score ``budget`` seeded random points, then polish the best exactly.
 
-    Twenty seeded quasi-random points start the design; each later step
-    evaluates the candidate with the highest expected improvement, until the
-    GP phase has used all but the last ``_ASCENT_TAIL`` evaluations of
-    ``budget``. Exact coordinate ascent (``_ascend``) then starts from each
-    of the ``_ASCENT_STARTS`` best evaluated points, and each ascended point
-    that moved costs one more evaluation. Returns the best ascended point and
-    its objective value. Deterministic given the seed. Whether an objective
-    is defined depends on the labels alone, so an undefined (None) score at
-    the first point raises ``UndefinedMetricError``.
+    The design is ``budget`` points drawn uniformly from the search box by
+    ``numpy.random.default_rng(seed)``, each scored once. Exact coordinate
+    ascent (``_ascend``) then starts from each of the ``_ASCENT_STARTS`` best
+    of them, and each ascended point that moved costs one more evaluation, so
+    the objective runs at most ``budget + _ASCENT_STARTS`` times. Returns the
+    best ascended point and its objective value. Deterministic given the seed.
+    Whether an objective is defined depends on the labels alone, so an
+    undefined (None) score at the first point raises ``UndefinedMetricError``.
     """
-    from scipy.linalg import solve_triangular
-    from scipy.stats import qmc
-
     vectors = np.asarray(scan_vectors, dtype=np.float64)
     labels = np.asarray(scan_labels, dtype=bool)
     if vectors.ndim != 2 or vectors.shape[1] != NUM_TYPES:
@@ -270,40 +202,12 @@ def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
     score = OBJECTIVES[objective]
 
     lo, hi = SEARCH_BOUNDS
-    sampler = qmc.Halton(d=NUM_TYPES, scramble=True, seed=seed)
-    rng = np.random.default_rng(seed)
-    initial = min(_NUM_INITIAL_POINTS, budget)
-    gp_budget = max(initial, budget - _ASCENT_TAIL)
-    X = np.empty((gp_budget, NUM_TYPES))
-    factor = np.zeros((gp_budget, gp_budget))
-    X[:initial] = lo + sampler.random(initial) * (hi - lo)
-    for j in range(initial):
-        _cholesky_append(factor, j, _rbf_kernel(X[:j], X[j:j + 1])[:, 0])
-    y = [score(x, vectors, labels) for x in X[:initial]]
+    X = lo + np.random.default_rng(seed).random((budget, NUM_TYPES)) * (hi - lo)
+    y = [score(x, vectors, labels) for x in X]
     if y[0] is None:
         raise UndefinedMetricError(f"objective {objective} is undefined: its labels are "
                                    "one-class")
     y = np.array(y)
-
-    for n in range(initial, gp_budget):
-        design = X[:n]
-        # Standardized targets keep the unit-variance kernel honest about
-        # how much improvement is plausible.
-        spread = max(float(y.std()), 1e-9)
-        y_std = (y - y.mean()) / spread
-        beta = solve_triangular(factor[:n, :n], y_std, lower=True)
-        # Global quasi-random candidates and local moves around the best point.
-        local = [np.clip(X[np.argmax(y)] + rng.normal(0.0, scale, size=(128, NUM_TYPES)), lo, hi)
-                 for scale in (0.02, 0.06)]
-        candidates = np.vstack([lo + sampler.random(512) * (hi - lo), *local])
-        mu, var = _posterior(candidates, design, factor, beta)
-        sigma = np.sqrt(var)
-        z = (mu - y_std.max()) / sigma
-        improvement = sigma * (z * _norm_cdf(z) + _norm_pdf(z))
-        chosen = candidates[int(np.argmax(improvement))]
-        _cholesky_append(factor, n, _rbf_kernel(design, chosen[None, :])[:, 0])
-        X[n] = chosen
-        y = np.append(y, score(chosen, vectors, labels))
 
     cuts = [_cuts(vectors[:, t]) for t in range(NUM_TYPES)]
     starts = np.argsort(-y, kind="stable")[:_ASCENT_STARTS]

@@ -558,10 +558,24 @@ class TestDeterminism:
         assert capsys.readouterr().err.startswith("error:")
 
 
-def test_importing_the_cli_leaves_scipy_unimported():
-    # Only the threshold optimizer needs scipy, and importing it is most of
-    # the start-up time of every command.
+def test_importing_the_cli_leaves_scipy_unimported(pipeline_dir, tmp_path):
+    # The package depends on numpy only: importing the CLI imports no scipy,
+    # and with scipy made unimportable, optimize and evaluate still exit 0.
     src = str(Path(hemtriage.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, hemtriage.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    manifest = str(pipeline_dir / "data" / "manifest.csv")
+    refined = str(pipeline_dir / "refined.csv")
+    thresholds = str(tmp_path / "thresholds.json")
+    commands = [["optimize", "--manifest", manifest, "--probs", refined, "--budget", "20",
+                 "--seed", "1", "--out", thresholds],
+                ["evaluate", "--manifest", manifest, "--probs", refined,
+                 "--thresholds", thresholds, "--out", str(tmp_path / "eval")]]
+    code = ("import json, sys, hemtriage.cli\n"
+            "if 'scipy' in sys.modules: sys.exit('importing the CLI imported scipy')\n"
+            "sys.modules['scipy'] = None\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    if hemtriage.cli.main(argv): sys.exit(f'{argv[0]} failed without scipy')\n")
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "eval" / "report.csv").is_file()

@@ -107,7 +107,7 @@ GOLDEN = {
     "oof/oof_probs.csv": "768f6099a50dd749f11d953b42f1817d89a4b3237e55ce3db4f288105f945758",
     "probs.csv": "3df1b85c79229ff35c173ba795b22ca68adefbf23bfd8030c7c14925b09bea85",
     "refined.csv": "aaa3064a96797358b3fb1b5671b3cbbca264c406d1ea7463393a2181403ba7f3",
-    "report/boxplot.svg": "8ba48f132beb706c4be95a9da66f76ecb43991027b23dea6bccef9e05a282f5e",
+    "report/boxplot.svg": "089e47793fb4f556865a522869383c1b37fce14031c755ec7a0aa1bb548fe1b3",
     "report/boxplot_stats.csv": "77cd0c658dcc0563afb9b651839b8f1784679968b97578ff2b47ba2d0b02e7b7",
     "report/ci_summary.csv": "b75c023256856cbfe9f5868a36f9b81700f8f872cbf98ade0eeb682c96462ea5",
     "report/cumulative_any.svg": "c6ec89dfb0a72054221345792c606b398287d5a52f5f69c715b135dd17619008",
@@ -122,8 +122,8 @@ GOLDEN = {
     "slice_model.json": "4c9bb3bc61bd34378688d265f115e7ee2d9113a67f51e253e84d90d3ebd32b27",
     "stacker.json": "2763aa5e75626ab41a0a0cf90627b567288a900be08a05ec2c011097b45cfa3a",
     "stacker_broadcast.json": "f8cebe144f813b4b6890d5305454437b05f8b8b53125705e9f3edf70f8c0a9b7",
-    "thresholds.json": "379c36ea69cfd723522b074bef80953b40b098bc93e048f8d71dab22e5202a63",
-    "thresholds_mean_type.json": "3de0bf5444ab3ab86072daad2a9eebea18915fc25c4316467994a36f95a83753",
+    "thresholds.json": "2fe99bf4cbefce9de4cdc940142dd95995ccbbff203af0c1aa0e51f0709c9ed1",
+    "thresholds_mean_type.json": "e0b14c1f907433ba34b486e28d5bba044c174a1bdd1da1112e7958ea656e97db",
 }
 
 

@@ -46,52 +46,6 @@ def grid_oracle(vectors, labels, step=0.01):
     return best, thresholds
 
 
-def direct_solve_optimize(vectors, labels, objective="any_bacc", budget=150, seed=0):
-    """Independent reference for the GP-EI phase: the loop refitting the
-    posterior from scratch each step, with an LU solve over every candidate,
-    until 40 evaluations of the budget are left. Returns every point the phase
-    evaluates and its objective value, in order."""
-    from scipy.stats import qmc
-
-    def kernel(a, b):
-        sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        return np.exp(-sq / (2.0 * th._GP_LENGTH_SCALE ** 2))
-
-    score = OBJECTIVES[objective]
-    lo, hi = th.SEARCH_BOUNDS
-    sampler = qmc.Halton(d=5, scramble=True, seed=seed)
-    rng = np.random.default_rng(seed)
-    X = lo + sampler.random(min(th._NUM_INITIAL_POINTS, budget)) * (hi - lo)
-    y = np.array([score(x, vectors, labels) for x in X])
-    while len(X) < budget - 40:
-        y_std = (y - y.mean()) / max(float(y.std()), 1e-9)
-        design = kernel(X, X) + th._GP_NOISE * np.eye(len(X))
-        best = X[np.argmax(y)]
-        candidates = np.vstack([lo + sampler.random(512) * (hi - lo)]
-                               + [np.clip(best + rng.normal(0.0, scale, size=(128, 5)), lo, hi)
-                                  for scale in (0.02, 0.06)])
-        cross = kernel(candidates, X)
-        mu = cross @ np.linalg.solve(design, y_std)
-        var = np.maximum(1.0 - np.einsum("ij,ji->i", cross, np.linalg.solve(design, cross.T)),
-                         1e-12)
-        sigma = np.sqrt(var)
-        z = (mu - y_std.max()) / sigma
-        improvement = sigma * (z * th._norm_cdf(z) + th._norm_pdf(z))
-        chosen = candidates[int(np.argmax(improvement))]
-        X = np.vstack([X, chosen])
-        y = np.append(y, score(chosen, vectors, labels))
-    return X, y
-
-
-def repeated_probability_scans(seed, num_scans):
-    """Scan vectors on a quarter grid, so many scans share each value."""
-    rng = np.random.default_rng(seed)
-    labels = rng.random((num_scans, 5)) < 0.15
-    labels[0, 0], labels[1] = True, False
-    vectors = rng.beta(1.2, 6, (num_scans, 5)) + labels * rng.uniform(0.2, 0.6, (num_scans, 5))
-    return np.round(np.clip(vectors, 0, 1) * 4) / 4, labels
-
-
 def validation_scans(seed, num_scans=200, hard_frac=0.12):
     """Stacker-like refined scan vectors with a borderline minority."""
     rng = np.random.default_rng(seed)
@@ -114,15 +68,6 @@ def validation_scans(seed, num_scans=200, hard_frac=0.12):
     return np.clip(vectors, 0, 1), labels
 
 
-def reference_rbf_kernel(a, b):
-    """The kernel written out of place, one temporary per operation: the
-    bit-exact reference for the in-place kernel."""
-    sq = (a[:, None, 0] - b[None, :, 0]) ** 2
-    for axis in range(1, a.shape[1]):
-        sq += (a[:, None, axis] - b[None, :, axis]) ** 2
-    return np.exp(-sq / (2.0 * th._GP_LENGTH_SCALE ** 2))
-
-
 def brute_force_term(column, truth, threshold):
     """One type's balanced accuracy at one threshold, None for one-class truth."""
     return compute_metrics(compute_confusion(column >= threshold, truth)).bacc
@@ -138,16 +83,6 @@ def counted_objective(monkeypatch, objective):
 
 
 coordinates = st.floats(0.0, 1.0)
-
-
-@st.composite
-def kernel_cases(draw):
-    """Two point sets, where a row of the second may equal a row of the first."""
-    rows = st.lists(st.lists(coordinates, min_size=5, max_size=5), min_size=1, max_size=6)
-    a, b = np.array(draw(rows)), np.array(draw(rows))
-    if draw(st.booleans()):
-        b[draw(st.integers(0, len(b) - 1))] = a[draw(st.integers(0, len(a) - 1))]
-    return a, b
 
 
 @st.composite
@@ -312,22 +247,23 @@ class TestOptimizer:
         assert achieved >= oracle_value - 0.005
 
     def test_budget_respected_and_close_across_seeds(self):
-        # Robustness picture, looser bound: the optimizer stays within a few
-        # hundredths of converged coordinate descent on varied instances.
+        # The 9 validation cohorts, each with its own optimizer seed: the
+        # optimizer stays within the acceptance margin of converged coordinate
+        # descent on every one.
         worst = 0.0
-        for seed in (0, 1, 2):
-            vectors, labels = validation_scans(seed * 13 + 7)
+        for seed, cohort in enumerate((98, 1, 2, 3, 5, 8, 13, 21, 34)):
+            vectors, labels = validation_scans(cohort)
             oracle_value, _ = grid_oracle(vectors, labels)
             _, achieved = optimize_thresholds(vectors, labels, budget=150, seed=seed)
             worst = max(worst, oracle_value - achieved)
-        assert worst <= 0.02
+        assert worst <= 0.005
 
     @pytest.mark.parametrize("budget", [1, 5, 20, 30, 60, 100])
     def test_objective_calls_bounded(self, monkeypatch, budget):
         vectors, labels = validation_scans(3)
         evaluated = counted_objective(monkeypatch, "any_bacc")
         optimize_thresholds(vectors, labels, budget=budget, seed=1)
-        assert len(evaluated) <= max(min(budget, 20), budget - 40) + 4
+        assert len(evaluated) <= budget + th._ASCENT_STARTS
 
     def test_mean_type_bacc_reaches_per_type_optimum(self):
         vectors, labels = validation_scans(7)
@@ -339,55 +275,6 @@ class TestOptimizer:
                              for threshold in trials[(trials >= 0.01) & (trials <= 1.0)]))
         _, value = optimize_thresholds(vectors, labels, "mean_type_bacc", budget=60, seed=1)
         assert value == float(np.mean(terms))
-
-
-class TestOptimizerEquivalence:
-    @pytest.mark.parametrize("case, objective, budget, seed", [
-        ("validation", "any_bacc", 60, 3),
-        ("validation", "mean_type_bacc", 60, 1),
-        ("repeated", "any_bacc", 150, 12),
-    ])
-    def test_same_evaluations_as_direct_solve(self, monkeypatch, case, objective, budget, seed):
-        vectors, labels = (validation_scans(7) if case == "validation"
-                           else repeated_probability_scans(13, 12))
-        X, y = direct_solve_optimize(vectors, labels, objective, budget, seed)
-        evaluated = counted_objective(monkeypatch, objective)
-        _, value = optimize_thresholds(vectors, labels, objective, budget, seed)
-        assert np.array_equal(np.array(evaluated[:len(X)]), X)
-        assert len(evaluated) <= len(X) + 4 and value >= y.max()
-
-    def test_grown_factor_matches_cholesky_on_repeated_points(self):
-        rng = np.random.default_rng(0)
-        X = np.vstack([rng.random((5, 5)), np.full((30, 5), 0.4), rng.random((5, 5))])
-        factor = np.zeros((len(X), len(X)))
-        for j in range(len(X)):
-            th._cholesky_append(factor, j, th._rbf_kernel(X[:j], X[j:j + 1])[:, 0])
-        expected = np.linalg.cholesky(th._rbf_kernel(X, X) + th._GP_NOISE * np.eye(len(X)))
-        assert np.isfinite(factor).all()
-        np.testing.assert_allclose(factor, expected, rtol=0, atol=1e-10)
-
-    @pytest.mark.parametrize("column", [[1.5], [np.nan]])
-    def test_non_positive_pivot_raises(self, column):
-        factor = np.zeros((2, 2))
-        th._cholesky_append(factor, 0, np.zeros(0))
-        with pytest.raises(np.linalg.LinAlgError):
-            th._cholesky_append(factor, 1, np.array(column))
-        assert factor[1].tolist() == [0.0, 0.0]
-
-
-class TestKernelBits:
-    @settings(max_examples=200, deadline=None)
-    @given(kernel_cases())
-    def test_kernels_match_reference_bit_for_bit(self, case):
-        a, b = case
-
-        def same_bytes(got, expected):
-            return got.shape == expected.shape and got.tobytes() == expected.tobytes()
-
-        # Both orientations: the posterior takes (design, candidates) and the
-        # factor's new column (design, point).
-        assert same_bytes(th._rbf_kernel(a, b), reference_rbf_kernel(a, b))
-        assert same_bytes(th._rbf_kernel(b, a), reference_rbf_kernel(b, a))
 
 
 class TestExactSweep:
@@ -434,13 +321,13 @@ class TestExactSweep:
 class TestOptimizerPin:
     """A budget-100 search over 400 scans of continuous probabilities (400
     distinct values per axis), pinned by a digest of every evaluated point,
-    GP phase and ascent alike, and by the thresholds it returns. CI also runs
-    it on one BLAS thread: the triangular solves and products must give the
-    same bits both ways."""
+    random design and ascent alike, and by the thresholds it returns. CI also
+    runs it on one BLAS thread, as the benchmark does: it must give the same
+    bits both ways."""
 
-    EVALUATED_SHA256 = "2d6c36ef557ccae9db560bf62fbedfc7e83a67d6a5300f994635b52fad95dd07"
-    THRESHOLDS = [0.4315540492789401, 0.2783771568529723, 0.2944787931590653,
-                  0.2586671079683686, 0.2286343872533241]
+    EVALUATED_SHA256 = "bc18930275015b48808ff633cafb61fd6c5cc3043268a7435d08fc61e8a2cf25"
+    THRESHOLDS = [0.34178779953287675, 0.2348753219286281, 0.30196112710837764,
+                  0.2586671079683686, 0.22957302667843787]
     VALUE = 0.9733727810650887
 
     def test_evaluations_and_thresholds_pinned(self, monkeypatch):
@@ -449,7 +336,11 @@ class TestOptimizerPin:
         evaluated = counted_objective(monkeypatch, "any_bacc")
         best, value = optimize_thresholds(vectors, labels, "any_bacc", budget=100, seed=20)
         digest = hashlib.sha256(np.array(evaluated).astype("<f8").tobytes()).hexdigest()
-        assert len(evaluated) == 64 and digest == self.EVALUATED_SHA256
+        assert len(evaluated) == 104 and digest == self.EVALUATED_SHA256
+        # The first 100 are the seeded uniform design, scored in draw order.
+        lo, hi = th.SEARCH_BOUNDS
+        design = lo + np.random.default_rng(20).random((100, 5)) * (hi - lo)
+        assert np.array_equal(np.array(evaluated[:100]), design)
         assert best.as_array().tolist() == self.THRESHOLDS and value == self.VALUE
 
 
