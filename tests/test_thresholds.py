@@ -46,6 +46,15 @@ def grid_oracle(vectors, labels, step=0.01):
     return best, thresholds
 
 
+def repeated_probability_scans(seed, num_scans):
+    """Scan vectors on a quarter grid, so many scans share each value."""
+    rng = np.random.default_rng(seed)
+    labels = rng.random((num_scans, 5)) < 0.15
+    labels[0, 0], labels[1] = True, False
+    vectors = rng.beta(1.2, 6, (num_scans, 5)) + labels * rng.uniform(0.2, 0.6, (num_scans, 5))
+    return np.round(np.clip(vectors, 0, 1) * 4) / 4, labels
+
+
 def validation_scans(seed, num_scans=200, hard_frac=0.12):
     """Stacker-like refined scan vectors with a borderline minority."""
     rng = np.random.default_rng(seed)
@@ -71,6 +80,52 @@ def validation_scans(seed, num_scans=200, hard_frac=0.12):
 def brute_force_term(column, truth, threshold):
     """One type's balanced accuracy at one threshold, None for one-class truth."""
     return compute_metrics(compute_confusion(column >= threshold, truth)).bacc
+
+
+def reference_optimize(vectors, labels, objective="any_bacc", budget=150, seed=0):
+    """Independent reference for the whole search: the same seeded design,
+    then coordinate ascent whose line search scores every cut by brute force
+    (the full objective for ``any_bacc``, the axis's own type term for
+    ``mean_type_bacc``). Returns every point the search scores, in order, and
+    the thresholds and value it returns."""
+    score = OBJECTIVES[objective]
+    lo, hi = th.SEARCH_BOUNDS
+    X = lo + np.random.default_rng(seed).random((budget, 5)) * (hi - lo)
+    evaluated = list(X)
+    y = np.array([score(x, vectors, labels) for x in X])
+
+    def line_score(trial, axis):
+        if objective == "any_bacc":
+            return score(trial, vectors, labels)
+        return brute_force_term(vectors[:, axis], labels[:, axis], trial[axis])
+
+    results = []
+    for start in np.argsort(-y, kind="stable")[:th._ASCENT_STARTS]:
+        point = X[start].copy()
+        moved = True
+        while moved:
+            moved = False
+            for axis in range(5):
+                current = line_score(point, axis)
+                if current is None:
+                    continue
+                best_cut, best_value = None, current
+                for cut in th._cuts(vectors[:, axis]):
+                    trial = point.copy()
+                    trial[axis] = cut
+                    value = line_score(trial, axis)
+                    if value > best_value:
+                        best_cut, best_value = cut, value
+                if best_cut is not None:
+                    point[axis] = best_cut
+                    moved = True
+        if np.array_equal(point, X[start]):
+            results.append((point, y[start]))
+        else:
+            evaluated.append(point)
+            results.append((point, score(point, vectors, labels)))
+    best = int(np.argmax([value for _, value in results]))
+    return evaluated, results[best][0], results[best][1]
 
 
 def counted_objective(monkeypatch, objective):
@@ -275,6 +330,65 @@ class TestOptimizer:
                              for threshold in trials[(trials >= 0.01) & (trials <= 1.0)]))
         _, value = optimize_thresholds(vectors, labels, "mean_type_bacc", budget=60, seed=1)
         assert value == float(np.mean(terms))
+
+
+class TestOptimizerEquivalence:
+    @pytest.mark.parametrize("case, objective, budget, seed", [
+        ("validation", "any_bacc", 60, 3),
+        ("validation", "mean_type_bacc", 60, 1),
+        ("repeated", "any_bacc", 150, 12),
+    ])
+    def test_same_evaluations_as_reference(self, monkeypatch, case, objective, budget, seed):
+        vectors, labels = (validation_scans(7) if case == "validation"
+                           else repeated_probability_scans(13, 12))
+        expected, expected_point, expected_value = reference_optimize(
+            vectors, labels, objective, budget, seed)
+        evaluated = counted_objective(monkeypatch, objective)
+        best, value = optimize_thresholds(vectors, labels, objective, budget, seed)
+        assert np.array_equal(np.array(evaluated), np.array(expected))
+        assert np.array_equal(best.as_array(), expected_point) and value == expected_value
+
+
+class TestAscent:
+    """One informative axis: scans at 0.1 (negative), 0.3 (positive), 0.5
+    (negative) and 0.9 (positive). The cuts at 0.2 and 0.7 tie for the best
+    balanced accuracy, 0.75; the other axes are all zero and never decide."""
+
+    vectors = np.zeros((4, 5))
+    vectors[:, 0] = [0.1, 0.3, 0.5, 0.9]
+    labels = np.zeros((4, 5), dtype=bool)
+    labels[[1, 3], 0] = True
+
+    def ascend(self, start):
+        cuts = [th._cuts(self.vectors[:, t]) for t in range(5)]
+        return th._ascend("any_bacc", np.array(start), self.vectors, self.labels, cuts)
+
+    def test_tie_goes_to_the_lowest_cut(self):
+        cuts = th._cuts(self.vectors[:, 0])
+        values = th._line_values("any_bacc", np.ones(5), 0, self.vectors, self.labels, cuts)
+        tied = cuts[values == values.max()]
+        assert values.max() == 0.75 and len(tied) == 2
+        assert self.ascend([1.0] * 5).tolist() == [tied[0]] + [1.0] * 4
+
+    def test_tied_threshold_is_kept(self):
+        cuts = th._cuts(self.vectors[:, 0])
+        upper = float(cuts[(cuts > 0.5) & (cuts < 0.9)][0])
+        assert self.ascend([upper] + [1.0] * 4).tolist() == [upper] + [1.0] * 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_cohorts(2, 12), st.lists(st.floats(0.01, 1.0), min_size=5, max_size=5))
+    def test_mean_type_bacc_reaches_per_type_optimum_from_any_start(self, cohort, start):
+        vectors, labels = cohort
+        cuts = [th._cuts(vectors[:, t]) for t in range(5)]
+        point = th._ascend("mean_type_bacc", np.array(start), vectors, labels, cuts)
+        for t in range(5):
+            term = brute_force_term(vectors[:, t], labels[:, t], point[t])
+            if term is None:
+                assert point[t] == start[t]
+                continue
+            trials = np.concatenate([cuts[t], vectors[:, t], np.linspace(0.01, 1.0, 100)])
+            assert all(brute_force_term(vectors[:, t], labels[:, t], threshold) <= term
+                       for threshold in trials[(trials >= 0.01) & (trials <= 1.0)])
 
 
 class TestExactSweep:

@@ -3,13 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hemtriage.errors import ArityError, ConfigError, DataError, FormatError
-from hemtriage.volume import (DEFAULT_WINDOWS, HU_MAX, HU_MIN, CtVolume, ManifestRow, ScanLabels,
-                              WindowSpec, apply_window, load_manifest, load_manifest_volumes,
-                              load_slice_labels, load_volume, save_manifest, save_slice_labels,
-                              slice_truth, stack_channels, store_volume)
+from hemtriage.volume import (DEFAULT_WINDOWS, HEMORRHAGE_TYPES, HU_MAX, HU_MIN, CtVolume,
+                              ManifestRow, ScanLabels, WindowSpec, apply_window, load_manifest,
+                              load_manifest_volumes, load_slice_labels, load_volume,
+                              save_manifest, save_slice_labels, slice_truth, stack_channels,
+                              store_volume)
 
 from conftest import make_volume
 
@@ -243,6 +244,37 @@ class TestSliceLabelCsv:
 
 def manifest_row(scan_id, flags=(0,) * 5):
     return ManifestRow(scan_id, f"p{scan_id}", f"{scan_id}.ctv", ScanLabels.from_vector(flags))
+
+
+flag_cells = st.integers(0, 2) | st.booleans()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.lists(flag_cells, min_size=5, max_size=5), max_size=4),
+                min_size=1, max_size=4),
+       st.sampled_from([bool, np.uint8, np.int64]))
+def test_slice_label_csv_bytes_match_rowwise_formatting(tmp_path_factory, matrices, dtype):
+    """Each flag is written as 0 or 1 (nonzero is 1), one row per slice."""
+    matrices = {f"s{i}": np.array(m, dtype=dtype).reshape(-1, 5) for i, m in enumerate(matrices)}
+    path = tmp_path_factory.getbasetemp() / "rowwise_slices.csv"
+    save_slice_labels(matrices, path)
+    lines = ["scan_id,slice_index," + ",".join(HEMORRHAGE_TYPES)]
+    lines += [f"{scan_id},{index}," + ",".join(str(int(bool(v))) for v in row)
+              for scan_id, matrix in matrices.items() for index, row in enumerate(matrix)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.booleans(), min_size=5, max_size=5), max_size=5))
+def test_manifest_bytes_match_rowwise_formatting(tmp_path_factory, flags):
+    rows = [manifest_row(f"s{i}", row_flags) for i, row_flags in enumerate(flags)]
+    path = tmp_path_factory.getbasetemp() / "rowwise_manifest.csv"
+    save_manifest(iter(rows), path)
+    lines = ["scan_id,patient_id,path," + ",".join(HEMORRHAGE_TYPES)]
+    lines += [f"{row.scan_id},{row.patient_id},{row.path},"
+              + ",".join(str(int(v)) for v in row_flags)
+              for row, row_flags in zip(rows, flags)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 class TestManifestVolumes:
