@@ -36,7 +36,9 @@ are computed once per model. An oblivious level histograms all of its leaves
 that hold rows at once and skips the empty ones: an empty leaf adds exactly 0.0
 to every cut's gain (both sides and the parent score 0.0), and adding 0.0
 changes no bits. So the gain must stay a sum over the occupied leaves one after
-another in ascending leaf order, never regrouped.
+another in ascending leaf order, never regrouped. A level after a cut that
+split no occupied leaf holds the same rows in the same slots, so it reuses the
+gains of the last level computed and recomputes only its noise floor.
 
 Every round fits every row and every feature: there is no row or column
 subsampling, and so no random state. Each grower therefore already knows the
@@ -512,10 +514,11 @@ class _Bins:
         self.codes = np.column_stack([code + start for code, start in zip(codes, self.starts)])
 
 
-def _midpoint(below: float, above: float) -> float:
-    """Midpoint of ``below`` < ``above``, or ``below`` where rounding lands it on ``above``."""
+def _midpoint(below, above) -> np.ndarray:
+    """Midpoint of ``below`` < ``above``, or ``below`` where rounding lands it
+    on ``above``; elementwise over arrays."""
     mid = below + (above - below) / 2.0
-    return below if mid >= above else mid
+    return np.where(mid >= above, below, mid)
 
 
 @dataclass(eq=False)
@@ -701,21 +704,25 @@ class _ObliviousGrower:
     0.0 to every gain. The gain sums those slots one after another, and the
     noise floor sums the parent scores of all 2^level leaves, empty ones as
     zeros, so both read the same bits as a histogram of every leaf would.
+    Histograms and gains are computed only when a level's count of occupied
+    leaves differs from the last computed level's; an equal count means the
+    cut between them split no occupied leaf, so those gains still hold.
     """
 
     def __init__(self, bins: _Bins, config: GbdtConfig):
         self.config = config
         self.codes = bins.codes - bins.starts[:-1]  # bin ids within each feature
-        midpoints = np.vectorize(_midpoint, otypes=[float])
-        self.borders = [midpoints(bins.high[start:end - 1], bins.low[start + 1:end])
+        self.borders = [_midpoint(bins.high[start:end - 1], bins.low[start + 1:end])
                         for start, end in zip(bins.starts[:-1], bins.starts[1:])]
         self.stride = int(np.diff(bins.starts).max())  # the most bins of any feature
-        # Every row sits in some leaf at every level, so the level total left
-        # of a cut is the same at every level: count it once, here. A cut past
-        # a feature's last bin leaves no row on its right.
+        # Each row's flat cell (feature, code) within one slot's block of a
+        # level histogram, row after row. Every row sits in some leaf at every
+        # level, so the level total left of a cut is the same at every level:
+        # count it once, here. A cut past a feature's last bin leaves no row
+        # on its right.
         m, num_features = self.codes.shape
-        flat = (np.arange(num_features) * self.stride + self.codes).ravel()
-        counts = np.bincount(flat, minlength=num_features * self.stride)
+        self.cell_of = (np.arange(num_features) * self.stride + self.codes).ravel()
+        counts = np.bincount(self.cell_of, minlength=num_features * self.stride)
         left_total = np.cumsum(counts.reshape(num_features, self.stride), axis=1)[:, :-1]
         self.cut_valid = ((left_total >= config.min_samples_leaf)
                           & (m - left_total >= config.min_samples_leaf))
@@ -733,33 +740,36 @@ class _ObliviousGrower:
         leaf_of = np.zeros(m, dtype=np.int64)
 
         if stride > 1 and y.min() != y.max():
-            feature_offsets = np.arange(num_features, dtype=np.int64)
+            block = num_features * stride
+            num_slots = 0  # occupied leaves of the last level whose gains were computed
             for _ in range(self.config.max_depth):
                 held = np.bincount(leaf_of) > 0
                 occupied = np.flatnonzero(held)
-                slot = (np.cumsum(held) - 1)[leaf_of]  # rank of each row's leaf among occupied
-                num_slots = len(occupied)
-                flat = ((slot[:, None] * num_features + feature_offsets) * stride
-                        + codes).ravel()
-                size = num_slots * num_features * stride
-                hist_g = np.bincount(flat, weights=g_rep, minlength=size)
-                hist_h = np.bincount(flat, weights=h_rep, minlength=size)
-                hist_g = hist_g.reshape(num_slots, num_features, stride)
-                hist_h = hist_h.reshape(num_slots, num_features, stride)
-                total_g = np.bincount(slot, weights=g, minlength=num_slots)
-                total_h = np.bincount(slot, weights=h, minlength=num_slots)
-                left_g = np.cumsum(hist_g, axis=2)[:, :, :-1]
-                left_h = np.cumsum(hist_h, axis=2)[:, :, :-1]
-                right_g = total_g[:, None, None] - left_g
-                right_h = total_h[:, None, None] - left_h
-                parents = _safe_ratio(total_g, total_h + lam)
-                gain = (_safe_ratio(left_g, left_h + lam)
-                        + _safe_ratio(right_g, right_h + lam)
-                        - parents[:, None, None])
-                # A sum over axis 0 adds leaf after leaf in ascending leaf
-                # order; any regrouping could change the gains' last bits.
-                gain = np.where(self.cut_valid, 0.5 * gain.sum(axis=0), -np.inf)
-                at = int(np.argmax(gain))  # first maximum: lowest feature, then lowest cut
+                # A cut that splits no occupied leaf keeps their count, and
+                # keeps every row in the slot of the same rank: the gains,
+                # parents and argmax of the last level computed still hold.
+                if len(occupied) != num_slots:
+                    num_slots = len(occupied)
+                    slot = (np.cumsum(held) - 1)[leaf_of]  # rank of each row's leaf
+                    flat = np.repeat(slot * block, num_features) + self.cell_of
+                    hist_g = np.bincount(flat, weights=g_rep, minlength=num_slots * block)
+                    hist_h = np.bincount(flat, weights=h_rep, minlength=num_slots * block)
+                    hist_g = hist_g.reshape(num_slots, num_features, stride)
+                    hist_h = hist_h.reshape(num_slots, num_features, stride)
+                    total_g = np.bincount(slot, weights=g, minlength=num_slots)
+                    total_h = np.bincount(slot, weights=h, minlength=num_slots)
+                    left_g = np.cumsum(hist_g, axis=2, out=hist_g)[:, :, :-1]
+                    left_h = np.cumsum(hist_h, axis=2, out=hist_h)[:, :, :-1]
+                    right_g = total_g[:, None, None] - left_g
+                    right_h = total_h[:, None, None] - left_h
+                    parents = _safe_ratio(total_g, total_h + lam)
+                    gain = (_safe_ratio(left_g, left_h + lam)
+                            + _safe_ratio(right_g, right_h + lam)
+                            - parents[:, None, None])
+                    # A sum over axis 0 adds leaf after leaf in ascending leaf
+                    # order; any regrouping could change the gains' last bits.
+                    gain = np.where(self.cut_valid, 0.5 * gain.sum(axis=0), -np.inf)
+                    at = int(np.argmax(gain))  # first maximum: lowest feature, then lowest cut
                 # A 1-D sum groups its terms by position, so the noise floor
                 # sums the parents of all 2^level leaves, zeros included.
                 all_parents = np.zeros(1 << len(levels))

@@ -646,6 +646,64 @@ class TestOccupiedLeafLevels:
             assert leaf_of.tobytes() == dense_leaf_of.tobytes()
             margins += tree.value[leaf_of]
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("min_samples_leaf", [1, 3])
+    def test_levels_after_a_no_op_cut_are_byte_equal_to_dense_levels(self, lam,
+                                                                     min_samples_leaf):
+        # Column 0 separates the labels, so once the root level has cut on it
+        # every leaf is pure and cutting on it again splits no occupied leaf;
+        # the levels after such a cut reuse the gains of the last level
+        # computed. The other columns sit on a quarter grid.
+        rng = np.random.default_rng(26)
+        y = np.tile([0.0, 1.0], 24)
+        X = np.column_stack([y, rng.integers(0, 5, (len(y), 2)) / 4.0])
+        config = gbdt.GbdtConfig(rounds=4, learning_rate=0.5, l2_reg=lam, growth="oblivious",
+                                 max_depth=6, min_samples_leaf=min_samples_leaf)
+        grower = gbdt._ObliviousGrower(gbdt._Bins(X, gbdt._MAX_BINS["oblivious"]), config)
+        margins = np.zeros(len(y))
+        levels_after_no_op = 0
+        for _ in range(config.rounds):
+            p = gbdt._sigmoid(margins)
+            g, h = p - y, p * (1.0 - p)
+            tree, leaf_of = grower.grow(g, h, y)
+            dense_tree, dense_leaf_of = dense_oblivious_grow(grower, g, h, y)
+            assert tree_bytes(tree) == tree_bytes(dense_tree)
+            assert leaf_of.tobytes() == dense_leaf_of.tobytes()
+            # Occupied leaves after each level; an equal count after a level
+            # means its cut split none, and any level below it reused gains.
+            leaf = np.zeros(len(y), dtype=np.int64)
+            occupied = [1]
+            for feature, threshold in zip(tree.feature, tree.threshold):
+                leaf = leaf * 2 + (X[:, feature] > threshold)
+                occupied.append(len(np.unique(leaf)))
+            levels_after_no_op += sum(before == after
+                                      for before, after in zip(occupied[1:-1], occupied[2:-1]))
+            margins += tree.value[leaf_of]
+        assert levels_after_no_op > 0
+
+    def test_midpoint_of_arrays_is_the_scalar_midpoint(self):
+        # Neighbouring floats, where the midpoint rounds onto one of the two,
+        # among spread-out values; below < above in every pair.
+        rng = np.random.default_rng(26)
+        spread = rng.normal(0.0, 1e3, 40)
+        values = np.unique(np.concatenate([
+            spread, np.nextafter(spread, np.inf), np.nextafter(np.nextafter(spread, np.inf), np.inf),
+            [0.0, 5e-324, 1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)]]))
+        below, above = values[:-1], values[1:]
+
+        def scalar(low, high):  # the rule on Python floats, one pair at a time
+            mid = low + (high - low) / 2.0
+            return low if mid >= high else mid
+
+        expected = np.array([scalar(low, high) for low, high in zip(below.tolist(), above.tolist())])
+        arrays = gbdt._midpoint(below, above)
+        assert arrays.dtype == np.float64 and arrays.tobytes() == expected.tobytes()
+        one_by_one = np.array([float(gbdt._midpoint(low, high)) for low, high in zip(below, above)])
+        assert one_by_one.tobytes() == expected.tobytes()
+        landed_on_above = below + (above - below) / 2.0 >= above
+        assert landed_on_above.any() and (arrays[landed_on_above] == below[landed_on_above]).all()
+        assert ((arrays >= below) & (arrays < above)).all()
+
     def test_safe_ratio_matches_nested_where(self):
         num = np.array([0.0, -0.0, 1.5, -2.0, 3.0, -0.25, 1e-3, 7.0, -4.0, 0.0])
         den = np.array([0.0, -0.0, -0.0, -1.0, -1e-300, 2.0, 1e-300, 0.5, 3.0, 1.0])
