@@ -36,9 +36,11 @@ are computed once per model. An oblivious level histograms all of its leaves
 that hold rows at once and skips the empty ones: an empty leaf adds exactly 0.0
 to every cut's gain (both sides and the parent score 0.0), and adding 0.0
 changes no bits. So the gain must stay a sum over the occupied leaves one after
-another in ascending leaf order, never regrouped. A level after a cut that
-split no occupied leaf holds the same rows in the same slots, so it reuses the
-gains of the last level computed and recomputes only its noise floor.
+another in ascending leaf order, never regrouped. An oblivious tree ends at the
+first level whose best cut repeats an earlier level's (feature, threshold):
+that level would send every row, seen or unseen, NaN included, the way the
+earlier level does, so it and every level after it could change no prediction.
+Its depth can therefore be below ``max_depth``.
 
 Every round fits every row and every feature: there is no row or column
 subsampling, and so no random state. Each grower therefore already knows the
@@ -170,10 +172,6 @@ class Tree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.feature)
 
 
 @dataclass(frozen=True, eq=False)
@@ -704,9 +702,10 @@ class _ObliviousGrower:
     0.0 to every gain. The gain sums those slots one after another, and the
     noise floor sums the parent scores of all 2^level leaves, empty ones as
     zeros, so both read the same bits as a histogram of every leaf would.
-    Histograms and gains are computed only when a level's count of occupied
-    leaves differs from the last computed level's; an equal count means the
-    cut between them split no occupied leaf, so those gains still hold.
+    The tree ends where a level's best cut repeats an earlier level's: every
+    row of a leaf already sits on one side of that cut, so in the tree grown
+    on to ``max_depth`` each row would reach a leaf of the same rows and the
+    same value, and the repeat's other leaves would be empty and unreachable.
     """
 
     def __init__(self, bins: _Bins, config: GbdtConfig):
@@ -741,35 +740,30 @@ class _ObliviousGrower:
 
         if stride > 1 and y.min() != y.max():
             block = num_features * stride
-            num_slots = 0  # occupied leaves of the last level whose gains were computed
             for _ in range(self.config.max_depth):
                 held = np.bincount(leaf_of) > 0
                 occupied = np.flatnonzero(held)
-                # A cut that splits no occupied leaf keeps their count, and
-                # keeps every row in the slot of the same rank: the gains,
-                # parents and argmax of the last level computed still hold.
-                if len(occupied) != num_slots:
-                    num_slots = len(occupied)
-                    slot = (np.cumsum(held) - 1)[leaf_of]  # rank of each row's leaf
-                    flat = np.repeat(slot * block, num_features) + self.cell_of
-                    hist_g = np.bincount(flat, weights=g_rep, minlength=num_slots * block)
-                    hist_h = np.bincount(flat, weights=h_rep, minlength=num_slots * block)
-                    hist_g = hist_g.reshape(num_slots, num_features, stride)
-                    hist_h = hist_h.reshape(num_slots, num_features, stride)
-                    total_g = np.bincount(slot, weights=g, minlength=num_slots)
-                    total_h = np.bincount(slot, weights=h, minlength=num_slots)
-                    left_g = np.cumsum(hist_g, axis=2, out=hist_g)[:, :, :-1]
-                    left_h = np.cumsum(hist_h, axis=2, out=hist_h)[:, :, :-1]
-                    right_g = total_g[:, None, None] - left_g
-                    right_h = total_h[:, None, None] - left_h
-                    parents = _safe_ratio(total_g, total_h + lam)
-                    gain = (_safe_ratio(left_g, left_h + lam)
-                            + _safe_ratio(right_g, right_h + lam)
-                            - parents[:, None, None])
-                    # A sum over axis 0 adds leaf after leaf in ascending leaf
-                    # order; any regrouping could change the gains' last bits.
-                    gain = np.where(self.cut_valid, 0.5 * gain.sum(axis=0), -np.inf)
-                    at = int(np.argmax(gain))  # first maximum: lowest feature, then lowest cut
+                num_occupied = len(occupied)
+                slot = (np.cumsum(held) - 1)[leaf_of]  # rank of each row's leaf
+                flat = np.repeat(slot * block, num_features) + self.cell_of
+                hist_g = np.bincount(flat, weights=g_rep, minlength=num_occupied * block)
+                hist_h = np.bincount(flat, weights=h_rep, minlength=num_occupied * block)
+                hist_g = hist_g.reshape(num_occupied, num_features, stride)
+                hist_h = hist_h.reshape(num_occupied, num_features, stride)
+                total_g = np.bincount(slot, weights=g, minlength=num_occupied)
+                total_h = np.bincount(slot, weights=h, minlength=num_occupied)
+                left_g = np.cumsum(hist_g, axis=2, out=hist_g)[:, :, :-1]
+                left_h = np.cumsum(hist_h, axis=2, out=hist_h)[:, :, :-1]
+                right_g = total_g[:, None, None] - left_g
+                right_h = total_h[:, None, None] - left_h
+                parents = _safe_ratio(total_g, total_h + lam)
+                gain = (_safe_ratio(left_g, left_h + lam)
+                        + _safe_ratio(right_g, right_h + lam)
+                        - parents[:, None, None])
+                # A sum over axis 0 adds leaf after leaf in ascending leaf
+                # order; any regrouping could change the gains' last bits.
+                gain = np.where(self.cut_valid, 0.5 * gain.sum(axis=0), -np.inf)
+                at = int(np.argmax(gain))  # first maximum: lowest feature, then lowest cut
                 # A 1-D sum groups its terms by position, so the noise floor
                 # sums the parents of all 2^level leaves, zeros included.
                 all_parents = np.zeros(1 << len(levels))
@@ -778,7 +772,10 @@ class _ObliviousGrower:
                 if gain.flat[at] < -_GAIN_NOISE_RELATIVE * (1.0 + abs(parent)):
                     break
                 feature, cut = divmod(at, stride - 1)
-                levels.append((feature, float(self.borders[feature][cut])))
+                level = (feature, float(self.borders[feature][cut]))
+                if level in levels:  # sends every row the way the earlier level did
+                    break
+                levels.append(level)
                 leaf_of = leaf_of * 2 + (codes[:, feature] > cut)
 
         depth = len(levels)

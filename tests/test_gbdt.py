@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hemtriage import gbdt, parallel
+from hemtriage import gbdt, parallel, stacker
 from hemtriage.errors import ArityError, ConfigError, DataError, FormatError, TrainingError
 from hemtriage.metrics import log_loss
 
@@ -395,7 +395,7 @@ class TestEngineAgainstOracles:
         g, h = p - y, p * (1.0 - p)
         rows_of = {0: np.ones(num_rows, dtype=bool)}
         depth_of = {0: 0}
-        for node in range(tree.num_nodes):  # children always follow their parent
+        for node in range(len(tree.feature)):  # children always follow their parent
             rows = rows_of[node]
             best = brute_force_leaf_gain(X, g, h, rows, lam, min_samples_leaf=min_samples_leaf)
             scale = 1.0 + g[rows].sum() ** 2 / (h[rows].sum() + lam)
@@ -438,8 +438,12 @@ class TestEngineAgainstOracles:
                           for leaf in np.unique(leaf_of))
             scale = 1.0 + parents
             if level == levels:
-                if level < depth:
-                    assert best < -1e-12 * scale  # the next level had nothing to take
+                if level < depth:  # the next level had nothing to take, or repeats one
+                    taken = set(zip(model.feature.tolist(), model.threshold.tolist()))
+                    repeats = [gain for gain, f, t in gains if (f, t) in taken]
+                    assert best < -1e-12 * scale or any(
+                        gain == pytest.approx(best, rel=1e-12, abs=1e-12 * scale)
+                        for gain in repeats)
                 break
             feature, threshold = model.feature[level], model.threshold[level]
             chosen = [gain for gain, f, t in gains if (f, t) == (feature, threshold)]
@@ -542,10 +546,12 @@ def _grow_rounds(X, y, config):
         margins += tree_values(tree, X)
 
 
-def dense_oblivious_grow(grower, g, h, y):
+def dense_oblivious_grow(grower, g, h, y, stop_at_repeat=False):
     """Oracle: ``grower.grow`` with every level histogramming all 2^level
     leaves, empty ones included, as one dense (leaves, features, stride)
-    array, and with the nested-``np.where`` safe ratio."""
+    array, and with the nested-``np.where`` safe ratio. It grows on to
+    ``max_depth`` through levels that repeat an earlier level's (feature,
+    threshold), unless ``stop_at_repeat`` ends the tree at the first one."""
     def safe_ratio(num, den):
         return np.where(den > 0, num * num / np.where(den > 0, den, 1.0), 0.0)
 
@@ -581,7 +587,10 @@ def dense_oblivious_grow(grower, g, h, y):
             if gain.flat[at] < -gbdt._GAIN_NOISE_RELATIVE * (1.0 + abs(parent)):
                 break
             feature, cut = divmod(at, stride - 1)
-            levels.append((feature, float(grower.borders[feature][cut])))
+            level = (feature, float(grower.borders[feature][cut]))
+            if stop_at_repeat and level in levels:
+                break
+            levels.append(level)
             leaf_of = leaf_of * 2 + (codes[:, feature] > cut)
 
     num_leaves = 1 << len(levels)
@@ -641,45 +650,10 @@ class TestOccupiedLeafLevels:
             p = gbdt._sigmoid(margins)
             g, h = p - y, p * (1.0 - p)
             tree, leaf_of = grower.grow(g, h, y)
-            dense_tree, dense_leaf_of = dense_oblivious_grow(grower, g, h, y)
+            dense_tree, dense_leaf_of = dense_oblivious_grow(grower, g, h, y, stop_at_repeat=True)
             assert tree_bytes(tree) == tree_bytes(dense_tree)
             assert leaf_of.tobytes() == dense_leaf_of.tobytes()
             margins += tree.value[leaf_of]
-
-    @pytest.mark.parametrize("lam", [0.0, 1.0])
-    @pytest.mark.parametrize("min_samples_leaf", [1, 3])
-    def test_levels_after_a_no_op_cut_are_byte_equal_to_dense_levels(self, lam,
-                                                                     min_samples_leaf):
-        # Column 0 separates the labels, so once the root level has cut on it
-        # every leaf is pure and cutting on it again splits no occupied leaf;
-        # the levels after such a cut reuse the gains of the last level
-        # computed. The other columns sit on a quarter grid.
-        rng = np.random.default_rng(26)
-        y = np.tile([0.0, 1.0], 24)
-        X = np.column_stack([y, rng.integers(0, 5, (len(y), 2)) / 4.0])
-        config = gbdt.GbdtConfig(rounds=4, learning_rate=0.5, l2_reg=lam, growth="oblivious",
-                                 max_depth=6, min_samples_leaf=min_samples_leaf)
-        grower = gbdt._ObliviousGrower(gbdt._Bins(X, gbdt._MAX_BINS["oblivious"]), config)
-        margins = np.zeros(len(y))
-        levels_after_no_op = 0
-        for _ in range(config.rounds):
-            p = gbdt._sigmoid(margins)
-            g, h = p - y, p * (1.0 - p)
-            tree, leaf_of = grower.grow(g, h, y)
-            dense_tree, dense_leaf_of = dense_oblivious_grow(grower, g, h, y)
-            assert tree_bytes(tree) == tree_bytes(dense_tree)
-            assert leaf_of.tobytes() == dense_leaf_of.tobytes()
-            # Occupied leaves after each level; an equal count after a level
-            # means its cut split none, and any level below it reused gains.
-            leaf = np.zeros(len(y), dtype=np.int64)
-            occupied = [1]
-            for feature, threshold in zip(tree.feature, tree.threshold):
-                leaf = leaf * 2 + (X[:, feature] > threshold)
-                occupied.append(len(np.unique(leaf)))
-            levels_after_no_op += sum(before == after
-                                      for before, after in zip(occupied[1:-1], occupied[2:-1]))
-            margins += tree.value[leaf_of]
-        assert levels_after_no_op > 0
 
     def test_midpoint_of_arrays_is_the_scalar_midpoint(self):
         # Neighbouring floats, where the midpoint rounds onto one of the two,
@@ -729,6 +703,150 @@ class TestOccupiedLeafLevels:
         for fitted in model.trees:
             assert np.isfinite(fitted.value).all() and np.isfinite(fitted.threshold).all()
         assert np.isfinite(gbdt.predict(model, X)).all()
+
+
+def level_pairs(tree):
+    """A level tree's (feature, threshold) pairs, root level first."""
+    return list(zip(tree.feature.tolist(), tree.threshold.tolist()))
+
+
+def first_repeat(tree):
+    """How many levels of ``tree`` come before its first level that repeats
+    an earlier level's (feature, threshold); its depth if none does."""
+    pairs = level_pairs(tree)
+    return next((level for level, pair in enumerate(pairs) if pair in pairs[:level]), len(pairs))
+
+
+def padded_leaves(stopped, full):
+    """Per leaf of ``stopped``, which is ``full`` cut at its first repeat,
+    the leaf of ``full`` its rows reach: each level of ``full`` past the cut
+    repeats a level of ``stopped`` and appends that level's bit of the path."""
+    pairs, depth = level_pairs(full), len(stopped.feature)
+    path = np.arange(1 << depth)
+    leaf = path
+    for pair in pairs[depth:]:
+        leaf = leaf * 2 + (path >> (depth - 1 - pairs.index(pair)) & 1)
+    return leaf
+
+
+def oracle_train(X, y, config):
+    """``gbdt.train`` for oblivious growth with the full-depth oracle as the
+    grower: a model whose trees keep their repeated levels, as files written
+    before trees stopped at a repeat hold them."""
+    grower = gbdt._ObliviousGrower(gbdt._Bins(X, gbdt._MAX_BINS["oblivious"]), config)
+    base_score = gbdt._logit(y.mean())
+    margins = np.full(len(y), base_score)
+    trees = []
+    for _ in range(config.rounds):
+        p = gbdt._sigmoid(margins)
+        tree, leaf_of = dense_oblivious_grow(grower, p - y, p * (1.0 - p), y)
+        trees.append(tree)
+        margins += tree.value[leaf_of]
+    return gbdt.ObliviousModel.from_trees(base_score, trees, X.shape[1])
+
+
+def with_unseen_rows(rng, X):
+    """``X``, rows off its value grid and those rows with 10 % NaN."""
+    unseen = rng.uniform(-0.25, 1.25, (30, X.shape[1]))
+    holed = unseen.copy()
+    holed[rng.random(holed.shape) < 0.1] = np.nan
+    return X, unseen, holed
+
+
+class TestRepeatedLevelStop:
+    """An oblivious tree ends at its first level whose best cut repeats an
+    earlier level's (feature, threshold). Grown on to max_depth, such a level
+    splits no leaf, so every level after it is the same repeat: the full-depth
+    oracle's tree, cut there, with its leaves read at the padded path."""
+
+    @pytest.mark.filterwarnings("ignore:all labels belong to one class")
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_rows=st.integers(2, 40),
+           num_features=st.integers(1, 3), separable=st.booleans(),
+           depth=st.integers(1, 6), lam=st.sampled_from([0.0, 1.0]),
+           min_samples_leaf=st.sampled_from([1, 3]))
+    def test_grow_is_the_full_depth_oracle_cut_at_its_first_repeat(
+            self, seed, num_rows, num_features, separable, depth, lam, min_samples_leaf):
+        # Values on a quarter grid; a separable draw makes column 0 the
+        # labels, so that the level after a cut on it repeats that cut.
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 2, num_rows).astype(float)
+        X = rng.integers(0, 5, (num_rows, num_features)) / 4.0
+        if separable:
+            X[:, 0] = y
+        config = gbdt.GbdtConfig(rounds=4, learning_rate=0.5, l2_reg=lam, growth="oblivious",
+                                 max_depth=depth, min_samples_leaf=min_samples_leaf)
+        grower = gbdt._ObliviousGrower(gbdt._Bins(X, gbdt._MAX_BINS["oblivious"]), config)
+        stopped, full = [], []
+        margins = np.zeros(num_rows)
+        for _ in range(config.rounds):
+            p = gbdt._sigmoid(margins)
+            g, h = p - y, p * (1.0 - p)
+            tree, leaf_of = grower.grow(g, h, y)
+            full_tree, full_leaf_of = dense_oblivious_grow(grower, g, h, y)
+            kept = first_repeat(full_tree)
+            assert tree.feature.tobytes() == full_tree.feature[:kept].tobytes()
+            assert tree.threshold.tobytes() == full_tree.threshold[:kept].tobytes()
+            padded = padded_leaves(tree, full_tree)
+            assert tree.value.tobytes() == full_tree.value[padded].tobytes()
+            assert padded[leaf_of].tobytes() == full_leaf_of.tobytes()
+            stopped.append(tree)
+            full.append(full_tree)
+            margins += tree.value[leaf_of]
+        models = [gbdt.ObliviousModel.from_trees(0.0, trees, num_features)
+                  for trees in (stopped, full)]
+        for rows in with_unseen_rows(rng, X):
+            assert (gbdt.raw_score(models[0], rows).tobytes()
+                    == gbdt.raw_score(models[1], rows).tobytes())
+        trained = gbdt.train(X, y, config)
+        ends = np.cumsum(trained.depths)
+        for start, end in zip(ends - trained.depths, ends):  # no tree repeats a level
+            pairs = zip(trained.feature[start:end].tolist(), trained.threshold[start:end].tolist())
+            assert len(set(pairs)) == end - start
+
+    @pytest.mark.parametrize("min_samples_leaf", [1, 3])
+    def test_separating_column_ends_every_tree_at_its_root_level(self, min_samples_leaf):
+        # Column 0 separates the labels, so once the root level has cut on it
+        # every leaf is pure, and the best cut of the next level repeats it:
+        # with l2_reg > 0 any other cut of a pure leaf loses. (With l2_reg = 0
+        # such cuts gain 0 only up to rounding and may be taken; the property
+        # above covers that case.) The other columns sit on a quarter grid.
+        rng = np.random.default_rng(26)
+        y = np.tile([0.0, 1.0], 24)
+        X = np.column_stack([y, rng.integers(0, 5, (len(y), 2)) / 4.0])
+        config = gbdt.GbdtConfig(rounds=4, learning_rate=0.5, l2_reg=1.0, growth="oblivious",
+                                 max_depth=6, min_samples_leaf=min_samples_leaf)
+        model = gbdt.train(X, y, config)
+        assert model.depths.tolist() == [1] * config.rounds
+        assert model.feature.tolist() == [0] * config.rounds
+        full = oracle_train(X, y, config)
+        assert (full.depths > 1).all()
+        for rows in with_unseen_rows(rng, X):
+            assert gbdt.raw_score(model, rows).tobytes() == gbdt.raw_score(full, rows).tobytes()
+
+    def test_stacker_file_with_repeated_levels_loads_and_applies_the_same(self, tmp_path, rng):
+        # A stacker file written before trees stopped at a repeat holds its
+        # oblivious trees at full depth, repeats included. It still loads, at
+        # the same version, and refines every slice to the same bytes.
+        delta_s = 1
+        probs = {f"s{i}": rng.random((int(rng.integers(3, 9)), 5)) for i in range(12)}
+        labels = {scan: rows >= 0.5 for scan, rows in probs.items()}  # one center column each
+        X, Y = stacker.stack_training_data(probs, labels, delta_s)
+        config = gbdt.GbdtConfig(rounds=5, learning_rate=0.3, growth="oblivious", max_depth=4)
+        trained = stacker.train_stacker(probs, labels, delta_s, [config])
+        old = gbdt.GbdtEnsemble(groups=(tuple(oracle_train(X, Y[:, t].astype(float), config)
+                                              for t in range(5)),))
+        assert sum(m.depths.sum() for m in trained.models) < sum(m.depths.sum()
+                                                                  for m in old.models)
+        path = tmp_path / "stacker.json"
+        stacker.save_stacker_model(old, delta_s, path)
+        assert json.loads(path.read_text())["version"] == 4
+        loaded, stored_delta_s = stacker.load_stacker_model(path)
+        refined = stacker.apply_stacker_all(loaded, probs, stored_delta_s)
+        expected = stacker.apply_stacker_all(trained, probs, delta_s)
+        assert list(refined) == list(expected)
+        for scan, rows in expected.items():
+            assert refined[scan].tobytes() == rows.tobytes()
 
 
 @dataclasses.dataclass(eq=False)
@@ -904,7 +1022,7 @@ class TestSplittableLeaves:
                             recording(gbdt._NodeGrower._histogram, built))
         for growth, extra in (("leafwise", {}), ("depthwise", {"max_depth": 3})):
             model = gbdt.train(X, y, gbdt.GbdtConfig(rounds=6, growth=growth, **extra))
-            assert all(tree.feature[0] == 0 and tree.num_nodes == 3 for tree in model.trees)
+            assert all(tree.feature[0] == 0 and len(tree.feature) == 3 for tree in model.trees)
         assert built == []
 
     @pytest.mark.parametrize("growth,extra", [("leafwise", {"max_leaves": 16}),
@@ -1047,7 +1165,7 @@ class TestGrowthOrder:
         y = (X[:, 0] + X[:, 1] * X[:, 2] + 0.3 * rng.random(300) > 0.9).astype(float)
         config = gbdt.GbdtConfig(rounds=3, growth="depthwise", max_depth=5, max_leaves=12)
         for tree in gbdt.train(X, y, config).trees:
-            depth = np.zeros(tree.num_nodes, dtype=int)
+            depth = np.zeros(len(tree.feature), dtype=int)
             for node in np.flatnonzero(tree.feature >= 0):
                 depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
             assert np.all(np.diff(depth) >= 0), depth
@@ -1203,9 +1321,12 @@ class TestPersistence:
         path.write_text(json.dumps(record).replace("Infinity", "1e999"))
 
     def saved_model(self, rng, path, **config):
-        """A record holding one trained 3-feature model, and its model record."""
+        """A record holding one trained 3-feature model, and its model record.
+        The labels are an XOR of two columns, so an oblivious tree needs two
+        levels."""
         X = rng.random((40, 3))
-        model = gbdt.train(X, (X[:, 0] > 0.5).astype(float), gbdt.GbdtConfig(**config))
+        y = ((X[:, 0] > 0.5) != (X[:, 1] > 0.5)).astype(float)
+        model = gbdt.train(X, y, gbdt.GbdtConfig(**config))
         record = self.save(gbdt.GbdtEnsemble(groups=((model,),)), path)
         return record, record["groups"][0][0]
 
@@ -1253,8 +1374,8 @@ class TestPersistence:
         assert list(stored) == ["base_score", "num_features", "num_trees", "num_nodes",
                                 *COLUMN_DTYPES]
         assert stored["num_trees"] == 3 == len(model.trees)
-        assert decode(stored, "tree_sizes").tolist() == [tree.num_nodes for tree in model.trees]
-        assert stored["num_nodes"] == sum(tree.num_nodes for tree in model.trees)
+        assert decode(stored, "tree_sizes").tolist() == [len(tree.feature) for tree in model.trees]
+        assert stored["num_nodes"] == sum(len(tree.feature) for tree in model.trees)
         for name in ("feature", "threshold", "left", "right", "value"):
             expected = np.concatenate([getattr(tree, name) for tree in model.trees])
             assert decode(stored, name).tobytes() == expected.tobytes()

@@ -120,8 +120,8 @@ GOLDEN = {
     "report/roc_curves.csv": "0be708e2647f2ad0c6d4e086f595ac08a20dea3b9c4fc09275f043d593f3b66d",
     "report/roc_curves.svg": "2dbec7cf513985794ca11b8f1fa7ec1bf31e5aed69dd592321130c5fccf61e6e",
     "slice_model.json": "4c9bb3bc61bd34378688d265f115e7ee2d9113a67f51e253e84d90d3ebd32b27",
-    "stacker.json": "2763aa5e75626ab41a0a0cf90627b567288a900be08a05ec2c011097b45cfa3a",
-    "stacker_broadcast.json": "f8cebe144f813b4b6890d5305454437b05f8b8b53125705e9f3edf70f8c0a9b7",
+    "stacker.json": "179fdc18c8cb166dbae255aae083709b939dea9aa74d3bc442b6f15479f36268",
+    "stacker_broadcast.json": "886ecfbb18ea87b53a5a3e8cdf3a415286fccdcc8b1948d3b8de623a54cdf5f5",
     "thresholds.json": "2fe99bf4cbefce9de4cdc940142dd95995ccbbff203af0c1aa0e51f0709c9ed1",
     "thresholds_mean_type.json": "e0b14c1f907433ba34b486e28d5bba044c174a1bdd1da1112e7958ea656e97db",
 }
@@ -157,8 +157,8 @@ GOLDEN_GROWTH = {
     "oof/folds.csv": "dc57d9eee59e7fe5b89f8ffe50ae7f5241953bf3c93660ed3196f6d7245f7d24",
     "oof/oof_probs.csv": "d26e3a11aa543e6550d5275b78ce1ee1c4fd3245e3c8e4bb37871edb1c689eec",
     "refined.csv": "10dc4ed8539f0d978ef9533a694deb0937d6d6a231404102bb6973302f6c12b4",
-    "stacker.json": "c99963131a0c0df9d097d94028581827224a191d4307dd19d4f86897f548d9cc",
-    "stacker_broadcast.json": "b8cb11433c4fb92fcdf707f3173a280a9c649676b1acc3d72319cfe5aac55c1f",
+    "stacker.json": "c58c41d5c3fec657281541957d380da3362bbdfcb054ec3922cab2a6ba82dbfa",
+    "stacker_broadcast.json": "4fb70586d0938e79f32121bdc230e3c02ad749b2911f91c9a050691e081c75d8",
 }
 
 
