@@ -261,6 +261,28 @@ class TestTrainBasics:
             gbdt.train(np.ones((3, 1)), np.array([0.0, 0.5, 1.0]), gbdt.GbdtConfig())
 
 
+def caterpillar(depth, scale):
+    """A tree whose ``depth`` interior nodes form one chain: interior node 2k
+    splits feature k % 2 at threshold k and sends a row left to leaf 2k + 1,
+    worth scale * 2^k, or right to node 2k + 2; node 2 * depth is the last
+    leaf, worth scale * 2^depth. A row that goes right k times and then left
+    takes k + 1 steps."""
+    node = np.arange(2 * depth + 1)
+    k = node // 2
+    interior = (node % 2 == 0) & (node < 2 * depth)
+    return gbdt.Tree(feature=np.where(interior, k % 2, -1).astype(np.int32),
+                     threshold=np.where(interior, k, 0).astype(np.float64),
+                     left=np.where(interior, node + 1, -1).astype(np.int32),
+                     right=np.where(interior, node + 2, -1).astype(np.int32),
+                     value=np.where(interior, 0.0, scale * 2.0 ** k))
+
+
+def one_leaf(value):
+    return gbdt.Tree(feature=np.array([-1], dtype=np.int32), threshold=np.zeros(1),
+                     left=np.array([-1], dtype=np.int32), right=np.array([-1], dtype=np.int32),
+                     value=np.array([value]))
+
+
 class TestPredict:
     def test_zero_trees_base_zero(self):
         model = gbdt.GbdtModel.from_trees(0.0, (), 2)
@@ -276,6 +298,14 @@ class TestPredict:
         model = gbdt.train(X, y, gbdt.GbdtConfig(rounds=30, growth="leafwise"))
         probs = gbdt.predict(model, rng.random((40, 4)))
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
+
+    def test_a_large_margin_gives_exactly_one_and_a_small_one_stays_inside(self):
+        X = np.zeros((3, 2))
+        assert gbdt.predict(gbdt.GbdtModel.from_trees(40.0, (), 2), X).tolist() == [1.0] * 3
+        low = gbdt.predict(gbdt.GbdtModel.from_trees(-40.0, (), 2), X)
+        assert np.isfinite(low).all() and ((low > 0.0) & (low < 1.0)).all()
+        with pytest.warns(RuntimeWarning, match="overflow"):  # exp(710) is inf
+            assert gbdt.predict(gbdt.GbdtModel.from_trees(-710.0, (), 2), X).tolist() == [0.0] * 3
 
     def test_dimension_mismatch(self):
         model = gbdt.GbdtModel.from_trees(0.0, (), 3)
@@ -317,6 +347,44 @@ class TestPredict:
             value=np.array([0.0, 0.0, 0.0, 1.0, 2.0, 4.0, 64.0])))
         assert gbdt.raw_score(levels, X).tobytes() == reference_raw_score(levels, X).tobytes()
 
+    # Rows for ``caterpillar(24, 1.0)``, with the steps each takes: the whole
+    # chain (24 and 24, NaN going right at every node), one step, two, three
+    # and 23, the last two ending on a threshold, then a NaN beside a value
+    # that ends on a threshold after one step and after two.
+    CHAIN_ROWS = np.array([[30.0, 30.0], [np.nan, np.nan], [-1.0, 5.0], [0.5, 0.5],
+                           [2.0, 3.0], [22.0, 23.0], [0.0, np.nan], [np.nan, 1.0]])
+    CHAIN_LEAVES = [2.0 ** 24, 2.0 ** 24, 1.0, 2.0, 4.0, 2.0 ** 22, 1.0, 2.0]
+
+    @pytest.mark.parametrize("walk_pairs", [1, 7, gbdt._WALK_PAIRS])
+    def test_a_deep_chain_walks_each_row_its_own_path(self, walk_pairs):
+        model = gbdt.GbdtModel.from_trees(0.0, (caterpillar(24, 1.0),), 2)
+        with mock.patch.object(gbdt, "_WALK_PAIRS", walk_pairs):
+            margins = gbdt.raw_score(model, self.CHAIN_ROWS)
+        assert margins.tolist() == self.CHAIN_LEAVES
+        assert margins.tobytes() == reference_raw_score(model, self.CHAIN_ROWS).tobytes()
+
+    @pytest.mark.parametrize("walk_pairs", [1, 7, gbdt._WALK_PAIRS])
+    @pytest.mark.parametrize("kind", ["mixed", "one leaf each", "none"])
+    def test_one_leaf_trees_beside_deep_ones_give_the_per_tree_bytes(self, walk_pairs, kind, rng):
+        # Values of very different sizes, so that the sum's rounding depends
+        # on adding tree by tree in tree order.
+        trees = {"mixed": (one_leaf(0.5), caterpillar(24, 1.0), one_leaf(-0.3),
+                           caterpillar(1, 0.1), caterpillar(21, -1e-9), one_leaf(1e-17)),
+                 "one leaf each": (one_leaf(0.5), one_leaf(-0.3)),
+                 "none": ()}[kind]  # the one-class fallback's model
+        model = gbdt.GbdtModel.from_trees(0.1, trees, 2)
+        X = np.concatenate([self.CHAIN_ROWS, rng.integers(-1, 26, (40, 2)) + rng.random((40, 2))])
+        X[rng.random(X.shape) < 0.1] = np.nan
+        X[-10:] = rng.integers(0, 24, (10, 1))  # row (k, k) ends on interior node 2k's threshold
+        with mock.patch.object(gbdt, "_WALK_PAIRS", walk_pairs):
+            margins = gbdt.raw_score(model, X)
+        assert margins.tobytes() == reference_raw_score(model, X).tobytes()
+
+    def test_a_model_of_no_features_walks_its_one_leaf_trees(self):
+        model = gbdt.GbdtModel.from_trees(0.1, (one_leaf(0.5), one_leaf(-0.3)), 0)
+        X = np.zeros((3, 0))
+        assert gbdt.raw_score(model, X).tobytes() == reference_raw_score(model, X).tobytes()
+
     GROWTHS = [
         ("leafwise", {"max_depth": None}),  # no depth cap: trees of uneven depth
         ("leafwise", {}),
@@ -324,19 +392,26 @@ class TestPredict:
         ("oblivious", {}),
     ]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), growth=st.sampled_from(GROWTHS),
            rounds=st.integers(1, 12), depth=st.integers(1, 6), max_leaves=st.integers(2, 24),
            min_samples_leaf=st.sampled_from([1, 4, 30]), num_features=st.integers(1, 5),
-           walk_pairs=st.sampled_from([1, 50, gbdt._WALK_PAIRS]), stop_early=st.booleans())
+           walk_pairs=st.sampled_from([1, 50, gbdt._WALK_PAIRS]), stop_early=st.booleans(),
+           positives=st.sampled_from([None, 2, 3, 4]))
+    @example(seed=3, growth=GROWTHS[0], rounds=8, depth=6, max_leaves=24, min_samples_leaf=1,
+             num_features=3, walk_pairs=50, stop_early=False, positives=2)
     def test_packed_walk_equals_per_tree_walk(self, seed, growth, rounds, depth, max_leaves,
                                               min_samples_leaf, num_features, walk_pairs,
-                                              stop_early):
+                                              stop_early, positives):
         growth, extra = growth
         rng = np.random.default_rng(seed)
         X = rng.integers(0, 9, (60, num_features)) / 8.0
-        y = rng.integers(0, 2, 60).astype(float)
-        y[:2] = (0.0, 1.0)
+        if positives is None:  # balanced labels
+            y = rng.integers(0, 2, 60).astype(float)
+            y[:2] = (0.0, 1.0)
+        else:  # a rare class: many (tree, row) pairs reach a leaf after one step
+            y = np.zeros(60)
+            y[rng.choice(60, positives, replace=False)] = 1.0
         config = gbdt.GbdtConfig(rounds=rounds, learning_rate=0.5, growth=growth,
                                  max_leaves=max_leaves, min_samples_leaf=min_samples_leaf,
                                  **({"max_depth": depth} | extra))
