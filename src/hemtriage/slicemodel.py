@@ -14,15 +14,19 @@ pixel counts that only compare across one slice size.
 Volumes go to probabilities on one path: ``volume_features`` featurizes a
 whole volume in one ``extract_features`` call, and ``predict_by_scan`` runs
 one predict call over the feature rows of many scans. ``extract_features``
-works in the HU domain: histogram bins, blood band and percentiles are read
-from per-window tables over the HU range and from order statistics of the
-int16 HU values, one sort per slice shared by all three windows. Slice
-position enters the features as the fraction n/N (1-based slice index over
-slice count).
+works in the HU domain. Each window is a table over the HU range
+(``volume.window_table``), built once per window and kept with the HU levels
+that bound its histogram bins and blood band. The windowed channels are
+gathered from those tables (``stack_channels``) for the mean and std;
+histogram bins, blood band and percentiles are read from the tables and from
+order statistics of the int16 HU values, one sort per slice shared by all
+three windows. Slice position enters the features as the fraction n/N
+(1-based slice index over slice count).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -31,13 +35,14 @@ from . import gbdt
 from .errors import DataError, FormatError, PipelineError
 from .fileio import is_finite_number, parse_floats, read_slice_table, write_csv
 from .volume import (DEFAULT_WINDOWS, HEMORRHAGE_TYPES, HU_MAX, HU_MIN, NUM_TYPES, CtVolume,
-                     WindowSpec, apply_window, stack_channels)
+                     WindowSpec, stack_channels, window_table)
 
 HISTOGRAM_BINS = 16
 BLOOD_BAND = (0.55, 0.95)
 CHANNEL_FEATURES = HISTOGRAM_BINS + 6  # hist, mean, std, p5, p50, p95, band fraction
 FEATURE_LENGTH = 3 * CHANNEL_FEATURES + 1  # plus slice position fraction
 _PERCENTILES = (5, 50, 95)
+_NUM_LEVELS = HU_MAX - HU_MIN + 1  # HU levels, HU - HU_MIN, run over [0, _NUM_LEVELS)
 
 _PROB_COLUMNS = ("scan_id", "slice_index") + tuple(f"p_{t}" for t in HEMORRHAGE_TYPES)
 _SLICE_MODEL_KIND = "slice-model"
@@ -47,6 +52,24 @@ _SLICE_MODEL_VERSION = 4
 DEFAULT_REFERENCE_CONFIG = gbdt.GbdtConfig(
     rounds=60, learning_rate=0.1, max_leaves=8, max_depth=3,
     min_samples_leaf=5, growth="depthwise", l2_reg=1.0)
+
+
+@lru_cache(maxsize=8)
+def _level_bounds(spec: WindowSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A window's table with the HU levels (HU - HU_MIN) that bound its
+    histogram bins and its blood band, cached by window like the table.
+
+    Bin k holds windowed values in [edge k, edge k+1), the last bin 1.0 too:
+    its levels start at the first level at or above edge k, and ``starts``
+    ends with the level count. The band's levels are [band[0], band[1]).
+    """
+    window = window_table(spec)
+    starts = np.append(np.searchsorted(window, np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)[:-1]),
+                       len(window))
+    band = np.array([np.searchsorted(window, BLOOD_BAND[0]),
+                     np.searchsorted(window, BLOOD_BAND[1], side="right")])
+    starts.flags.writeable = band.flags.writeable = False
+    return window, starts, band
 
 
 def extract_features(image, position, specs=DEFAULT_WINDOWS) -> np.ndarray:
@@ -67,7 +90,10 @@ def extract_features(image, position, specs=DEFAULT_WINDOWS) -> np.ndarray:
     k-th smallest windowed value is the window of the k-th smallest HU: the
     counts and percentiles of all three windows come from one sort of each
     slice's int16 HU values and per-window tables over the 5,120 HU values.
-    Only the mean and std read the windowed floats.
+    Each window's table and its bin and band bounds are built once and
+    cached; the windowed channels, which only the mean and std read, are
+    gathered from the tables by ``stack_channels``, which also checks the HU
+    range.
     """
     hu = np.asarray(image)
     if hu.dtype.kind not in "iu":
@@ -78,20 +104,16 @@ def extract_features(image, position, specs=DEFAULT_WINDOWS) -> np.ndarray:
     position = np.asarray(position, dtype=np.float64)
     if position.shape != hu.shape[:1]:
         raise DataError(f"expected {hu.shape[0]} slice positions, got shape {position.shape}")
-    if hu.min() < HU_MIN or hu.max() > HU_MAX:
-        raise DataError(f"HU values must lie in [{HU_MIN}, {HU_MAX}]")
-    hu = hu.astype(np.int16, copy=False)
     slices = hu.shape[0]
     channels = stack_channels(hu, specs).reshape(3, slices, -1)
     count = channels.shape[2]
-    sorted_hu = np.sort(hu.reshape(slices, count), axis=1)
+    sorted_hu = np.sort(hu.astype(np.int16, copy=False).reshape(slices, count), axis=1)
 
     # The sorted HU levels (HU - HU_MIN) of every slice laid end to end, slice
     # s's raised by base[s], so the whole stays sorted and
     # searchsorted(ordered, base[s] + k) is s*n plus the number of pixels of
     # slice s below level k.
-    levels = np.arange(HU_MIN, HU_MAX + 1)
-    base = len(levels) * np.arange(slices)[:, None]
+    base = _NUM_LEVELS * np.arange(slices)[:, None]
     ordered = (sorted_hu + (base - HU_MIN)).ravel()
 
     # numpy's linear percentile: virtual index (n - 1) * q, then a + d*t, or
@@ -103,21 +125,20 @@ def extract_features(image, position, specs=DEFAULT_WINDOWS) -> np.ndarray:
     low_level = sorted_hu[:, low] - HU_MIN
     high_level = sorted_hu[:, np.minimum(low + 1, count - 1)] - HU_MIN
 
-    edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     stats = np.empty((slices, 3, CHANNEL_FEATURES))
     for channel, (spec, pixels) in enumerate(zip(specs, channels)):
-        window = apply_window(levels, spec)
-        # Bin k holds windowed values in [edge k, edge k+1), the last bin 1.0
-        # too: its HU levels start at the first level at or above edge k.
-        starts = np.append(np.searchsorted(window, edges[:-1]), len(levels))
-        band = (np.searchsorted(window, BLOOD_BAND[0]),
-                np.searchsorted(window, BLOOD_BAND[1], side="right"))
+        window, starts, band = _level_bounds(spec)
         in_band = np.diff(np.searchsorted(ordered, base + band), axis=1)
         a, b = window[low_level], window[high_level]
         d = b - a
+        # pixels.mean(axis=1) and pixels.std(axis=1) by numpy's own steps, in
+        # place, since nothing reads the channel after them.
+        mean = pixels.sum(axis=1) / count
+        pixels -= mean[:, None]
+        pixels *= pixels
         stats[:, channel] = np.column_stack([
             np.diff(np.searchsorted(ordered, base + starts), axis=1),
-            pixels.mean(axis=1), pixels.std(axis=1),
+            mean, np.sqrt(pixels.sum(axis=1) / count),
             np.where(gamma >= 0.5, b - d * (1 - gamma), a + d * gamma), in_band / count])
     return np.column_stack([stats.reshape(slices, -1), position])
 

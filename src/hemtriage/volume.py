@@ -1,6 +1,12 @@
 """CT volume data model, Hounsfield windowing, the on-disk volume format, and
 per-slice truth.
 
+A window is a lookup table over the 5,120 HU values in [HU_MIN, HU_MAX]:
+``window_table`` builds it once per window with ``apply_window`` and keeps the
+last few, and ``stack_channels`` gathers each channel of an integer HU array
+from its window's table, so a windowed pixel is the same float that
+``apply_window`` gives for its HU value.
+
 A volume file is one JSON header line (scan_id, patient_id, height, width,
 num_slices, slice_thickness_mm) terminated by a newline, followed by raw
 little-endian signed 16-bit HU values in slice-major, row-major order.
@@ -15,6 +21,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -67,15 +74,42 @@ def apply_window(slice_hu, spec: WindowSpec, out=None) -> np.ndarray:
     return np.clip(out, 0.0, 1.0, out=out)
 
 
+@lru_cache(maxsize=8)
+def window_table(spec: WindowSpec) -> np.ndarray:
+    """The read-only float64 table of ``apply_window`` over every HU value in
+    [HU_MIN, HU_MAX]; entry k is the window of HU value HU_MIN + k.
+
+    Tables are cached by window, the last 8 windows used; a slice model reads 3.
+    """
+    table = apply_window(np.arange(HU_MIN, HU_MAX + 1), spec)
+    table.flags.writeable = False
+    return table
+
+
 def stack_channels(hu, specs=DEFAULT_WINDOWS) -> np.ndarray:
-    """Apply three windows to an HU array of any shape, such as one slice or a
-    whole (slices, height, width) volume; returns a (3, *hu.shape) image."""
+    """Apply three windows to an integer HU array of any shape, such as one
+    slice or a whole (slices, height, width) volume; returns a (3, *hu.shape)
+    float64 image.
+
+    Each channel is gathered from its window's ``window_table``, so it equals
+    ``apply_window`` of ``hu`` bit for bit. The HU values must be integers in
+    [HU_MIN, HU_MAX]; anything else, float arrays included, raises
+    ``DataError``.
+    """
     if len(specs) != 3:
         raise ArityError(f"stack_channels needs exactly 3 window specs, got {len(specs)}")
     hu = np.asarray(hu)
+    if hu.dtype.kind not in "iu":
+        raise DataError(f"expected integer HU values, got dtype {hu.dtype}")
+    if hu.size and (hu.min() < HU_MIN or hu.max() > HU_MAX):
+        raise DataError(f"HU values must lie in [{HU_MIN}, {HU_MAX}]")
+    # The image is allocated before the level array, which is freed on
+    # return; the other way round took more page faults per volume.
     image = np.empty((3,) + hu.shape)
+    levels = np.subtract(hu, HU_MIN, dtype=np.intp)
     for channel, spec in zip(image, specs):
-        apply_window(hu, spec, out=channel)
+        # "clip" skips take's bounds pass; every level is in range already.
+        np.take(window_table(spec), levels, out=channel, mode="clip")
     return image
 
 

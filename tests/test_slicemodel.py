@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hemtriage import gbdt
+from hemtriage import gbdt, slicemodel, volume
 from hemtriage.errors import DataError, FormatError
 from hemtriage.slicemodel import (BLOOD_BAND, DEFAULT_REFERENCE_CONFIG, FEATURE_LENGTH,
                                   HISTOGRAM_BINS, SliceInput, extract_features,
                                   load_slice_model, load_slice_probs, predict_by_scan,
                                   save_slice_model, save_slice_probs, slice_positions,
                                   volume_features)
-from hemtriage.volume import DEFAULT_WINDOWS, HU_MAX, HU_MIN, WindowSpec
+from hemtriage.volume import DEFAULT_WINDOWS, HU_MAX, HU_MIN, WindowSpec, apply_window
 
 from conftest import list_layout_groups, make_volume
 
@@ -172,6 +172,46 @@ class TestExtractFeatures:
         hu[0, 1, 1] = value
         with pytest.raises(DataError, match=rf"\[{HU_MIN}, {HU_MAX}\]"):
             extract_features(hu, [1.0])
+
+    def test_checks_run_in_order_dtype_shape_positions_range(self):
+        # Each input fails every check after the one it is meant to fail.
+        hu = np.full((2, 4), HU_MAX + 1.0)
+        with pytest.raises(DataError, match=re.escape("expected integer HU values, got dtype "
+                                                      "float64")):
+            extract_features(hu, [0.5, 1.0, 1.0])
+        hu = hu.astype(np.int32)
+        with pytest.raises(DataError, match=re.escape("expected a non-empty (slices, height, "
+                                                      "width) HU stack, got shape (2, 4)")):
+            extract_features(hu, [0.5, 1.0, 1.0])
+        hu = hu[None]
+        with pytest.raises(DataError, match=re.escape("expected 1 slice positions, "
+                                                      "got shape (3,)")):
+            extract_features(hu, [0.5, 1.0, 1.0])
+        with pytest.raises(DataError, match=re.escape(f"HU values must lie in "
+                                                      f"[{HU_MIN}, {HU_MAX}]")):
+            extract_features(hu, [1.0])
+
+
+class TestWindowTables:
+    def test_tables_are_built_once_per_window(self, monkeypatch):
+        calls = []
+
+        def counting(slice_hu, spec, out=None):
+            calls.append(spec)
+            return apply_window(slice_hu, spec, out)
+
+        monkeypatch.setattr(volume, "apply_window", counting)
+        volume.window_table.cache_clear()
+        slicemodel._level_bounds.cache_clear()
+        specs = (WindowSpec(41.25, 77.5), WindowSpec(83.5, 190.0), WindowSpec(37.75, 365.0))
+        volumes = [make_volume(scan_id=f"s{n}", num_slices=n, seed=n) for n in (3, 5, 1, 4)]
+        warm_up = volume_features(volumes[0], specs)
+        assert calls == list(specs)  # one table over the HU range per window
+        calls.clear()
+        rows = [volume_features(one, specs) for one in volumes[1:]]
+        assert calls == []
+        for one, got in zip(volumes, [warm_up] + rows):
+            assert got.tobytes() == volume_features_reference(one.slices, specs).tobytes()
 
 
 def make_separable(rng, n=120):

@@ -4,13 +4,14 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hemtriage.errors import ArityError, ConfigError, DataError, FormatError
 from hemtriage.volume import (DEFAULT_WINDOWS, HEMORRHAGE_TYPES, HU_MAX, HU_MIN, CtVolume,
                               ManifestRow, ScanLabels, WindowSpec, apply_window, load_manifest,
                               load_manifest_volumes, load_slice_labels, load_volume,
                               save_manifest, save_slice_labels, slice_truth, stack_channels,
-                              store_volume)
+                              store_volume, window_table)
 
 from conftest import make_volume
 
@@ -90,9 +91,62 @@ class TestStackChannels:
         for k, spec in enumerate(DEFAULT_WINDOWS):
             assert np.array_equal(image[k], apply_window(hu, spec))
 
-    def test_wrong_spec_count(self):
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from([np.int16, np.int32, np.int64, np.uint16]),
+           specs=st.tuples(*[st.builds(
+               WindowSpec,
+               center=st.one_of(st.floats(HU_MIN - 50, HU_MAX + 50), st.floats(-1e4, 1e4)),
+               width=st.floats(0.01, 3000.0))] * 3))
+    def test_channels_are_apply_window_bytes(self, data, dtype, specs):
+        # uint16 holds only the non-negative part of the HU range.
+        low = max(HU_MIN, np.iinfo(dtype).min)
+        if data.draw(st.booleans(), label="every HU value"):
+            hu = np.arange(low, HU_MAX + 1, dtype=dtype)
+        else:
+            shape = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6)))
+            hu = data.draw(arrays(dtype, shape, elements=st.one_of(
+                st.integers(low, HU_MAX), st.sampled_from([low, HU_MAX]))), label="hu")
+        image = stack_channels(hu, specs)
+        assert image.shape == (3,) + hu.shape and image.dtype == np.float64
+        for channel, spec in zip(image, specs):
+            assert channel.tobytes() == apply_window(hu, spec).tobytes()
+
+    @pytest.mark.parametrize("hu", [np.zeros((2, 2)), np.array([40.0]), np.array([True])])
+    def test_non_integer_hu_rejected(self, hu):
+        with pytest.raises(DataError, match="integer HU"):
+            stack_channels(hu)
+
+    @pytest.mark.parametrize("hu", [np.array([HU_MIN - 1], dtype=np.int32),
+                                    np.array([[0, HU_MAX + 1]], dtype=np.int64),
+                                    np.array([65535], dtype=np.uint16)])
+    def test_out_of_range_hu_rejected(self, hu):
+        with pytest.raises(DataError, match=re.escape(f"[{HU_MIN}, {HU_MAX}]")):
+            stack_channels(hu)
+
+    @pytest.mark.parametrize("hu, count", [(np.zeros((2, 2)), 2), (np.zeros((2, 2)), 4),
+                                           (np.full((2, 2), HU_MAX + 1), 4)])
+    def test_wrong_spec_count(self, hu, count):
+        # Checked before the dtype and the range.
         with pytest.raises(ArityError):
-            stack_channels(np.zeros((2, 2)), (BRAIN, BRAIN))
+            stack_channels(hu, (BRAIN,) * count)
+
+
+class TestWindowTable:
+    def test_is_apply_window_over_the_hu_range(self):
+        spec = WindowSpec(-7.5, 0.01)
+        table = window_table(spec)
+        assert table.shape == (HU_MAX - HU_MIN + 1,)
+        assert table.tobytes() == apply_window(np.arange(HU_MIN, HU_MAX + 1), spec).tobytes()
+
+    def test_is_read_only(self):
+        table = window_table(BRAIN)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+    def test_equal_specs_share_one_table(self):
+        assert window_table(WindowSpec(40.0, 80.0)) is window_table(WindowSpec(40, 80))
+        assert window_table(WindowSpec(40.0, 80.0)) is not window_table(WindowSpec(40.0, 81.0))
 
 
 class TestCtVolume:
