@@ -44,7 +44,7 @@ def _scan_scores(rows, probs_path) -> np.ndarray:
     cover exactly the manifest's scans."""
     probs_by_scan = slicemodel.load_slice_probs(probs_path)
     check_manifest_coverage(probs_path, "probability CSV", probs_by_scan, rows)
-    return np.array([thresholds.aggregate_scan(probs_by_scan[row.scan_id]) for row in rows])
+    return thresholds.aggregate_scans([probs_by_scan[row.scan_id] for row in rows])
 
 
 def cmd_synth(args) -> None:
@@ -375,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probs", required=True, help="refined slice probability CSV")
     p.add_argument("--objective", default="any_bacc", choices=sorted(thresholds.OBJECTIVES))
     p.add_argument("--budget", type=int, default=150,
-                   help="random design points scored; exact coordinate ascent from the 4 best "
-                        "then adds one objective evaluation per start that moves")
+                   help="random design points, scored in one batched pass; exact coordinate "
+                        "ascent from the 4 best then scores one more point per start that moves")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_optimize)

@@ -77,6 +77,15 @@ def _ratio(num: int, den: int) -> float | None:
     return num / den if den > 0 else None
 
 
+def balanced_accuracy(true_pos, num_pos: int, true_neg, num_neg: int):
+    """Mean of sensitivity and specificity from true-positive and
+    true-negative counts, elementwise over count arrays; None when either
+    class count is 0."""
+    if not num_pos or not num_neg:
+        return None
+    return (true_pos / num_pos + true_neg / num_neg) / 2.0
+
+
 def compute_metrics(cm: ConfusionMatrix) -> ClassifierStats:
     sen = _ratio(cm.tp, cm.tp + cm.fn)
     spec = _ratio(cm.tn, cm.tn + cm.fp)
@@ -87,7 +96,7 @@ def compute_metrics(cm: ConfusionMatrix) -> ClassifierStats:
         ppv=_ratio(cm.tp, cm.tp + cm.fp),
         npv=_ratio(cm.tn, cm.tn + cm.fn),
         acc=(cm.tp + cm.tn) / cm.total,
-        bacc=(sen + spec) / 2.0 if sen is not None and spec is not None else None,
+        bacc=balanced_accuracy(cm.tp, cm.tp + cm.fn, cm.tn, cm.tn + cm.fp),
         mcc=(cm.tp * cm.tn - cm.fp * cm.fn) / math.sqrt(mcc_den) if mcc_den > 0 else None,
         f1=_ratio(2 * cm.tp, 2 * cm.tp + cm.fp + cm.fn),
     )

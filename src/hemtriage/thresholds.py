@@ -10,7 +10,9 @@ threshold search objective.
 
 The search has two phases. A seeded random design scores ``budget`` points
 drawn uniformly from the search box; it only chooses where the second phase
-starts. Then exact coordinate ascent polishes the best design points. Both
+starts. The objectives score a whole stack of points in one batched pass, so
+the design is scored in blocks of rows, not point by point. Then exact
+coordinate ascent polishes the best design points. Both
 objectives are step functions that change only where a threshold crosses a
 scan value, so with four thresholds fixed, one sweep of the fifth over the
 cuts between those values gives the exact objective everywhere on that line:
@@ -21,20 +23,26 @@ reaches its global optimum.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArityError, ConfigError, DataError, FormatError, UndefinedMetricError
 from .fileio import atomic_write_text, is_finite_number, read_json
-from .metrics import compute_confusion, compute_metrics
+from .metrics import balanced_accuracy
 from .volume import HEMORRHAGE_TYPES, NUM_TYPES
 
 _THRESHOLD_KEYS = tuple(f"t_{t}" for t in HEMORRHAGE_TYPES)
 
 SEARCH_BOUNDS = (0.01, 1.0)
 _ASCENT_STARTS = 4  # best design points the ascent starts from
+# Comparison flags (one byte per point, scan and type) that one objective call
+# on the design makes at most: the design is scored in blocks of rows, so
+# memory does not grow with the budget times the scans.
+_BLOCK_FLAGS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -79,35 +87,55 @@ def binarize_slice(probs, thresholds: ThresholdSet):
     return flags, flags.any(axis=-1)
 
 
-def aggregate_scan(rows) -> np.ndarray:
-    """Scan-level probability vector: per-type max over slices."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != NUM_TYPES:
-        raise DataError(f"probability rows must be (num_slices, {NUM_TYPES}), got {rows.shape}")
-    if rows.shape[0] < 1:
-        raise ArityError("a scan needs at least one probability row")
-    return rows.max(axis=0)
+def aggregate_scans(scans) -> np.ndarray:
+    """Scan-level probability vectors, one row per scan in the given order:
+    each scan's per-type max over its slices, for the whole table in one
+    ``np.maximum.reduceat`` pass."""
+    scans = [np.asarray(rows, dtype=np.float64) for rows in scans]
+    if not scans:
+        raise ArityError("need at least one scan")
+    for rows in scans:
+        if rows.ndim != 2 or rows.shape[1] != NUM_TYPES:
+            raise DataError(f"probability rows must be (num_slices, {NUM_TYPES}), "
+                            f"got {rows.shape}")
+        if rows.shape[0] < 1:  # reduceat would return the next scan's row
+            raise ArityError("a scan needs at least one probability row")
+    starts = np.cumsum([0] + [len(rows) for rows in scans[:-1]])
+    return np.maximum.reduceat(np.concatenate(scans), starts, axis=0)
 
 
-def _balanced_accuracy(decisions: np.ndarray, truths: np.ndarray) -> float | None:
-    return compute_metrics(compute_confusion(decisions, truths)).bacc
+def _decision_bacc(decisions: np.ndarray, truth: np.ndarray) -> np.ndarray | None:
+    """Balanced accuracy of (..., scans) decisions against one truth vector,
+    one value per leading index; None when the truth is one-class."""
+    num_pos = int(truth.sum())
+    return balanced_accuracy(np.count_nonzero(decisions & truth, axis=-1), num_pos,
+                             np.count_nonzero(~(decisions | truth), axis=-1),
+                             len(truth) - num_pos)
 
 
-def _objective_any_bacc(thresholds: np.ndarray, vectors: np.ndarray,
-                        labels: np.ndarray) -> float | None:
-    decisions = (vectors >= thresholds).any(axis=1)
-    return _balanced_accuracy(decisions, labels.any(axis=1))
+def _reaches(points: np.ndarray, vectors: np.ndarray, t: int) -> np.ndarray:
+    """(..., scans) flags: each scan's type ``t`` value meets each point's."""
+    return vectors[:, t] >= points[..., t, None]
 
 
-def _objective_mean_type_bacc(thresholds: np.ndarray, vectors: np.ndarray,
-                              labels: np.ndarray) -> float | None:
+def _objective_any_bacc(points: np.ndarray, vectors: np.ndarray,
+                        labels: np.ndarray) -> np.ndarray | None:
+    positive = functools.reduce(operator.or_, (_reaches(points, vectors, t)
+                                               for t in range(NUM_TYPES)))
+    return _decision_bacc(positive, labels.any(axis=1))
+
+
+def _objective_mean_type_bacc(points: np.ndarray, vectors: np.ndarray,
+                              labels: np.ndarray) -> np.ndarray | None:
     """Mean balanced accuracy over the types where it is defined."""
-    scores = [_balanced_accuracy(vectors[:, t] >= thresholds[t], labels[:, t])
-              for t in range(NUM_TYPES)]
-    defined = [score for score in scores if score is not None]
-    return float(np.mean(defined)) if defined else None
+    terms = [_decision_bacc(_reaches(points, vectors, t), labels[:, t])
+             for t in range(NUM_TYPES)]
+    defined = [term for term in terms if term is not None]
+    return sum(defined) / len(defined) if defined else None
 
 
+#: Each objective scores an (..., 5) array of thresholds at once, one value
+#: per point, or returns None when the labels leave it undefined.
 OBJECTIVES = {
     "any_bacc": _objective_any_bacc,
     "mean_type_bacc": _objective_mean_type_bacc,
@@ -135,8 +163,8 @@ def _line_values(objective: str, point: np.ndarray, axis: int, vectors: np.ndarr
     A scan already positive on another axis stays positive; any other scan is
     positive exactly when its value on ``axis`` reaches the cut. So sorting
     those scans' values by class, two ``searchsorted`` calls count the true
-    positives and true negatives at every cut, and the balanced accuracy is
-    computed from them as ``metrics.compute_metrics`` computes it.
+    positives and true negatives at every cut, and ``metrics.balanced_accuracy``
+    scores them.
     """
     if objective == "any_bacc":
         truth = labels.any(axis=1)
@@ -145,14 +173,10 @@ def _line_values(objective: str, point: np.ndarray, axis: int, vectors: np.ndarr
         truth = labels[:, axis]
         fixed = np.zeros(len(truth), dtype=bool)
     num_pos = int(truth.sum())
-    num_neg = len(truth) - num_pos
-    if not num_pos or not num_neg:
-        return None
     positives = np.sort(vectors[~fixed & truth, axis])
     negatives = np.sort(vectors[~fixed & ~truth, axis])
-    true_pos = num_pos - np.searchsorted(positives, cuts)
-    true_neg = np.searchsorted(negatives, cuts)
-    return (true_pos / num_pos + true_neg / num_neg) / 2.0
+    return balanced_accuracy(num_pos - np.searchsorted(positives, cuts), num_pos,
+                             np.searchsorted(negatives, cuts), len(truth) - num_pos)
 
 
 def _ascend(objective: str, point: np.ndarray, vectors: np.ndarray, labels: np.ndarray,
@@ -179,13 +203,16 @@ def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
     """Score ``budget`` seeded random points, then polish the best exactly.
 
     The design is ``budget`` points drawn uniformly from the search box by
-    ``numpy.random.default_rng(seed)``, each scored once. Exact coordinate
+    ``numpy.random.default_rng(seed)``, each scored once, in one batched
+    objective call per block of rows; a block makes at most ``_BLOCK_FLAGS``
+    comparison flags (or one row, if a row makes more). Exact coordinate
     ascent (``_ascend``) then starts from each of the ``_ASCENT_STARTS`` best
-    of them, and each ascended point that moved costs one more evaluation, so
-    the objective runs at most ``budget + _ASCENT_STARTS`` times. Returns the
-    best ascended point and its objective value. Deterministic given the seed.
-    Whether an objective is defined depends on the labels alone, so an
-    undefined (None) score at the first point raises ``UndefinedMetricError``.
+    of them, and each ascended point that moved is scored as a one-row batch,
+    so the search scores at most ``budget + _ASCENT_STARTS`` points. Returns
+    the best ascended point and its objective value. Deterministic given the
+    seed. Whether an objective is defined depends on the labels alone, so an
+    undefined (None) score for the first block raises
+    ``UndefinedMetricError``.
     """
     vectors = np.asarray(scan_vectors, dtype=np.float64)
     labels = np.asarray(scan_labels, dtype=bool)
@@ -193,6 +220,8 @@ def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
         raise DataError(f"scan vectors must be (scans, {NUM_TYPES}), got {vectors.shape}")
     if labels.shape != vectors.shape:
         raise ArityError(f"labels shape {labels.shape} must match vectors {vectors.shape}")
+    if len(vectors) < 1:
+        raise ArityError("need at least one scan")
     if not ((vectors >= 0.0) & (vectors <= 1.0)).all():
         raise DataError("scan vectors must be finite and inside [0, 1]")
     if objective not in OBJECTIVES:
@@ -203,16 +232,18 @@ def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
 
     lo, hi = SEARCH_BOUNDS
     X = lo + np.random.default_rng(seed).random((budget, NUM_TYPES)) * (hi - lo)
-    y = [score(x, vectors, labels) for x in X]
+    block = max(1, _BLOCK_FLAGS // vectors.size)
+    y = [score(X[i:i + block], vectors, labels) for i in range(0, budget, block)]
     if y[0] is None:
         raise UndefinedMetricError(f"objective {objective} is undefined: its labels are "
                                    "one-class")
-    y = np.array(y)
+    y = np.concatenate(y)
 
     cuts = [_cuts(vectors[:, t]) for t in range(NUM_TYPES)]
     starts = np.argsort(-y, kind="stable")[:_ASCENT_STARTS]
     ascended = [_ascend(objective, X[start], vectors, labels, cuts) for start in starts]
-    values = [y[start] if np.array_equal(point, X[start]) else score(point, vectors, labels)
+    values = [y[start] if np.array_equal(point, X[start])
+              else score(point[None], vectors, labels)[0]
               for start, point in zip(starts, ascended)]
     best = int(np.argmax(values))
     return ThresholdSet.from_array(ascended[best]), float(values[best])

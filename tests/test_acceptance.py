@@ -21,7 +21,7 @@ from hemtriage import folds, gbdt, slicemodel, stacker, synth
 from hemtriage.cli import main as cli_main
 from hemtriage.metrics import binomial_ci, compute_auc, compute_metrics, ConfusionMatrix, log_loss
 from hemtriage.slicemodel import predict_by_scan, volume_features
-from hemtriage.thresholds import aggregate_scan, binarize_slice, optimize_thresholds, ThresholdSet
+from hemtriage.thresholds import aggregate_scans, binarize_slice, optimize_thresholds, ThresholdSet
 from hemtriage.volume import DEFAULT_WINDOWS, ManifestRow, ScanLabels
 
 from conftest import MemorizingClassifier
@@ -238,8 +238,8 @@ def test_acceptance_5_stacker_benefit():
                                  {v.scan_id: volume_features(v, DEFAULT_WINDOWS) for v in holdout})
     refined_eval = stacker.apply_stacker_all(ensemble, probs_eval, 2)
     truth = np.array([dataset.slice_labels[v.scan_id].any() for v in holdout])
-    raw_scores = np.array([aggregate_scan(probs_eval[v.scan_id]).max() for v in holdout])
-    stacked_scores = np.array([aggregate_scan(refined_eval[v.scan_id]).max() for v in holdout])
+    raw_scores = aggregate_scans([probs_eval[v.scan_id] for v in holdout]).max(axis=1)
+    stacked_scores = aggregate_scans([refined_eval[v.scan_id] for v in holdout]).max(axis=1)
     raw_auc = compute_auc(raw_scores, truth)
     stacked_auc = compute_auc(stacked_scores, truth)
 
@@ -279,8 +279,8 @@ def test_acceptance_7_leakage_sentinel():
 
     def scan_decisions(probs_by_scan):
         half = ThresholdSet(*(0.5,) * 5)
-        return np.array([binarize_slice(aggregate_scan(probs_by_scan[v.scan_id]), half)[1]
-                         for v in volumes])
+        return binarize_slice(aggregate_scans([probs_by_scan[v.scan_id] for v in volumes]),
+                              half)[1]
 
     truth = np.array([labels_by_scan[v.scan_id].any() for v in volumes])
 
@@ -357,13 +357,15 @@ def test_acceptance_8_end_to_end_determinism(tmp_path):
 def test_acceptance_9_decision_rule_equivalence():
     start = time.time()
     rng = np.random.default_rng(77)
+    scans, threshold_sets = [], []
     for _ in range(1000):
         num_slices = int(rng.integers(1, 15))
-        rows = rng.random((num_slices, 5))
-        thresholds = ThresholdSet(*rng.uniform(0.01, 1.0, 5))
+        scans.append(rng.random((num_slices, 5)))
+        threshold_sets.append(ThresholdSet(*rng.uniform(0.01, 1.0, 5)))
+    for rows, scan_max, thresholds in zip(scans, aggregate_scans(scans), threshold_sets):
         per_slice_flags, _ = binarize_slice(rows, thresholds)
         or_decision = per_slice_flags.any(axis=0)
-        max_decision, _ = binarize_slice(aggregate_scan(rows), thresholds)
+        max_decision, _ = binarize_slice(scan_max, thresholds)
         assert np.array_equal(or_decision, max_decision)
     elapsed = time.time() - start
     assert elapsed < 5.0

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hemtriage.errors import ArityError, DataError
-from hemtriage.metrics import (REPORT_LABELS, ConfusionMatrix, binomial_ci, boxplot_stats,
-                               boxplot_stats_by_class, build_report, compute_auc,
+from hemtriage.metrics import (REPORT_LABELS, ConfusionMatrix, balanced_accuracy,
+                               binomial_ci, boxplot_stats, boxplot_stats_by_class, build_report, compute_auc,
                                compute_confusion, compute_metrics, cumulative_curves,
                                log_loss, roc_points, save_report)
 
@@ -108,6 +108,15 @@ class TestComputeMetrics:
             (12 * 40 - 5 * 3) / math.sqrt(17 * 15 * 45 * 43), abs=1e-15)
 
     @given(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50), st.integers(0, 50))
+    def test_every_stat_is_a_python_float(self, tp, fn, tn, fp):
+        # Report text formats these values, so numpy scalars must not leak in.
+        if tp + fn + tn + fp == 0:
+            return
+        stats = compute_metrics(ConfusionMatrix(tp, fn, tn, fp))
+        for value in vars(stats).values():
+            assert value is None or type(value) is float
+
+    @given(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50), st.integers(0, 50))
     def test_mcc_flip_symmetry(self, tp, fn, tn, fp):
         if tp + fn + tn + fp == 0:
             return
@@ -126,6 +135,21 @@ class TestComputeMetrics:
             return
         stats = compute_metrics(ConfusionMatrix(tp, fn, tn, fp))
         assert stats.bacc == pytest.approx(stats.acc, abs=1e-12)
+
+
+class TestBalancedAccuracy:
+    @pytest.mark.parametrize("num_pos, num_neg", [(7, 11), (13, 187), (31, 369)])
+    def test_elementwise_equals_direct_arithmetic(self, num_pos, num_neg):
+        true_pos, true_neg = np.meshgrid(np.arange(num_pos + 1), np.arange(num_neg + 1))
+        values = balanced_accuracy(true_pos.ravel(), num_pos, true_neg.ravel(), num_neg)
+        pairs = zip(true_pos.ravel().tolist(), true_neg.ravel().tolist())
+        assert values.tolist() == [(tp / num_pos + tn / num_neg) / 2.0 for tp, tn in pairs]
+        assert values[-1] == compute_metrics(ConfusionMatrix(num_pos, 0, num_neg, 0)).bacc
+
+    @pytest.mark.parametrize("num_pos, num_neg", [(0, 4), (4, 0), (0, 0)])
+    def test_one_class_is_none(self, num_pos, num_neg):
+        assert balanced_accuracy(np.zeros(3, dtype=int), num_pos,
+                                 np.zeros(3, dtype=int), num_neg) is None
 
 
 class TestAuc:

@@ -10,7 +10,7 @@ from hemtriage.errors import (ArityError, ConfigError, DataError, FormatError, P
 from hemtriage import thresholds as th
 from hemtriage.metrics import compute_confusion, compute_metrics
 from hemtriage.thresholds import (OBJECTIVES, PUBLISHED_THRESHOLDS, ThresholdSet,
-                                  aggregate_scan, binarize_slice, load_thresholds,
+                                  aggregate_scans, binarize_slice, load_thresholds,
                                   optimize_thresholds, save_thresholds)
 
 
@@ -82,13 +82,28 @@ def brute_force_term(column, truth, threshold):
     return compute_metrics(compute_confusion(column >= threshold, truth)).bacc
 
 
+def brute_force_objective(objective, point, vectors, labels):
+    """One point's objective value through ``compute_metrics``, None where
+    the labels leave it undefined."""
+    if objective == "any_bacc":
+        decisions = (vectors >= point).any(axis=1)
+        return compute_metrics(compute_confusion(decisions, labels.any(axis=1))).bacc
+    terms = [brute_force_term(vectors[:, t], labels[:, t], point[t]) for t in range(5)]
+    defined = [term for term in terms if term is not None]
+    return float(np.mean(defined)) if defined else None
+
+
 def reference_optimize(vectors, labels, objective="any_bacc", budget=150, seed=0):
     """Independent reference for the whole search: the same seeded design,
     then coordinate ascent whose line search scores every cut by brute force
     (the full objective for ``any_bacc``, the axis's own type term for
-    ``mean_type_bacc``). Returns every point the search scores, in order, and
-    the thresholds and value it returns."""
-    score = OBJECTIVES[objective]
+    ``mean_type_bacc``). Every point is scored alone, by brute force. Returns
+    every point the search scores, in order, and the thresholds and value it
+    returns."""
+
+    def score(point, vectors, labels):
+        return brute_force_objective(objective, point, vectors, labels)
+
     lo, hi = th.SEARCH_BOUNDS
     X = lo + np.random.default_rng(seed).random((budget, 5)) * (hi - lo)
     evaluated = list(X)
@@ -129,11 +144,12 @@ def reference_optimize(vectors, labels, objective="any_bacc", budget=150, seed=0
 
 
 def counted_objective(monkeypatch, objective):
-    """Wrap ``OBJECTIVES[objective]`` to record every point it is called at."""
+    """Wrap ``OBJECTIVES[objective]`` to record every point it scores: each
+    row of each batched call."""
     evaluated = []
     score = OBJECTIVES[objective]
     monkeypatch.setitem(OBJECTIVES, objective,
-                        lambda x, v, l: evaluated.append(np.array(x)) or score(x, v, l))
+                        lambda x, v, l: evaluated.extend(np.array(x)) or score(x, v, l))
     return evaluated
 
 
@@ -192,33 +208,54 @@ class TestBinarize:
 class TestAggregate:
     def test_single_slice_identity(self):
         row = np.array([[0.1, 0.2, 0.3, 0.4, 0.5]])
-        np.testing.assert_array_equal(aggregate_scan(row), row[0])
+        np.testing.assert_array_equal(aggregate_scans([row]), row)
 
     def test_max_over_slices(self):
         rows = np.array([[0.1, 0.0, 0.0, 0.0, 0.0], [0.9, 0.0, 0.0, 0.0, 0.0]])
-        assert aggregate_scan(rows)[0] == 0.9
+        assert aggregate_scans([rows])[0, 0] == 0.9
 
     def test_all_below_thresholds_scan_negative(self):
         rows = np.full((4, 5), 0.1)
-        _, any_flag = binarize_slice(aggregate_scan(rows), PUBLISHED_THRESHOLDS)
-        assert not any_flag
+        _, any_flag = binarize_slice(aggregate_scans([rows]), PUBLISHED_THRESHOLDS)
+        assert not any_flag.any()
 
-    def test_empty_rejected(self):
-        with pytest.raises(ArityError):
-            aggregate_scan(np.zeros((0, 5)))
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_empty_rejected(self, position):
+        # A zero-row scan anywhere in the table is rejected, not given its
+        # neighbour's row.
+        scans = [np.full((2, 5), 0.5), np.full((3, 5), 0.25)]
+        scans.insert(position, np.zeros((0, 5)))
+        with pytest.raises(ArityError, match="at least one probability row"):
+            aggregate_scans(scans)
+
+    def test_no_scans_rejected(self):
+        with pytest.raises(ArityError, match="at least one scan"):
+            aggregate_scans([])
+
+    @pytest.mark.parametrize("bad", [np.zeros((3, 4)), np.zeros(5), np.zeros((2, 5, 1))])
+    def test_wrong_width_rejected(self, bad):
+        with pytest.raises(DataError, match="probability rows must be"):
+            aggregate_scans([np.zeros((2, 5)), bad])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=20), st.integers(0, 10_000))
+    def test_equals_per_scan_max(self, num_slices, seed):
+        rng = np.random.default_rng(seed)
+        scans = [np.round(rng.random((n, 5)) * 4) / 4 for n in num_slices]
+        expected = np.array([rows.max(axis=0) for rows in scans])
+        assert aggregate_scans(scans).tobytes() == expected.tobytes()
 
 
 class TestDecisionEquivalence:
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 12), st.integers(0, 10_000))
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=8), st.integers(0, 10_000))
     def test_or_over_slices_equals_max_then_binarize(self, num_slices, seed):
         rng = np.random.default_rng(seed)
-        rows = rng.random((num_slices, 5))
+        scans = [rng.random((n, 5)) for n in num_slices]
         thresholds = ThresholdSet(*rng.uniform(0.05, 1.0, 5))
-        per_slice, _ = binarize_slice(rows, thresholds)
-        or_decision = per_slice.any(axis=0)
-        max_decision, _ = binarize_slice(aggregate_scan(rows), thresholds)
-        assert np.array_equal(or_decision, max_decision)
+        or_decisions = [binarize_slice(rows, thresholds)[0].any(axis=0) for rows in scans]
+        max_decisions, _ = binarize_slice(aggregate_scans(scans), thresholds)
+        assert np.array_equal(np.array(or_decisions), max_decisions)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
@@ -253,6 +290,10 @@ class TestObjectives:
         with pytest.raises(ConfigError, match="unknown objective"):
             optimize_thresholds(vectors, labels, objective="nope", budget=25)
 
+    def test_no_scans_rejected(self):
+        with pytest.raises(ArityError, match="at least one scan"):
+            optimize_thresholds(np.zeros((0, 5)), np.zeros((0, 5), dtype=bool), budget=25)
+
     def test_degenerate_labels_rejected(self):
         vectors = np.random.default_rng(0).random((10, 5))
         with pytest.raises(UndefinedMetricError):
@@ -279,6 +320,61 @@ class TestObjectives:
         labels[:, 3] = False  # undefined for this type; mean skips it
         value = OBJECTIVES["mean_type_bacc"](np.full(5, 0.5), vectors, labels)
         assert 0.0 <= value <= 1.0
+
+
+class TestBatchedObjectives:
+    @settings(max_examples=150, deadline=None)
+    @given(small_cohorts(),
+           st.lists(st.lists(st.sampled_from([0.01, 0.3, 1.0]) | st.floats(0.01, 1.0),
+                             min_size=5, max_size=5), min_size=1, max_size=12),
+           st.sampled_from(sorted(OBJECTIVES)))
+    def test_design_scores_match_brute_force(self, cohort, design, objective):
+        vectors, labels = cohort
+        design = np.array(design)
+        scores = OBJECTIVES[objective](design, vectors, labels)
+        expected = [brute_force_objective(objective, point, vectors, labels)
+                    for point in design]
+        if expected[0] is None:
+            assert scores is None
+        else:
+            assert scores.shape == (len(design),)
+            assert scores.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+    def test_design_scores_match_brute_force_on_200_scans(self, objective):
+        vectors, labels = validation_scans(7)
+        labels[:, 3] = False  # a one-class type is left out of the mean
+        design = 0.01 + np.random.default_rng(2).random((200, 5)) * 0.99
+        expected = [brute_force_objective(objective, point, vectors, labels) for point in design]
+        assert OBJECTIVES[objective](design, vectors, labels).tobytes() == \
+            np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+    @pytest.mark.parametrize("rows_per_block", [1, 7])
+    def test_blocks_give_the_same_bytes(self, monkeypatch, objective, rows_per_block):
+        # The design of 60 points is larger than one block of 1 or 7 rows'
+        # worth of comparison flags, and no call makes more flags than that.
+        vectors, labels = validation_scans(7)
+        labels[:, 3] = False  # a one-class type is left out of the mean
+        score = OBJECTIVES[objective]
+
+        def search():
+            calls = []
+            monkeypatch.setitem(OBJECTIVES, objective, lambda x, v, l: calls.append(
+                (len(x), score(x, v, l))) or calls[-1][1])
+            best, value = optimize_thresholds(vectors, labels, objective, budget=60, seed=4)
+            return calls, best.as_array().tobytes(), np.float64(value).tobytes()
+
+        whole_calls, *whole = search()
+        assert whole_calls[0][0] == 60
+        monkeypatch.setattr(th, "_BLOCK_FLAGS", rows_per_block * vectors.size)
+        blocked_calls, *blocked = search()
+        design_calls = -(-60 // rows_per_block)
+        assert len(blocked_calls) == len(whole_calls) + design_calls - 1
+        assert max(rows for rows, _ in blocked_calls) * vectors.size <= th._BLOCK_FLAGS
+        design_scores = np.concatenate([scores for _, scores in blocked_calls[:design_calls]])
+        assert design_scores.tobytes() == whole_calls[0][1].tobytes()
+        assert blocked == whole
 
 
 class TestOptimizer:
