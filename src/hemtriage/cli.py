@@ -18,10 +18,13 @@ import numpy as np
 from . import folds, gbdt, metrics, slicemodel, stacker, svgplots, synth, thresholds
 from .errors import ArityError, ConfigError, PipelineError
 from .fileio import atomic_write_text, parse_flags, read_scan_table, write_csv
-from .volume import (HEMORRHAGE_TYPES, NUM_TYPES, WindowSpec, check_manifest_coverage,
-                     load_manifest, load_manifest_volumes, load_slice_labels, slice_truth)
+from .volume import (DEFAULT_WINDOWS, HEMORRHAGE_TYPES, NUM_TYPES, WindowSpec,
+                     check_manifest_coverage, load_manifest, load_manifest_volumes,
+                     load_slice_labels, slice_truth)
 
 _DECISION_COLUMNS = ("scan_id",) + HEMORRHAGE_TYPES
+#: The ``--windows`` default: ``volume.DEFAULT_WINDOWS`` as center:width pairs.
+_WINDOWS_ARG = ",".join(f"{spec.center:g}:{spec.width:g}" for spec in DEFAULT_WINDOWS)
 
 
 def _parse_windows(text: str) -> tuple[WindowSpec, ...]:
@@ -324,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--volumes", default=None, help="root for manifest paths (default: manifest dir)")
     p.add_argument("--slice-labels", default=None)
-    p.add_argument("--windows", default="40:80,80:200,40:380")
+    p.add_argument("--windows", default=_WINDOWS_ARG)
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--seed", type=int, default=0,
                    help="only labels the model identity: training draws no random numbers")
@@ -342,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--volumes", default=None, help="root for manifest paths (default: manifest dir)")
     p.add_argument("--slice-labels", default=None)
-    p.add_argument("--windows", default="40:80,80:200,40:380")
+    p.add_argument("--windows", default=_WINDOWS_ARG)
     p.add_argument("--folds", type=int, default=8)
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)

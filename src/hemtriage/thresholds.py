@@ -4,28 +4,32 @@ threshold optimizer.
 A slice is positive for a type when its probability meets or exceeds that
 type's threshold; a scan is positive when any slice is, which is exactly
 thresholding the per-type max over slices. The optimizer searches
-[0.01, 1]^5; the default objective is the balanced accuracy of the scan-level
-any-type decision. AUC itself is threshold-free, so it cannot serve as a
-threshold search objective.
+[0.01, 1]^5 for the best value of an objective. Each objective partitions the
+five types into terms, each term a balanced accuracy of the scan-level
+decision "any of the term's types reaches its threshold" against "any of them
+is labelled", and is the mean of its defined terms. The default, ``any_bacc``,
+is one term over all five types: the any-type decision. ``mean_type_bacc`` is
+five terms of one type each, so it is separable: each term depends on one
+threshold. AUC itself is threshold-free, so it cannot serve as a threshold
+search objective.
 
 The search has two phases. A seeded random design scores ``budget`` points
 drawn uniformly from the search box; it only chooses where the second phase
 starts. The objectives score a whole stack of points in one batched pass, so
 the design is scored in blocks of rows, not point by point. Then exact
-coordinate ascent polishes the best design points. Both
-objectives are step functions that change only where a threshold crosses a
-scan value, so with four thresholds fixed, one sweep of the fifth over the
-cuts between those values gives the exact objective everywhere on that line:
-the ROC threshold sweep, one axis at a time. ``mean_type_bacc`` is a mean of
-per-type terms that each depend on one threshold, so one pass of the ascent
-reaches its global optimum.
+coordinate ascent polishes the best design points. Every term is a step
+function that changes only where a threshold crosses a scan value, and one
+threshold moves only the one term that holds its type, so with four
+thresholds fixed, one sweep of the fifth over the cuts between those values
+gives that term exactly everywhere on that line: the ROC threshold sweep, one
+axis at a time. For a separable objective such as ``mean_type_bacc``, one
+pass of the ascent reaches its global optimum.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,13 +64,6 @@ class ThresholdSet:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.t_edh, self.t_sdh, self.t_sah, self.t_ivh, self.t_iph])
-
-    @classmethod
-    def from_array(cls, values) -> "ThresholdSet":
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (NUM_TYPES,):
-            raise ArityError(f"threshold array must have shape ({NUM_TYPES},), got {values.shape}")
-        return cls(*(float(v) for v in values))
 
 
 #: The published operating point; a documented example default, not a claim
@@ -104,42 +101,35 @@ def aggregate_scans(scans) -> np.ndarray:
     return np.maximum.reduceat(np.concatenate(scans), starts, axis=0)
 
 
-def _decision_bacc(decisions: np.ndarray, truth: np.ndarray) -> np.ndarray | None:
-    """Balanced accuracy of (..., scans) decisions against one truth vector,
-    one value per leading index; None when the truth is one-class."""
-    num_pos = int(truth.sum())
-    return balanced_accuracy(np.count_nonzero(decisions & truth, axis=-1), num_pos,
-                             np.count_nonzero(~(decisions | truth), axis=-1),
-                             len(truth) - num_pos)
+#: Each objective's partition of the five types into terms: a scan is
+#: positive for a term when it reaches the threshold on any of its types, and
+#: truly positive when any of them is labelled.
+_TERMS = {
+    "any_bacc": (tuple(range(NUM_TYPES)),),
+    "mean_type_bacc": tuple((t,) for t in range(NUM_TYPES)),
+}
 
 
-def _reaches(points: np.ndarray, vectors: np.ndarray, t: int) -> np.ndarray:
-    """(..., scans) flags: each scan's type ``t`` value meets each point's."""
-    return vectors[:, t] >= points[..., t, None]
-
-
-def _objective_any_bacc(points: np.ndarray, vectors: np.ndarray,
-                        labels: np.ndarray) -> np.ndarray | None:
-    positive = functools.reduce(operator.or_, (_reaches(points, vectors, t)
-                                               for t in range(NUM_TYPES)))
-    return _decision_bacc(positive, labels.any(axis=1))
-
-
-def _objective_mean_type_bacc(points: np.ndarray, vectors: np.ndarray,
-                              labels: np.ndarray) -> np.ndarray | None:
-    """Mean balanced accuracy over the types where it is defined."""
-    terms = [_decision_bacc(_reaches(points, vectors, t), labels[:, t])
-             for t in range(NUM_TYPES)]
-    defined = [term for term in terms if term is not None]
+def _score(terms, points: np.ndarray, vectors: np.ndarray,
+           labels: np.ndarray) -> np.ndarray | None:
+    """The mean balanced accuracy of the defined ``terms`` at an (..., 5)
+    array of thresholds, one value per point; None when none is defined."""
+    values = []
+    for term in terms:
+        truth = functools.reduce(np.logical_or, (labels[:, t] for t in term))
+        positive = functools.reduce(np.logical_or, (vectors[:, t] >= points[..., t, None]
+                                                    for t in term))
+        num_pos = int(truth.sum())
+        values.append(balanced_accuracy(np.count_nonzero(positive & truth, axis=-1), num_pos,
+                                        np.count_nonzero(~(positive | truth), axis=-1),
+                                        len(truth) - num_pos))
+    defined = [value for value in values if value is not None]
     return sum(defined) / len(defined) if defined else None
 
 
 #: Each objective scores an (..., 5) array of thresholds at once, one value
 #: per point, or returns None when the labels leave it undefined.
-OBJECTIVES = {
-    "any_bacc": _objective_any_bacc,
-    "mean_type_bacc": _objective_mean_type_bacc,
-}
+OBJECTIVES = {name: functools.partial(_score, terms) for name, terms in _TERMS.items()}
 
 
 def _cuts(column: np.ndarray) -> np.ndarray:
@@ -156,22 +146,23 @@ def _cuts(column: np.ndarray) -> np.ndarray:
 
 def _line_values(objective: str, point: np.ndarray, axis: int, vectors: np.ndarray,
                  labels: np.ndarray, cuts: np.ndarray) -> np.ndarray | None:
-    """The objective at ``point`` with coordinate ``axis`` set to each of
-    ``cuts``; for ``mean_type_bacc``, only the term of ``axis``'s type, the
-    only term that coordinate moves. None where that value is undefined.
+    """The value of the term of ``objective`` that holds ``axis`` at
+    ``point`` with coordinate ``axis`` set to each of ``cuts``: the other
+    terms do not move with that coordinate. None where that term is
+    undefined.
 
-    A scan already positive on another axis stays positive; any other scan is
-    positive exactly when its value on ``axis`` reaches the cut. So sorting
-    those scans' values by class, two ``searchsorted`` calls count the true
-    positives and true negatives at every cut, and ``metrics.balanced_accuracy``
-    scores them.
+    A scan already positive on the term's other types stays positive; any
+    other scan is positive exactly when its value on ``axis`` reaches the cut.
+    So sorting those scans' values by class, two ``searchsorted`` calls count
+    the true positives and true negatives at every cut, and
+    ``metrics.balanced_accuracy`` scores them.
     """
-    if objective == "any_bacc":
-        truth = labels.any(axis=1)
-        fixed = np.delete(vectors >= point, axis, axis=1).any(axis=1)
-    else:
-        truth = labels[:, axis]
-        fixed = np.zeros(len(truth), dtype=bool)
+    term = next(term for term in _TERMS[objective] if axis in term)
+    truth = functools.reduce(np.logical_or, (labels[:, t] for t in term))
+    fixed = np.zeros(len(truth), dtype=bool)
+    for t in term:
+        if t != axis:
+            fixed |= vectors[:, t] >= point[t]
     num_pos = int(truth.sum())
     positives = np.sort(vectors[~fixed & truth, axis])
     negatives = np.sort(vectors[~fixed & ~truth, axis])
@@ -246,7 +237,7 @@ def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
               else score(point[None], vectors, labels)[0]
               for start, point in zip(starts, ascended)]
     best = int(np.argmax(values))
-    return ThresholdSet.from_array(ascended[best]), float(values[best])
+    return ThresholdSet(*ascended[best].tolist()), float(values[best])
 
 
 def save_thresholds(thresholds: ThresholdSet, path) -> None:

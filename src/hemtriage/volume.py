@@ -60,14 +60,12 @@ class WindowSpec:
 DEFAULT_WINDOWS = (WindowSpec(40.0, 80.0), WindowSpec(80.0, 200.0), WindowSpec(40.0, 380.0))
 
 
-def apply_window(slice_hu, spec: WindowSpec, out=None) -> np.ndarray:
+def apply_window(slice_hu, spec: WindowSpec) -> np.ndarray:
     """Map HU linearly onto [0, 1] over [center - width/2, center + width/2].
 
     Values outside the window clamp to 0 or 1. Monotone non-decreasing in HU.
-    The result is written into the float64 array ``out`` when one is given.
     """
-    if out is None:
-        out = np.empty(np.shape(slice_hu))
+    out = np.empty(np.shape(slice_hu))
     lower = spec.center - spec.width / 2.0
     np.subtract(slice_hu, lower, out=out, dtype=np.float64)
     np.divide(out, spec.width, out=out)

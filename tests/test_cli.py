@@ -10,10 +10,11 @@ import pytest
 
 import hemtriage
 from hemtriage import gbdt, slicemodel, stacker
-from hemtriage.cli import main
+from hemtriage.cli import _parse_windows, build_parser, main
 from hemtriage.metrics import REPORT_LABELS
 from hemtriage.slicemodel import extract_features, load_slice_probs, save_slice_probs
-from hemtriage.volume import HEMORRHAGE_TYPES, load_slice_labels, save_slice_labels, store_volume
+from hemtriage.volume import (DEFAULT_WINDOWS, HEMORRHAGE_TYPES, load_slice_labels,
+                              save_slice_labels, store_volume)
 
 from conftest import make_volume
 
@@ -141,6 +142,11 @@ class TestFlagErrors:
                     "--windows", windows, "--rounds", "2", "--out", str(out)]) == 1
         assert "--windows" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["slice-train", "oof"])
+    def test_default_windows_are_the_volume_defaults(self, command):
+        args = build_parser().parse_args([command, "--manifest", "m.csv", "--out", "out"])
+        assert _parse_windows(args.windows) == DEFAULT_WINDOWS
 
     def test_evaluate_probs_needs_thresholds(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "eval"

@@ -196,9 +196,9 @@ class TestWindowTables:
     def test_tables_are_built_once_per_window(self, monkeypatch):
         calls = []
 
-        def counting(slice_hu, spec, out=None):
+        def counting(slice_hu, spec):
             calls.append(spec)
-            return apply_window(slice_hu, spec, out)
+            return apply_window(slice_hu, spec)
 
         monkeypatch.setattr(volume, "apply_window", counting)
         volume.window_table.cache_clear()

@@ -322,6 +322,16 @@ class TestObjectives:
         assert 0.0 <= value <= 1.0
 
 
+class TestObjectiveTable:
+    @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+    def test_terms_partition_the_types(self, objective):
+        # Each type sits in exactly one term, so each threshold moves one
+        # term: the line search of an axis scores only that term.
+        types = [t for term in th._TERMS[objective] for t in term]
+        assert sorted(types) == list(range(5))
+        assert all(term for term in th._TERMS[objective])
+
+
 class TestBatchedObjectives:
     @settings(max_examples=150, deadline=None)
     @given(small_cohorts(),
