@@ -33,6 +33,8 @@ def _parse_windows(text: str) -> tuple[WindowSpec, ...]:
                       for chunk in text.split(","))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"cannot parse --windows {text!r}: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"--windows {text!r}: {exc}") from exc
     if len(specs) != 3:
         raise ConfigError("--windows needs exactly three center:width pairs")
     return specs
@@ -376,8 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="search decision thresholds")
     p.add_argument("--manifest", required=True)
     p.add_argument("--probs", required=True, help="refined slice probability CSV")
-    p.add_argument("--objective", default="any_bacc", choices=sorted(thresholds.OBJECTIVES))
-    p.add_argument("--budget", type=int, default=150,
+    p.add_argument("--objective", default=thresholds.DEFAULT_OBJECTIVE,
+                   choices=sorted(thresholds.OBJECTIVES))
+    p.add_argument("--budget", type=int, default=thresholds.DEFAULT_BUDGET,
                    help="random design points, scored in one batched pass; exact coordinate "
                         "ascent from the 4 best then scores one more point per start that moves")
     p.add_argument("--seed", type=int, default=0)

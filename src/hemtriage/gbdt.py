@@ -57,12 +57,19 @@ layout that follows from its growth mode. A leafwise or depthwise
 ``GbdtModel`` holds five node columns. An oblivious tree is only one
 (feature, threshold) per level and 2^depth leaves, so an ``ObliviousModel``
 holds each tree's depth, its levels and its leaf values in path order; a
-depth-6 tree is 6 levels and 64 leaves instead of 127 nodes. ``raw_score``
-walks every tree at once. A ``GbdtModel`` moves node ids, and each (tree,
-row) pair retires at its leaf: after the first step only the pairs still at
-an interior node move, so the walk follows each pair's own path, not the
-deepest tree. An ``ObliviousModel`` builds leaf indices, one level per step,
-from the level comparisons read as bits (CatBoost's oblivious trees,
+depth-6 tree is 6 levels and 64 leaves instead of 127 nodes. Each layout is
+declared once, in its model class: each column's little-endian dtype and the
+count of values it holds, the per-tree count column (node counts or depths)
+and the record key that stores it, and the type of one tree (``Tree`` or
+``LevelTree``). Packing, unpacking and the model-file codec read only that
+declaration, so ``from_trees`` and ``trees`` are inverses in both layouts:
+``from_trees(m.base_score, m.trees, m.num_features)`` rebuilds ``m``.
+
+``raw_score`` walks every tree at once. A ``GbdtModel`` moves node ids, and
+each (tree, row) pair retires at its leaf: after the first step only the pairs
+still at an interior node move, so the walk follows each pair's own path, not
+the deepest tree. An ``ObliviousModel`` builds leaf indices, one level per
+step, from the level comparisons read as bits (CatBoost's oblivious trees,
 Prokhorenkova et al. 2018).
 
 ``train_ensemble`` trains its (config, type) models side by side, each in a
@@ -79,9 +86,9 @@ only code that reads one back. Each model keeps ``base_score``,
 ``num_features``, ``num_trees`` and its column counts (``num_nodes``, or
 ``num_levels`` and ``num_leaves``) as plain JSON numbers and its per-tree node
 counts or depths and its columns as base64 of little-endian typed bytes (int32
-or float64), decoded without parsing a number per node and checked against
-those counts. The slice model and the stacker are both such records, and each
-of their modules checks only its own fields.
+or float64), decoded by its layout's declaration without parsing a number per
+node and checked against those counts. The slice model and the stacker are
+both such records, and each of their modules checks only its own fields.
 """
 
 from __future__ import annotations
@@ -170,7 +177,8 @@ def default_presets(rounds: int = 200) -> tuple[GbdtConfig, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Tree:
-    """One tree's node arrays; feature == -1 marks a leaf, value is lr-scaled."""
+    """One node-wise tree's node arrays; feature == -1 marks a leaf, value is
+    lr-scaled."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -180,7 +188,7 @@ class Tree:
 
 
 @dataclass(frozen=True, eq=False)
-class _LevelTree:
+class LevelTree:
     """One oblivious tree: a (feature, threshold) per level, root level first,
     and its 2^depth leaf values in path order."""
 
@@ -189,11 +197,7 @@ class _LevelTree:
     value: np.ndarray
 
 
-#: Node and level columns in record order, with the little-endian dtype each
-#: is held and stored in; per-tree node counts and depths are _SIZE_DTYPE.
-_COLUMNS = {"feature": "<i4", "threshold": "<f8", "left": "<i4", "right": "<i4",
-            "value": "<f8"}
-_LEVEL_COLUMNS = {"feature": "<i4", "threshold": "<f8", "value": "<f8"}
+#: The little-endian dtype of per-tree node counts and depths.
 _SIZE_DTYPE = "<i4"
 #: The most levels an oblivious tree may have, so that 2^depth leaves fit an
 #: int32 count and no leaf index shift can wrap. Growth never gets close:
@@ -202,11 +206,16 @@ MAX_OBLIVIOUS_DEPTH = 30
 
 
 class _Packed:
-    """What both model layouts share: a per-tree count column (``_COUNTS``)
-    and flat columns (``_ARRAYS``), all read-only, holding tree after tree.
-    A tree's count is the length of its own ``feature`` column."""
+    """What both model layouts share, read from each one's declaration:
+    ``_TREE``, the type of one tree; ``_COUNTS``, the per-tree count column,
+    and ``_KEY``, the record key that stores it; and ``_ARRAYS``, each flat
+    column's little-endian dtype and the count of values it holds. Every
+    column is read-only and holds tree after tree. A tree's count is the
+    length of its own ``feature`` column."""
 
+    _TREE: type
     _COUNTS: str
+    _KEY: str
     _ARRAYS: dict
 
     def __post_init__(self):
@@ -221,12 +230,23 @@ class _Packed:
 
     @classmethod
     def from_trees(cls, base_score: float, trees, num_features: int):
-        """Pack ``trees`` in order into one model's columns."""
+        """Pack ``trees`` in order into one model's columns; the inverse of
+        ``trees``."""
         columns = {name: np.concatenate([np.empty(0, dtype)]
                                         + [getattr(tree, name) for tree in trees], dtype=dtype)
-                   for name, dtype in cls._ARRAYS.items()}
+                   for name, (dtype, _) in cls._ARRAYS.items()}
         counts = np.array([len(tree.feature) for tree in trees], dtype=_SIZE_DTYPE)
         return cls(base_score, num_features, counts, **columns)
+
+    @property
+    def trees(self) -> tuple:
+        """Each tree, in order, as a ``_TREE`` of views into the columns; the
+        inverse of ``from_trees``."""
+        ends = {count: np.cumsum(lengths).tolist() for count, lengths in self._lengths().items()}
+        views = {name: [getattr(self, name)[start:end]
+                        for start, end in zip([0] + ends[count], ends[count])]
+                 for name, (_, count) in self._ARRAYS.items()}
+        return tuple(self._TREE(**dict(zip(views, tree))) for tree in zip(*views.values()))
 
     @property
     def num_trees(self) -> int:
@@ -240,7 +260,10 @@ class GbdtModel(_Packed):
     tree order. Child ids count from the first node of their own tree. The
     arrays are read-only."""
 
-    _COUNTS, _ARRAYS = "sizes", _COLUMNS
+    _TREE, _COUNTS, _KEY = Tree, "sizes", "tree_sizes"
+    _ARRAYS = {"feature": ("<i4", "num_nodes"), "threshold": ("<f8", "num_nodes"),
+               "left": ("<i4", "num_nodes"), "right": ("<i4", "num_nodes"),
+               "value": ("<f8", "num_nodes")}
 
     base_score: float  # log-odds
     num_features: int
@@ -251,12 +274,29 @@ class GbdtModel(_Packed):
     right: np.ndarray
     value: np.ndarray
 
-    @property
-    def trees(self) -> tuple[Tree, ...]:
-        """Each tree, in order, as views into the columns."""
-        ends = np.cumsum(self.sizes).tolist()
-        return tuple(Tree(**{name: getattr(self, name)[start:end] for name in _COLUMNS})
-                     for start, end in zip([0] + ends, ends))
+    def _lengths(self) -> dict:
+        """Per count of ``_ARRAYS``, each tree's share of it."""
+        return {"num_nodes": self.sizes}
+
+    def _check(self) -> None:
+        """Reject trees that ``predict`` cannot walk to a leaf, checked once
+        over the packed columns: every walk ends because interior nodes have
+        both children after themselves (the growers always number them so)."""
+        sizes = self.sizes.astype(np.int64)
+        if (sizes < 1).any():
+            raise FormatError("every tree must have at least one node")
+        if sizes.sum() != len(self.feature):
+            raise FormatError(f"tree sizes sum to {sizes.sum()}, not num_nodes {len(self.feature)}")
+        size = np.repeat(sizes, sizes)
+        node = np.arange(size.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        if not ((self.feature >= -1) & (self.feature < self.num_features)).all():
+            raise FormatError(f"tree feature index outside [0, {self.num_features})")
+        left, right = self.left, self.right
+        children_ok = (left > node) & (left < size) & (right > node) & (right < size)
+        if not np.where(self.feature == -1, (left == -1) & (right == -1), children_ok).all():
+            raise FormatError("tree child index out of order or out of range")
+        if not (np.isfinite(self.threshold).all() and np.isfinite(self.value).all()):
+            raise FormatError("tree thresholds and values must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,7 +308,9 @@ class ObliviousModel(_Packed):
     as bits, the root level's the highest, 1 where the row goes right. The
     arrays are read-only."""
 
-    _COUNTS, _ARRAYS = "depths", _LEVEL_COLUMNS
+    _TREE, _COUNTS, _KEY = LevelTree, "depths", "tree_depths"
+    _ARRAYS = {"feature": ("<i4", "num_levels"), "threshold": ("<f8", "num_levels"),
+               "value": ("<f8", "num_leaves")}
 
     base_score: float  # log-odds
     num_features: int
@@ -277,29 +319,26 @@ class ObliviousModel(_Packed):
     threshold: np.ndarray
     value: np.ndarray
 
-    @property
-    def trees(self) -> tuple[Tree, ...]:
-        """Each tree, in order, in the heap layout of a node-wise tree: its
-        2^depth - 1 interior nodes level by level, node i's children being
-        2i + 1 and 2i + 2, then its 2^depth leaves in path order."""
+    def _lengths(self) -> dict:
+        """Per count of ``_ARRAYS``, each tree's share of it."""
         depths = self.depths.astype(np.int64)
-        widths = 1 << depths
-        sizes = 2 * widths - 1
-        tree = np.repeat(np.arange(len(sizes)), sizes)
-        node = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        level = np.frexp(node + 1)[1] - 1  # floor(log2(node + 1)), exactly
-        interior = level < depths[tree]
-        leaf = ~interior
-        feature = np.full(len(node), -1, dtype=np.int32)
-        threshold, value = np.zeros(len(node)), np.zeros(len(node))
-        at = (np.cumsum(depths) - depths)[tree[interior]] + level[interior]
-        feature[interior], threshold[interior] = self.feature[at], self.threshold[at]
-        # Leaf node 2^depth - 1 + i holds the tree's leaf value i.
-        value[leaf] = self.value[(np.cumsum(widths) - 2 * widths + 1)[tree[leaf]] + node[leaf]]
-        left = np.where(interior, 2 * node + 1, -1).astype(np.int32)
-        right = np.where(interior, 2 * node + 2, -1).astype(np.int32)
-        return GbdtModel(self.base_score, self.num_features, sizes.astype(_SIZE_DTYPE),
-                         feature, threshold, left, right, value).trees
+        return {"num_levels": depths, "num_leaves": np.left_shift(1, depths)}
+
+    def _check(self) -> None:
+        """Reject levels that ``predict`` cannot walk: a depth outside [0,
+        MAX_OBLIVIOUS_DEPTH], checked before any 2^depth is formed, depths
+        that do not give the level and leaf counts, a feature index out of
+        range or a non-finite threshold or value."""
+        if ((self.depths < 0) | (self.depths > MAX_OBLIVIOUS_DEPTH)).any():
+            raise FormatError(f"tree depths must lie in [0, {MAX_OBLIVIOUS_DEPTH}]")
+        levels, leaves = (int(lengths.sum()) for lengths in self._lengths().values())
+        if (levels, leaves) != (len(self.feature), len(self.value)):
+            raise FormatError(f"tree depths give {levels} levels and {leaves} leaves, not "
+                              f"num_levels {len(self.feature)} and num_leaves {len(self.value)}")
+        if not ((self.feature >= 0) & (self.feature < self.num_features)).all():
+            raise FormatError(f"level feature index outside [0, {self.num_features})")
+        if not (np.isfinite(self.threshold).all() and np.isfinite(self.value).all()):
+            raise FormatError("level thresholds and leaf values must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,6 +351,8 @@ class GbdtEnsemble:
     def __post_init__(self):
         if not self.groups:
             raise ArityError("an ensemble needs at least one model group")
+        if not all(self.groups):
+            raise ArityError("an ensemble group needs at least one model")
         widths = {len(group) for group in self.groups}
         if widths != {len(self.groups[0])}:
             raise ConfigError("all ensemble groups must cover the same types")
@@ -508,7 +549,8 @@ class _TreeBuilder:
 
     def build(self) -> Tree:
         return Tree(**{name: np.asarray(column, dtype=dtype)
-                       for (name, dtype), column in zip(_COLUMNS.items(), zip(*self.nodes))})
+                       for (name, (dtype, _)), column in zip(GbdtModel._ARRAYS.items(),
+                                                             zip(*self.nodes))})
 
 
 class _Bins:
@@ -747,7 +789,7 @@ class _ObliviousGrower:
         self.cut_valid = ((left_total >= config.min_samples_leaf)
                           & (m - left_total >= config.min_samples_leaf))
 
-    def grow(self, g, h, y) -> tuple[_LevelTree, np.ndarray]:
+    def grow(self, g, h, y) -> tuple[LevelTree, np.ndarray]:
         """The tree's levels and leaf values and, per training row, the path
         index of the leaf it ends in."""
         lam = self.config.l2_reg
@@ -806,9 +848,9 @@ class _ObliviousGrower:
         leaf_n = np.bincount(leaf_of, minlength=num_leaves)
         denom = leaf_h + lam
         values = np.where((leaf_n > 0) & (denom > 0), -leaf_g / np.where(denom > 0, denom, 1.0), 0.0)
-        tree = _LevelTree(np.array([feature for feature, _ in levels], dtype=np.int32),
-                          np.array([threshold for _, threshold in levels], dtype=np.float64),
-                          values * lr)
+        tree = LevelTree(np.array([feature for feature, _ in levels], dtype=np.int32),
+                         np.array([threshold for _, threshold in levels], dtype=np.float64),
+                         values * lr)
         return tree, leaf_of
 
 
@@ -849,14 +891,12 @@ def save_ensemble(ensemble: GbdtEnsemble, kind: str, version: int, fields: dict,
 
 
 def _model_record(model: GbdtModel | ObliviousModel) -> dict:
-    if isinstance(model, ObliviousModel):
-        counts = {"num_levels": len(model.feature), "num_leaves": len(model.value),
-                  "tree_depths": _encode(model.depths, _SIZE_DTYPE)}
-    else:
-        counts = {"num_nodes": len(model.feature), "tree_sizes": _encode(model.sizes, _SIZE_DTYPE)}
+    counts = {count: len(getattr(model, name)) for name, (_, count) in model._ARRAYS.items()}
     return {"base_score": model.base_score, "num_features": model.num_features,
             "num_trees": model.num_trees, **counts,
-            **{name: _encode(getattr(model, name), dtype) for name, dtype in model._ARRAYS.items()}}
+            model._KEY: _encode(getattr(model, model._COUNTS), _SIZE_DTYPE),
+            **{name: _encode(getattr(model, name), dtype)
+               for name, (dtype, _) in model._ARRAYS.items()}}
 
 
 def _encode(column: np.ndarray, dtype: str) -> str:
@@ -894,25 +934,17 @@ def _model_from_json(record: dict) -> GbdtModel | ObliviousModel:
         raise FormatError(f"model num_features must be an integer, got {num_features!r}")
     if not is_finite_number(base_score):
         raise FormatError(f"model base_score must be a finite number, got {base_score!r}")
-    levels = "tree_depths" in record
-    names = ("num_trees", "num_levels", "num_leaves") if levels else ("num_trees", "num_nodes")
-    counts = {name: record[name] for name in names}
+    layout = ObliviousModel if ObliviousModel._KEY in record else GbdtModel
+    counts = {name: record[name]
+              for name in ("num_trees", *(count for _, count in layout._ARRAYS.values()))}
     for name, count in counts.items():
         if type(count) is not int or count < 0:
             raise FormatError(f"model {name} must be a non-negative integer, got {count!r}")
-    if levels:
-        depths = _decode(record, "tree_depths", _SIZE_DTYPE, counts["num_trees"])
-        columns = {name: _decode(record, name, dtype,
-                                 counts["num_leaves" if name == "value" else "num_levels"])
-                   for name, dtype in _LEVEL_COLUMNS.items()}
-        model = ObliviousModel(float(base_score), num_features, depths, **columns)
-        _check_levels(model)
-        return model
-    sizes = _decode(record, "tree_sizes", _SIZE_DTYPE, counts["num_trees"])
-    columns = {name: _decode(record, name, dtype, counts["num_nodes"])
-               for name, dtype in _COLUMNS.items()}
-    model = GbdtModel(float(base_score), num_features, sizes, **columns)
-    _check_trees(model)
+    per_tree = _decode(record, layout._KEY, _SIZE_DTYPE, counts["num_trees"])
+    columns = {name: _decode(record, name, dtype, counts[count])
+               for name, (dtype, count) in layout._ARRAYS.items()}
+    model = layout(float(base_score), num_features, per_tree, **columns)
+    model._check()
     return model
 
 
@@ -924,43 +956,3 @@ def _decode(record: dict, name: str, dtype: str, count: int) -> np.ndarray:
         raise FormatError(f"model {name} holds {len(raw)} bytes, not {count} values "
                           f"of {itemsize} bytes")
     return np.frombuffer(raw, dtype=dtype)
-
-
-def _check_levels(model: ObliviousModel) -> None:
-    """Reject levels that ``predict`` cannot walk: a depth outside [0,
-    MAX_OBLIVIOUS_DEPTH], checked before any 2^depth is formed, depths that
-    do not give the level and leaf counts, a feature index out of range or a
-    non-finite threshold or value."""
-    if ((model.depths < 0) | (model.depths > MAX_OBLIVIOUS_DEPTH)).any():
-        raise FormatError(f"tree depths must lie in [0, {MAX_OBLIVIOUS_DEPTH}]")
-    depths = model.depths.astype(np.int64)
-    levels, leaves = int(depths.sum()), int(np.left_shift(1, depths).sum())
-    if (levels, leaves) != (len(model.feature), len(model.value)):
-        raise FormatError(f"tree depths give {levels} levels and {leaves} leaves, not "
-                          f"num_levels {len(model.feature)} and num_leaves {len(model.value)}")
-    if not ((model.feature >= 0) & (model.feature < model.num_features)).all():
-        raise FormatError(f"level feature index outside [0, {model.num_features})")
-    if not (np.isfinite(model.threshold).all() and np.isfinite(model.value).all()):
-        raise FormatError("level thresholds and leaf values must be finite")
-
-
-def _check_trees(model: GbdtModel) -> None:
-    """Reject trees that ``predict`` cannot walk to a leaf, checked once over
-    the packed columns: every walk ends because interior nodes have both
-    children after themselves (the growers always number them so)."""
-    sizes = model.sizes.astype(np.int64)
-    if (sizes < 1).any():
-        raise FormatError("every tree must have at least one node")
-    if sizes.sum() != len(model.feature):
-        raise FormatError(f"tree sizes sum to {sizes.sum()}, not num_nodes {len(model.feature)}")
-    size = np.repeat(sizes, sizes)
-    node = np.arange(size.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    feature, threshold, left, right, value = (getattr(model, name) for name in _COLUMNS)
-    if not ((feature >= -1) & (feature < model.num_features)).all():
-        raise FormatError(f"tree feature index outside [0, {model.num_features})")
-    leaf = feature == -1
-    children_ok = (left > node) & (left < size) & (right > node) & (right < size)
-    if not np.where(leaf, (left == -1) & (right == -1), children_ok).all():
-        raise FormatError("tree child index out of order or out of range")
-    if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
-        raise FormatError("tree thresholds and values must be finite")

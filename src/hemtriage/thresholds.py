@@ -42,6 +42,9 @@ from .volume import HEMORRHAGE_TYPES, NUM_TYPES
 _THRESHOLD_KEYS = tuple(f"t_{t}" for t in HEMORRHAGE_TYPES)
 
 SEARCH_BOUNDS = (0.01, 1.0)
+#: ``optimize_thresholds``'s objective and design size when none is given.
+DEFAULT_OBJECTIVE = "any_bacc"
+DEFAULT_BUDGET = 150
 _ASCENT_STARTS = 4  # best design points the ascent starts from
 # Comparison flags (one byte per point, scan and type) that one objective call
 # on the design makes at most: the design is scored in blocks of rows, so
@@ -189,8 +192,8 @@ def _ascend(objective: str, point: np.ndarray, vectors: np.ndarray, labels: np.n
     return point
 
 
-def optimize_thresholds(scan_vectors, scan_labels, objective: str = "any_bacc",
-                        budget: int = 150, seed: int = 0) -> tuple[ThresholdSet, float]:
+def optimize_thresholds(scan_vectors, scan_labels, objective: str = DEFAULT_OBJECTIVE,
+                        budget: int = DEFAULT_BUDGET, seed: int = 0) -> tuple[ThresholdSet, float]:
     """Score ``budget`` seeded random points, then polish the best exactly.
 
     The design is ``budget`` points drawn uniformly from the search box by

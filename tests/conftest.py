@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hemtriage import gbdt
 from hemtriage.volume import CtVolume
 
 
@@ -23,6 +24,33 @@ def list_layout_groups(ensemble):
                          for name in ("feature", "threshold", "left", "right", "value")}
                         for tree in model.trees]} for model in group]
             for group in ensemble.groups]
+
+
+def node_trees(model):
+    """Oracle: each tree of ``model``, in order, as node arrays. An oblivious
+    tree comes in the heap layout of a node-wise tree: its 2^depth - 1
+    interior nodes level by level, node i's children being 2i + 1 and
+    2i + 2, then its 2^depth leaves in path order."""
+    if isinstance(model, gbdt.GbdtModel):
+        return model.trees
+    depths = model.depths.astype(np.int64)
+    widths = 1 << depths
+    sizes = 2 * widths - 1
+    tree = np.repeat(np.arange(len(sizes)), sizes)
+    node = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    level = np.frexp(node + 1)[1] - 1  # floor(log2(node + 1)), exactly
+    interior = level < depths[tree]
+    leaf = ~interior
+    feature = np.full(len(node), -1, dtype=np.int32)
+    threshold, value = np.zeros(len(node)), np.zeros(len(node))
+    at = (np.cumsum(depths) - depths)[tree[interior]] + level[interior]
+    feature[interior], threshold[interior] = model.feature[at], model.threshold[at]
+    # Leaf node 2^depth - 1 + i holds the tree's leaf value i.
+    value[leaf] = model.value[(np.cumsum(widths) - 2 * widths + 1)[tree[leaf]] + node[leaf]]
+    left = np.where(interior, 2 * node + 1, -1).astype(np.int32)
+    right = np.where(interior, 2 * node + 2, -1).astype(np.int32)
+    return gbdt.GbdtModel(model.base_score, model.num_features, sizes.astype("<i4"),
+                          feature, threshold, left, right, value).trees
 
 
 class MemorizingClassifier:

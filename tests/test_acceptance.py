@@ -24,7 +24,7 @@ from hemtriage.slicemodel import predict_by_scan, volume_features
 from hemtriage.thresholds import aggregate_scans, binarize_slice, optimize_thresholds, ThresholdSet
 from hemtriage.volume import DEFAULT_WINDOWS, ManifestRow, ScanLabels
 
-from conftest import MemorizingClassifier
+from conftest import MemorizingClassifier, node_trees
 from test_gbdt import tree_values
 from test_metrics import brute_force_auc
 from test_thresholds import grid_oracle, validation_scans
@@ -183,7 +183,7 @@ def test_acceptance_4_gbdt_properties():
         trained = gbdt.train(Xr, yr, cfg)
         margins = np.full(len(yr), trained.base_score)
         previous = log_loss(gbdt._sigmoid(margins), yr)
-        for tree in trained.trees:
+        for tree in node_trees(trained):
             margins += tree_values(tree, Xr)
             current = log_loss(gbdt._sigmoid(margins), yr)
             assert current <= previous + 1e-12, growth

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -9,14 +10,14 @@ from pathlib import Path
 import pytest
 
 import hemtriage
-from hemtriage import gbdt, slicemodel, stacker
+from hemtriage import gbdt, slicemodel, stacker, thresholds
 from hemtriage.cli import _parse_windows, build_parser, main
 from hemtriage.metrics import REPORT_LABELS
 from hemtriage.slicemodel import extract_features, load_slice_probs, save_slice_probs
 from hemtriage.volume import (DEFAULT_WINDOWS, HEMORRHAGE_TYPES, load_slice_labels,
                               save_slice_labels, store_volume)
 
-from conftest import make_volume
+from conftest import make_volume, node_trees
 
 
 def run(argv):
@@ -135,7 +136,8 @@ class TestOneClassLabel:
 
 
 class TestFlagErrors:
-    @pytest.mark.parametrize("windows", ["40:80,80:x,40:380", "40:80,80:200"])
+    @pytest.mark.parametrize("windows", ["40:80,80:x,40:380", "40:80,80:200",
+                                         "40:0,80:200,40:380", "40:80,nan:200,40:inf"])
     def test_bad_windows_rejected(self, pipeline_dir, tmp_path, capsys, windows):
         out = tmp_path / "model.json"
         assert run(["slice-train", "--manifest", str(pipeline_dir / "data" / "manifest.csv"),
@@ -147,6 +149,13 @@ class TestFlagErrors:
     def test_default_windows_are_the_volume_defaults(self, command):
         args = build_parser().parse_args([command, "--manifest", "m.csv", "--out", "out"])
         assert _parse_windows(args.windows) == DEFAULT_WINDOWS
+
+    def test_default_search_is_the_library_default(self):
+        args = build_parser().parse_args(["optimize", "--manifest", "m.csv", "--probs", "p.csv",
+                                          "--out", "out"])
+        parameters = inspect.signature(thresholds.optimize_thresholds).parameters
+        assert args.objective == parameters["objective"].default
+        assert args.budget == parameters["budget"].default
 
     def test_evaluate_probs_needs_thresholds(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -255,7 +264,7 @@ class TestStackApplyValidation:
         # Version 3 stored every model, oblivious ones too, as heap-layout nodes.
         ensemble, delta_s = stacker.load_stacker_model(pipeline_dir / "stacker.json")
         nodes = gbdt.GbdtEnsemble(groups=tuple(
-            tuple(gbdt.GbdtModel.from_trees(model.base_score, model.trees, model.num_features)
+            tuple(gbdt.GbdtModel.from_trees(model.base_score, node_trees(model), model.num_features)
                   for model in group) for group in ensemble.groups))
         path = tmp_path / "stacker_v3.json"
         gbdt.save_ensemble(nodes, "stacker-model", 3, {"delta_s": delta_s}, path)

@@ -16,6 +16,8 @@ from hemtriage import gbdt, parallel, stacker
 from hemtriage.errors import ArityError, ConfigError, DataError, FormatError, TrainingError
 from hemtriage.metrics import log_loss
 
+from conftest import node_trees
+
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0.0, 1.0, 1.0, 0.0])
 
@@ -39,7 +41,7 @@ def tree_values(tree, X):
 def reference_raw_score(model, X):
     """Reference oracle: base score plus ``tree_values`` of each tree, in order."""
     margins = np.full(X.shape[0], model.base_score)
-    for tree in model.trees:
+    for tree in node_trees(model):
         margins += tree_values(tree, X)
     return margins
 
@@ -48,16 +50,10 @@ def stopped_early(model, rng):
     """``model`` with each tree cut to a random depth from 0 to its own, and
     one tree to depth 0, as if their growth had stopped there. A tree cut to
     depth d keeps its first d levels and its first 2^d leaf values."""
-    level_ends = np.cumsum(model.depths)
-    leaf_ends = np.cumsum(1 << model.depths.astype(np.int64))
     keep = rng.integers(0, model.depths + 1)
     keep[rng.integers(len(keep))] = 0
-    trees = [gbdt._LevelTree(model.feature[level_end - depth:level_end - depth + kept],
-                             model.threshold[level_end - depth:level_end - depth + kept],
-                             model.value[leaf_end - (1 << depth):leaf_end - (1 << depth)
-                                         + (1 << kept)])
-             for depth, kept, level_end, leaf_end in zip(model.depths.tolist(), keep.tolist(),
-                                                         level_ends, leaf_ends)]
+    trees = [gbdt.LevelTree(tree.feature[:kept], tree.threshold[:kept], tree.value[:1 << kept])
+             for tree, kept in zip(model.trees, keep.tolist())]
     return gbdt.ObliviousModel.from_trees(model.base_score, trees, model.num_features)
 
 
@@ -65,7 +61,7 @@ def model_losses_per_round(model, X, y):
     """Training log loss after the base score and after each tree."""
     margins = np.full(len(y), model.base_score)
     losses = [log_loss(gbdt._sigmoid(margins), y)]
-    for tree in model.trees:
+    for tree in node_trees(model):
         margins += tree_values(tree, X)
         losses.append(log_loss(gbdt._sigmoid(margins), y))
     return losses
@@ -140,9 +136,9 @@ def brute_force_level_gains(X, g, h, leaf_of, lam, min_samples_leaf=1):
 
 
 def trees_equal(a, b):
-    return (np.array_equal(a.feature, b.feature) and np.array_equal(a.threshold, b.threshold)
-            and np.array_equal(a.left, b.left) and np.array_equal(a.right, b.right)
-            and np.array_equal(a.value, b.value))
+    """Whether two trees of one type hold equal arrays in every field."""
+    return type(a) is type(b) and all(np.array_equal(getattr(a, field.name), getattr(b, field.name))
+                                      for field in dataclasses.fields(a))
 
 
 class TestConfig:
@@ -337,7 +333,7 @@ class TestPredict:
                                      threshold=np.array([0.5, 0.25]),
                                      value=np.array([8.0, 1.0, 2.0, 4.0, 64.0]))
         assert gbdt.raw_score(levels, X).tolist() == [25.0, 28.0, 88.0, 28.0, 88.0, 26.0]
-        root, full = levels.trees
+        root, full = node_trees(levels)
         assert tree_bytes(root) == tree_bytes(stump)
         assert tree_bytes(full) == tree_bytes(gbdt.Tree(
             feature=np.array([1, 0, 0, -1, -1, -1, -1], dtype=np.int32),
@@ -605,8 +601,8 @@ def _walk_to_leaves(tree, X):
 def _grow_rounds(X, y, config):
     """Boost like ``gbdt.train``, yielding each round's tree and the leaf
     node of every training row that its grower hands back. An oblivious
-    tree comes in the heap layout of ``ObliviousModel.trees``, where leaf i
-    in path order is node 2^depth - 1 + i."""
+    tree comes in the heap layout of ``node_trees``, where leaf i in path
+    order is node 2^depth - 1 + i."""
     oblivious = config.growth == "oblivious"
     grower_class = gbdt._ObliviousGrower if oblivious else gbdt._NodeGrower
     grower = grower_class(gbdt._Bins(X, gbdt._MAX_BINS[config.growth]), config)
@@ -615,7 +611,7 @@ def _grow_rounds(X, y, config):
         p = gbdt._sigmoid(margins)
         tree, leaf_of = grower.grow(p - y, p * (1.0 - p), y)
         if oblivious:
-            tree, leaf_of = (gbdt.ObliviousModel.from_trees(0.0, [tree], X.shape[1]).trees[0],
+            tree, leaf_of = (node_trees(gbdt.ObliviousModel.from_trees(0.0, [tree], X.shape[1]))[0],
                              leaf_of + len(tree.value) - 1)
         yield tree, leaf_of
         margins += tree_values(tree, X)
@@ -674,9 +670,9 @@ def dense_oblivious_grow(grower, g, h, y, stop_at_repeat=False):
     leaf_n = np.bincount(leaf_of, minlength=num_leaves)
     denom = leaf_h + lam
     values = np.where((leaf_n > 0) & (denom > 0), -leaf_g / np.where(denom > 0, denom, 1.0), 0.0)
-    tree = gbdt._LevelTree(np.array([feature for feature, _ in levels], dtype=np.int32),
-                           np.array([threshold for _, threshold in levels]),
-                           values * grower.config.learning_rate)
+    tree = gbdt.LevelTree(np.array([feature for feature, _ in levels], dtype=np.int32),
+                          np.array([threshold for _, threshold in levels]),
+                          values * grower.config.learning_rate)
     return tree, leaf_of
 
 
@@ -1261,6 +1257,30 @@ class TestDeterminism:
         assert np.array_equal(gbdt.predict(a, probe), gbdt.predict(b, probe))
 
 
+class TestTreesAndFromTrees:
+    """``trees`` gives each tree in the model's own layout, as views into its
+    columns, and ``from_trees`` packs them back into the same columns."""
+
+    @pytest.mark.parametrize("growth", gbdt.GROWTH_MODES)
+    def test_from_trees_rebuilds_the_model_from_views(self, growth, rng):
+        X = rng.random((60, 4))
+        y = ((X[:, 0] > 0.5) != (X[:, 1] > 0.5)).astype(float)
+        model = gbdt.train(X, y, gbdt.GbdtConfig(rounds=6, growth=growth, max_depth=3))
+        trees = model.trees
+        assert len(trees) == model.num_trees == 6
+        for tree in trees:
+            assert [field.name for field in dataclasses.fields(tree)] == list(model._ARRAYS)
+            for name in model._ARRAYS:
+                part = getattr(tree, name)
+                assert part.size and np.shares_memory(part, getattr(model, name)), name
+                assert not part.flags.writeable, name
+        rebuilt = type(model).from_trees(model.base_score, trees, model.num_features)
+        assert (rebuilt.base_score, rebuilt.num_features) == (model.base_score, model.num_features)
+        for name in (model._COUNTS, *model._ARRAYS):
+            before, after = getattr(model, name), getattr(rebuilt, name)
+            assert (after.dtype.str, after.tobytes()) == (before.dtype.str, before.tobytes()), name
+
+
 class TestEnsemble:
     def test_single_config_matches_member(self, rng):
         # A one-group ensemble (the slice model) predicts each type's member
@@ -1462,7 +1482,7 @@ class TestPersistence:
         ({"groups": [{}]}, "malformed test-model record"),
         ({"groups": [[[]]]}, "malformed test-model record"),
         ({"groups": []}, "malformed test-model record: .*at least one model group"),
-        ({"groups": [[]]}, "malformed test-model record"),
+        ({"groups": [[]]}, "malformed test-model record: .*group needs at least one model"),
         ({"groups": [[{key: value for key, value in empty_model_record().items()
                        if key != "base_score"}]]}, "malformed test-model record"),
         ({"groups": [[empty_model_record()], [empty_model_record(num_features=3)]]},
